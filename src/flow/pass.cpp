@@ -3,16 +3,16 @@
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
+#include <optional>
 #include <utility>
 
 #include "aig/balance.hpp"
+#include "common/format.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "decomp/renode.hpp"
 #include "mapper/tree_map.hpp"
 #include "obs/counters.hpp"
-#include "reliability/complexity.hpp"
-#include "reliability/error_rate.hpp"
 #include "reliability/fault_model.hpp"
 #include "reliability/sampling.hpp"
 #include "sop/extract.hpp"
@@ -90,19 +90,21 @@ exec::Status Pass::set_fault_model(const reliability::FaultModelSpec&) {
                           "' does not accept a fault model annotation");
 }
 
+const reliability::FaultModelSpec& Pass::stamp_fault_model(
+    Design& design) const {
+  const reliability::FaultModelSpec& model =
+      fault_model_ ? *fault_model_ : design.options().fault_model;
+  if (fault_model_.has_value() || !model.is_default())
+    design.fault_model_label = model.canonical();
+  return model;
+}
+
 exec::Status Design::require(Artifact artifact, const char* who) const {
   if (has(artifact)) return {};
   return exec::Status(exec::StatusCode::kInvalidArgument,
                       std::string(who) + ": requires the '" +
                           artifact_name(artifact) +
                           "' artifact; run a pass that produces it first");
-}
-
-std::string format_double(double value) {
-  char buffer[32];
-  const auto [end, ec] = std::to_chars(buffer, buffer + sizeof(buffer), value);
-  if (ec != std::errc()) return "0";
-  return std::string(buffer, end);
 }
 
 namespace {
@@ -125,84 +127,6 @@ bool parse_unsigned_arg(const std::string& text, unsigned& out) {
 }
 
 // --- DC assignment -------------------------------------------------------
-
-/// Model-aware generalization of ranking_assign: candidates are ranked by
-/// |if_on - if_off| event mass under the chosen fault model and assigned to
-/// the phase adding the smaller mass. With bitflip(1) events (if_on = off
-/// neighbors, if_off = on neighbors) this reproduces the paper's ranked
-/// list decision-for-decision; the default pipeline still routes through
-/// the integer ranking_assign path, so its reports stay bit-identical.
-AssignmentResult model_ranking_assign(IncompleteSpec& working,
-                                      const IncompleteSpec& spec,
-                                      double fraction,
-                                      std::span<const NeighborTable> tables,
-                                      const reliability::FaultModel& model) {
-  struct Candidate {
-    std::uint32_t minterm;
-    double weight;
-    bool to_on;
-  };
-  AssignmentResult total;
-  for (unsigned o = 0; o < working.num_outputs(); ++o) {
-    TernaryTruthTable& f = working.output(o);
-    total.dc_before += f.dc_count();
-    const TernaryTruthTable& g = spec.output(o);
-    const std::vector<std::uint32_t> dcs = g.dc_minterms();
-    const std::vector<reliability::MintermEvents> events =
-        model.dc_assignment_events(g, tables[o]);
-    std::vector<Candidate> list;
-    for (std::size_t i = 0; i < dcs.size(); ++i) {
-      const double w = std::abs(events[i].if_on - events[i].if_off);
-      if (w > 0.0)
-        list.push_back({dcs[i], w, events[i].if_on < events[i].if_off});
-    }
-    std::stable_sort(list.begin(), list.end(),
-                     [](const Candidate& a, const Candidate& b) {
-                       return a.weight > b.weight;
-                     });
-    const auto count = std::min(
-        list.size(), static_cast<std::size_t>(std::llround(
-                         fraction * static_cast<double>(list.size()))));
-    for (std::size_t i = 0; i < count; ++i) {
-      f.set_phase(list[i].minterm,
-                  list[i].to_on ? Phase::kOne : Phase::kZero);
-      ++total.assigned;
-      if (list[i].to_on) ++total.assigned_on;
-    }
-  }
-  obs::count(obs::Counter::kDcRankingAssigned, total.assigned);
-  return total;
-}
-
-/// Model-aware lcf_assign: the LC^f admission gate is unchanged (it
-/// measures spec structure, not the fault scenario); the phase decision and
-/// the tie filter use the model's event masses instead of neighbor counts.
-AssignmentResult model_lcf_assign(IncompleteSpec& working,
-                                  const IncompleteSpec& spec, double threshold,
-                                  bool assign_balanced,
-                                  std::span<const NeighborTable> tables,
-                                  const reliability::FaultModel& model) {
-  AssignmentResult total;
-  for (unsigned o = 0; o < working.num_outputs(); ++o) {
-    TernaryTruthTable& f = working.output(o);
-    total.dc_before += f.dc_count();
-    const TernaryTruthTable& g = spec.output(o);
-    const std::vector<std::uint32_t> dcs = g.dc_minterms();
-    const std::vector<reliability::MintermEvents> events =
-        model.dc_assignment_events(g, tables[o]);
-    for (std::size_t i = 0; i < dcs.size(); ++i) {
-      if (local_complexity_factor(g, tables[o], dcs[i]) >= threshold)
-        continue;
-      if (!assign_balanced && events[i].if_on == events[i].if_off) continue;
-      const bool to_on = events[i].if_on < events[i].if_off;
-      f.set_phase(dcs[i], to_on ? Phase::kOne : Phase::kZero);
-      ++total.assigned;
-      if (to_on) ++total.assigned_on;
-    }
-  }
-  obs::count(obs::Counter::kDcLcfAssigned, total.assigned);
-  return total;
-}
 
 class AssignPass final : public Pass {
  public:
@@ -261,16 +185,6 @@ class AssignPass final : public Pass {
     IncompleteSpec& working = design.working();
     AssignmentResult result;
     const char* policy = "";
-    const reliability::FaultModelSpec& model = effective_fault_model(design);
-    const bool reliability_kind =
-        kind_ == Kind::kRanking || kind_ == Kind::kRankingInc ||
-        kind_ == Kind::kLcf || kind_ == Kind::kAll;
-    // An explicit annotation or a non-default options model stamps the
-    // report; only a genuinely non-default model leaves the paper's
-    // integer paths (an explicit @bitflip makes identical decisions there).
-    const bool model_aware = reliability_kind && !model.is_default();
-    if (reliability_kind && (fault_model().has_value() || !model.is_default()))
-      design.fault_model_label = model.canonical();
     switch (kind_) {
       case Kind::kConventional:
         // All DCs stay with the downstream minimizer (the baseline).
@@ -281,41 +195,31 @@ class AssignPass final : public Pass {
       // of them evaluate their metrics on the input specification, so the
       // tables stay valid however often the pass re-runs.
       case Kind::kRanking:
-        result = model_aware
-                     ? model_ranking_assign(working, design.spec(), param_,
-                                            design.spec_neighbors(),
-                                            design.fault_model(model))
-                     : ranking_assign(working, param_,
-                                      design.spec_neighbors());
+        result = ranking_assign(working, param_, design.spec_neighbors(),
+                                analyzer(design));
         policy = "ranking_fraction";
         break;
-      case Kind::kRankingInc:
-        // Incremental neighbor-count maintenance is a bitflip(1)-specific
-        // optimization; any other model falls back to the static
-        // model-aware ranking (same decisions, non-incremental cost).
-        result = model_aware
-                     ? model_ranking_assign(working, design.spec(), param_,
-                                            design.spec_neighbors(),
-                                            design.fault_model(model))
-                     : ranking_assign_incremental(working, param_,
-                                                  design.spec_neighbors());
+      case Kind::kRankingInc: {
+        // Incremental neighbor-count maintenance exists for bitflip(1)
+        // only; any other model falls back to the static ranking (the same
+        // decisions as assign:ranking under that model).
+        const reliability::FaultModel& model = analyzer(design);
+        result = model.model_spec().is_default()
+                     ? ranking_assign_incremental(working, param_,
+                                                  design.spec_neighbors())
+                     : ranking_assign(working, param_,
+                                      design.spec_neighbors(), model);
         policy = "ranking_incremental";
         break;
+      }
       case Kind::kLcf:
-        result = model_aware
-                     ? model_lcf_assign(working, design.spec(), param_,
-                                        balanced_, design.spec_neighbors(),
-                                        design.fault_model(model))
-                     : lcf_assign(working, param_, balanced_,
-                                  design.spec_neighbors());
+        result = lcf_assign(working, param_, balanced_,
+                            design.spec_neighbors(), analyzer(design));
         policy = "lcf_threshold";
         break;
       case Kind::kAll:
-        result = model_aware
-                     ? model_ranking_assign(working, design.spec(), 1.0,
-                                            design.spec_neighbors(),
-                                            design.fault_model(model))
-                     : ranking_assign(working, 1.0, design.spec_neighbors());
+        result = ranking_assign(working, 1.0, design.spec_neighbors(),
+                                analyzer(design));
         policy = "all_reliability";
         break;
       case Kind::kZero:
@@ -336,6 +240,11 @@ class AssignPass final : public Pass {
   }
 
  private:
+  /// The analyzer the reliability kinds decide through.
+  const reliability::FaultModel& analyzer(Design& design) const {
+    return design.fault_model(stamp_fault_model(design));
+  }
+
   Kind kind_;
   double param_;
   bool balanced_;
@@ -546,96 +455,27 @@ class AnalyzePass final : public Pass {
   }
 };
 
-/// Largest input count the exact estimator is asked to handle before the
-/// `error_rate` pass switches itself to the sampled estimator. Specs today
-/// are capped at kMaxInputs = 20, so the exact path always wins; the policy
-/// is what keeps the pass meaningful if that cap is ever lifted.
-constexpr unsigned kExactErrorRateInputLimit = 20;
-
 /// Default Monte-Carlo budget when sampling (the `error_rate:sampled(1e6)`
 /// canonical default).
 constexpr std::uint64_t kDefaultErrorRateSamples = 1000000;
 
-/// Shared sampled-estimator body: seeded from FlowOptions::sample_seed so
-/// the report is byte-deterministic for a fixed (spec, pipeline, seed).
-/// `model` null selects the default bitflip(1) estimator (the pre-§16 code
-/// path, kept verbatim so default reports stay byte-identical).
-void run_sampled_error_rate(Design& design, std::uint64_t samples,
-                            const reliability::FaultModel* model = nullptr) {
-  Rng rng(design.options().sample_seed);
-  const SampledRate estimate =
-      model != nullptr
-          ? model->sampled_rate(design.working(), design.spec(), samples, rng)
-          : sampled_error_rate_ci(design.working(), design.spec(), 1, samples,
-                                  rng);
-  design.error_rate = estimate.rate;
-  design.estimator.sampled = true;
-  design.estimator.ci_low = estimate.ci_low;
-  design.estimator.ci_high = estimate.ci_high;
-  design.estimator.samples = estimate.samples;
-}
-
+/// `error_rate` (exact) and `error_rate:sampled(N)`: the fault model's
+/// rate of the completed working spec against the original spec.
 class ErrorRatePass final : public Pass {
  public:
-  const char* name() const override { return "error_rate"; }
+  /// No sample count: the exact estimator.
+  explicit ErrorRatePass(std::optional<std::uint64_t> samples = {})
+      : samples_(samples) {}
+
+  const char* name() const override {
+    return samples_ ? "error_rate:sampled" : "error_rate";
+  }
   const char* phase() const override { return "error_rate"; }
 
   std::string spec() const override {
-    return std::string(name()) + model_suffix();
-  }
-
-  exec::Status set_fault_model(
-      const reliability::FaultModelSpec& model) override {
-    return accept_fault_model(model);
-  }
-
-  exec::Status run(Design& design) override {
-    // The covers pass is what completes the working spec, which doubles as
-    // the implementation the exact rate is measured on.
-    if (exec::Status s = design.require(Artifact::kCovers, name()); !s.ok())
-      return s;
-    const reliability::FaultModelSpec& model = effective_fault_model(design);
-    if (fault_model().has_value() || !model.is_default())
-      design.fault_model_label = model.canonical();
-    if (!model.is_default()) {
-      const reliability::FaultModel& analyzer = design.fault_model(model);
-      if (design.spec().num_inputs() > kExactErrorRateInputLimit) {
-        run_sampled_error_rate(design, kDefaultErrorRateSamples, &analyzer);
-      } else {
-        design.error_rate =
-            analyzer.error_rate(design.working(), design.spec());
-        design.estimator = {};
-      }
-      design.produced(Artifact::kErrorRate);
-      return {};
-    }
-    if (design.spec().num_inputs() > kExactErrorRateInputLimit) {
-      run_sampled_error_rate(design, kDefaultErrorRateSamples);
-      design.produced(Artifact::kErrorRate);
-      return {};
-    }
-    // The tracker's update is bit-identical to exact_error_rate and throws
-    // the same invalid_argument when the working spec is not completely
-    // specified; on repeat evaluations it only pays for the minterms whose
-    // phase changed since the last one.
-    design.error_rate = design.error_tracker().update(design.working());
-    design.estimator = {};
-    design.produced(Artifact::kErrorRate);
-    return {};
-  }
-};
-
-class ErrorRateSampledPass final : public Pass {
- public:
-  explicit ErrorRateSampledPass(std::uint64_t samples) : samples_(samples) {}
-
-  const char* name() const override { return "error_rate:sampled"; }
-  const char* phase() const override { return "error_rate"; }
-
-  std::string spec() const override {
-    if (samples_ == kDefaultErrorRateSamples)
+    if (!samples_ || *samples_ == kDefaultErrorRateSamples)
       return std::string(name()) + model_suffix();
-    return std::string(name()) + "(" + std::to_string(samples_) + ")" +
+    return std::string(name()) + "(" + std::to_string(*samples_) + ")" +
            model_suffix();
   }
 
@@ -645,20 +485,39 @@ class ErrorRateSampledPass final : public Pass {
   }
 
   exec::Status run(Design& design) override {
+    // The covers pass is what completes the working spec, which doubles as
+    // the implementation the rate is measured on.
     if (exec::Status s = design.require(Artifact::kCovers, name()); !s.ok())
       return s;
-    const reliability::FaultModelSpec& model = effective_fault_model(design);
-    if (fault_model().has_value() || !model.is_default())
-      design.fault_model_label = model.canonical();
-    run_sampled_error_rate(
-        design, samples_,
-        model.is_default() ? nullptr : &design.fault_model(model));
+    const reliability::FaultModelSpec& model = stamp_fault_model(design);
+    design.estimator = {};
+    if (samples_) {
+      // Seeded from FlowOptions::sample_seed so the report is
+      // byte-deterministic for a fixed (spec, pipeline, seed).
+      Rng rng(design.options().sample_seed);
+      const SampledRate estimate = design.fault_model(model).sampled_rate(
+          design.working(), design.spec(), *samples_, rng);
+      design.error_rate = estimate.rate;
+      design.estimator.sampled = true;
+      design.estimator.ci_low = estimate.ci_low;
+      design.estimator.ci_high = estimate.ci_high;
+      design.estimator.samples = estimate.samples;
+    } else if (model.is_default()) {
+      // The tracker's update is bit-identical to exact_error_rate and
+      // throws the same invalid_argument when the working spec is not
+      // completely specified; on repeat evaluations it only pays for the
+      // minterms whose phase changed since the last one.
+      design.error_rate = design.error_tracker().update(design.working());
+    } else {
+      design.error_rate =
+          design.fault_model(model).error_rate(design.working(), design.spec());
+    }
     design.produced(Artifact::kErrorRate);
     return {};
   }
 
  private:
-  std::uint64_t samples_;
+  std::optional<std::uint64_t> samples_;
 };
 
 // --- factory -------------------------------------------------------------
@@ -804,7 +663,7 @@ exec::Status make_pass(const std::string& name,
                        "' is not a sample count in [1, 1e9]");
       samples = static_cast<std::uint64_t>(value);
     }
-    out = std::make_unique<ErrorRateSampledPass>(samples);
+    out = std::make_unique<ErrorRatePass>(samples);
     return {};
   }
   return invalid("unknown pass '" + name + "'");

@@ -94,9 +94,9 @@ class Design {
   NetlistStats stats;        ///< valid iff has(Artifact::kStats)
   double error_rate = 0.0;   ///< valid iff has(Artifact::kErrorRate)
 
-  /// Which estimator produced `error_rate` (valid iff kErrorRate). The
-  /// exact passes leave `sampled` false; `error_rate:sampled` fills the
-  /// 95% confidence interval and the draws it spent.
+  /// Which estimator produced `error_rate` (valid iff kErrorRate).
+  /// `error_rate` leaves `sampled` false; `error_rate:sampled` fills the
+  /// 95% confidence interval and the draws it spent, under any model.
   struct EstimatorInfo {
     bool sampled = false;
     double ci_low = 0.0;
@@ -114,10 +114,11 @@ class Design {
   const char* policy = "";
 
   /// Canonical name of the fault model the run's reliability passes used,
-  /// for the report's "fault_model" metric. Left empty on the pure default
-  /// path (no annotation, default options model) so pre-§16 reports stay
-  /// byte-identical; set whenever a pass was annotated or the options
-  /// select a non-default model.
+  /// for the report's "fault_model" metric, stamped by
+  /// Pass::stamp_fault_model. Every model decides through the same code;
+  /// the label is the only trace of the choice on the pure default path
+  /// (no annotation, default options model), where it stays empty so
+  /// pre-§16 reports stay byte-identical.
   std::string fault_model_label;
 
   /// Effort dial for the `espresso` pass; run_flow's degradation ladder
@@ -238,12 +239,10 @@ class Pass {
     return fault_model_ ? "@" + fault_model_->canonical() : std::string();
   }
 
-  /// The model this pass should analyze against: the annotation when
-  /// present, the Design-wide option otherwise.
-  const reliability::FaultModelSpec& effective_fault_model(
-      const Design& design) const {
-    return fault_model_ ? *fault_model_ : design.options().fault_model;
-  }
+  /// The model this pass analyzes against: the annotation when present,
+  /// the Design-wide option otherwise. Stamps Design::fault_model_label
+  /// with it unless the run is on the pure default path.
+  const reliability::FaultModelSpec& stamp_fault_model(Design& design) const;
 
  private:
   std::optional<reliability::FaultModelSpec> fault_model_;
@@ -259,9 +258,5 @@ exec::Status make_pass(const std::string& name,
 /// Every registered pass name, in grammar order (for usage text, error
 /// messages and the spec fuzzer's dictionary).
 std::vector<std::string> pass_names();
-
-/// Shortest round-tripping decimal form of `value` (std::to_chars), used
-/// for canonical pass/pipeline spec strings.
-std::string format_double(double value);
 
 }  // namespace rdc::flow

@@ -7,6 +7,7 @@
 #include <thread>
 #include <utility>
 
+#include "common/format.hpp"
 #include "common/thread_pool.hpp"
 #include "exec/fault.hpp"
 #include "obs/events.hpp"

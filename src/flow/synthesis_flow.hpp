@@ -82,10 +82,10 @@ struct FlowOptions {
   /// for a fixed (spec, pipeline, seed) triple regardless of thread count.
   std::uint64_t sample_seed = 0x9e3779b97f4a7c15ull;
   /// Fault scenario the reliability passes optimize and analyze against
-  /// (DESIGN.md §16). The default, bitflip(1), is the paper's model and
-  /// keeps every pre-FaultModel code path — SIMD kernels, incremental
-  /// tracker, fingerprints, report bytes — exactly as before. A per-pass
-  /// `@model` annotation in a pipeline spec overrides this per pass.
+  /// (DESIGN.md §16). The default, bitflip(1), is the paper's model: its
+  /// decisions, fingerprints and report bytes are exactly those of the
+  /// pre-FaultModel flow. A per-pass `@model` annotation in a pipeline
+  /// spec overrides this per pass.
   reliability::FaultModelSpec fault_model;
 };
 

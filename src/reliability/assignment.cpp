@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <memory>
 #include <queue>
 
 #include "obs/counters.hpp"
@@ -13,41 +14,96 @@
 namespace rdc {
 namespace {
 
-struct RankedDc {
+/// One DC the model's events favor a phase for: an entry of Fig. 3's
+/// ranked list. 16 bytes, so ranking moves little memory.
+struct Candidate {
+  double weight = 0.0;  ///< |if_on - if_off|, the generalized majority weight
   std::uint32_t minterm = 0;
-  unsigned weight = 0;  ///< |on-neighbors - off-neighbors|
-  bool to_on = false;   ///< majority phase
+  bool to_on = false;   ///< the phase adding the smaller event mass
 };
 
-/// Builds the ranked DC list of Fig. 3: only DCs with non-zero weight, in
-/// decreasing weight order (ties by minterm index for determinism).
-std::vector<RankedDc> ranked_dcs(const TernaryTruthTable& f,
-                                 const NeighborTable& neighbors) {
-  std::vector<RankedDc> list;
-  for (std::uint32_t m : f.dc_minterms()) {
-    const NeighborCounts& c = neighbors.at(m);
-    const unsigned w =
-        c.on > c.off ? unsigned{c.on} - c.off : unsigned{c.off} - c.on;
-    if (w != 0) list.push_back({m, w, c.on > c.off});
+/// Fig. 3's ranked-list order: decreasing weight, ties by minterm index.
+bool ranks_before(const Candidate& a, const Candidate& b) {
+  return a.weight != b.weight ? a.weight > b.weight : a.minterm < b.minterm;
+}
+
+/// The paper's model, bitflip(1): its events are the neighbor counts.
+const reliability::FaultModel& paper_model() {
+  static const std::unique_ptr<reliability::FaultModel> model =
+      reliability::make_fault_model(reliability::FaultModelSpec());
+  return *model;
+}
+
+/// The one decision core: the candidate list of `f`, in increasing minterm
+/// order, from the model's events for its DCs. DCs with equal masses are
+/// dropped unless `keep_ties` (then they go to the off-set, Fig. 7's
+/// literal "else x <- 0"); `admit(m)` is asked only for the others.
+template <typename Admit>
+std::vector<Candidate> candidates(const TernaryTruthTable& f,
+                                  const NeighborTable& neighbors,
+                                  const reliability::FaultModel& model,
+                                  bool keep_ties, Admit admit) {
+  const std::vector<std::uint32_t> dcs = f.dc_minterms();
+  const std::vector<reliability::MintermEvents> events =
+      model.dc_assignment_events(f, dcs, neighbors);
+  std::vector<Candidate> list;
+  list.reserve(dcs.size());
+  for (std::size_t i = 0; i < dcs.size(); ++i) {
+    const double w = std::abs(events[i].if_on - events[i].if_off);
+    if ((w > 0.0 || keep_ties) && admit(dcs[i]))
+      list.push_back({w, dcs[i], events[i].if_on < events[i].if_off});
   }
-  std::stable_sort(list.begin(), list.end(),
-                   [](const RankedDc& a, const RankedDc& b) {
-                     return a.weight > b.weight;
-                   });
   return list;
 }
 
-AssignmentResult apply_prefix(TernaryTruthTable& f,
-                              const std::vector<RankedDc>& list,
-                              std::size_t count) {
+constexpr auto kAdmitAll = [](std::uint32_t) { return true; };
+
+/// Assigns the first `count` DCs of the ranked list. Decisions are static,
+/// so only which DCs rank in the top `count` matters, not the order they
+/// are assigned in: a linear-time selection replaces Fig. 3's full sort.
+AssignmentResult assign_top(TernaryTruthTable& f, std::vector<Candidate>& list,
+                            std::size_t count) {
   AssignmentResult result;
   result.dc_before = f.dc_count();
   count = std::min(count, list.size());
+  if (count < list.size())
+    std::nth_element(list.begin(), list.begin() + count, list.end(),
+                     ranks_before);
   for (std::size_t i = 0; i < count; ++i) {
     f.set_phase(list[i].minterm, list[i].to_on ? Phase::kOne : Phase::kZero);
     ++result.assigned;
     if (list[i].to_on) ++result.assigned_on;
   }
+  return result;
+}
+
+AssignmentResult rank_and_assign(TernaryTruthTable& f, double fraction,
+                                 const NeighborTable& neighbors,
+                                 const reliability::FaultModel& model) {
+  assert(fraction >= 0.0 && fraction <= 1.0);
+  std::vector<Candidate> list =
+      candidates(f, neighbors, model, false, kAdmitAll);
+  // Fig. 3 assigns indices 0 .. fraction * DC_List.length.
+  const auto count = static_cast<std::size_t>(
+      std::llround(fraction * static_cast<double>(list.size())));
+  const AssignmentResult result = assign_top(f, list, count);
+  obs::count(obs::Counter::kDcRankingAssigned, result.assigned);
+  return result;
+}
+
+AssignmentResult lcf_filter_and_assign(TernaryTruthTable& f, double threshold,
+                                       bool assign_balanced,
+                                       const NeighborTable& neighbors,
+                                       const reliability::FaultModel& model) {
+  // The LC^f gate measures spec structure, not the fault scenario. All
+  // candidates are collected before any assignment, so LC^f and the events
+  // of every DC are evaluated on the input specification (Fig. 7).
+  std::vector<Candidate> list =
+      candidates(f, neighbors, model, assign_balanced, [&](std::uint32_t m) {
+        return local_complexity_factor(f, neighbors, m) < threshold;
+      });
+  const AssignmentResult result = assign_top(f, list, list.size());
+  obs::count(obs::Counter::kDcLcfAssigned, result.assigned);
   return result;
 }
 
@@ -71,14 +127,7 @@ AssignmentResult ranking_assign(TernaryTruthTable& f, double fraction) {
 
 AssignmentResult ranking_assign(TernaryTruthTable& f, double fraction,
                                 const NeighborTable& neighbors) {
-  assert(fraction >= 0.0 && fraction <= 1.0);
-  const std::vector<RankedDc> list = ranked_dcs(f, neighbors);
-  // Fig. 3 assigns indices 0 .. fraction * DC_List.length.
-  const auto count = static_cast<std::size_t>(
-      std::llround(fraction * static_cast<double>(list.size())));
-  const AssignmentResult result = apply_prefix(f, list, count);
-  obs::count(obs::Counter::kDcRankingAssigned, result.assigned);
-  return result;
+  return rank_and_assign(f, fraction, neighbors, paper_model());
 }
 
 AssignmentResult ranking_assign_count(TernaryTruthTable& f,
@@ -89,7 +138,9 @@ AssignmentResult ranking_assign_count(TernaryTruthTable& f,
 AssignmentResult ranking_assign_count(TernaryTruthTable& f,
                                       std::uint32_t count,
                                       const NeighborTable& neighbors) {
-  return apply_prefix(f, ranked_dcs(f, neighbors), count);
+  std::vector<Candidate> list =
+      candidates(f, neighbors, paper_model(), false, kAdmitAll);
+  return assign_top(f, list, count);
 }
 
 AssignmentResult ranking_assign_incremental(TernaryTruthTable& f,
@@ -165,38 +216,13 @@ AssignmentResult lcf_assign(TernaryTruthTable& f, double threshold,
 AssignmentResult lcf_assign(TernaryTruthTable& f, double threshold,
                             bool assign_balanced,
                             const NeighborTable& neighbors) {
-  AssignmentResult result;
-  result.dc_before = f.dc_count();
-  // Collect decisions first so that assignments made by this pass do not
-  // perturb the LC^f and majority computations of later minterms (the
-  // paper's Fig. 7 evaluates all metrics on the input specification).
-  std::vector<std::pair<std::uint32_t, bool>> decisions;
-  for (std::uint32_t m : f.dc_minterms()) {
-    if (local_complexity_factor(f, neighbors, m) >= threshold) continue;
-    const NeighborCounts& c = neighbors.at(m);
-    if (!assign_balanced && c.on == c.off) continue;
-    decisions.emplace_back(m, c.on > c.off);
-  }
-  for (const auto& [m, to_on] : decisions) {
-    f.set_phase(m, to_on ? Phase::kOne : Phase::kZero);
-    ++result.assigned;
-    if (to_on) ++result.assigned_on;
-  }
-  obs::count(obs::Counter::kDcLcfAssigned, result.assigned);
-  return result;
+  return lcf_filter_and_assign(f, threshold, assign_balanced, neighbors,
+                               paper_model());
 }
 
 AssignmentResult ranking_assign(IncompleteSpec& spec, double fraction) {
   return for_each_output(spec, [&](TernaryTruthTable& f, unsigned) {
     return ranking_assign(f, fraction);
-  });
-}
-
-AssignmentResult ranking_assign(IncompleteSpec& spec, double fraction,
-                                std::span<const NeighborTable> tables) {
-  assert(tables.size() == spec.num_outputs());
-  return for_each_output(spec, [&](TernaryTruthTable& f, unsigned o) {
-    return ranking_assign(f, fraction, tables[o]);
   });
 }
 
@@ -223,12 +249,23 @@ AssignmentResult lcf_assign(IncompleteSpec& spec, double threshold,
   });
 }
 
-AssignmentResult lcf_assign(IncompleteSpec& spec, double threshold,
-                            bool assign_balanced,
-                            std::span<const NeighborTable> tables) {
+AssignmentResult ranking_assign(IncompleteSpec& spec, double fraction,
+                                std::span<const NeighborTable> tables,
+                                const reliability::FaultModel& model) {
   assert(tables.size() == spec.num_outputs());
   return for_each_output(spec, [&](TernaryTruthTable& f, unsigned o) {
-    return lcf_assign(f, threshold, assign_balanced, tables[o]);
+    return rank_and_assign(f, fraction, tables[o], model);
+  });
+}
+
+AssignmentResult lcf_assign(IncompleteSpec& spec, double threshold,
+                            bool assign_balanced,
+                            std::span<const NeighborTable> tables,
+                            const reliability::FaultModel& model) {
+  assert(tables.size() == spec.num_outputs());
+  return for_each_output(spec, [&](TernaryTruthTable& f, unsigned o) {
+    return lcf_filter_and_assign(f, threshold, assign_balanced, tables[o],
+                                 model);
   });
 }
 

@@ -17,6 +17,7 @@
 #include <span>
 #include <vector>
 
+#include "reliability/fault_model.hpp"
 #include "tt/incomplete_spec.hpp"
 #include "tt/neighbor_stats.hpp"
 #include "tt/ternary_function.hpp"
@@ -82,11 +83,8 @@ AssignmentResult ranking_assign_count(TernaryTruthTable& f,
                                       const NeighborTable& neighbors);
 
 /// Multi-output wrappers: apply the pass to every output independently and
-/// accumulate the counters. The span overloads reuse one prebuilt
-/// NeighborTable per output (tables.size() must equal num_outputs()).
+/// accumulate the counters.
 AssignmentResult ranking_assign(IncompleteSpec& spec, double fraction);
-AssignmentResult ranking_assign(IncompleteSpec& spec, double fraction,
-                                std::span<const NeighborTable> tables);
 AssignmentResult ranking_assign_incremental(IncompleteSpec& spec,
                                             double fraction);
 AssignmentResult ranking_assign_incremental(
@@ -94,9 +92,24 @@ AssignmentResult ranking_assign_incremental(
     std::span<const NeighborTable> tables);
 AssignmentResult lcf_assign(IncompleteSpec& spec, double threshold,
                             bool assign_balanced = false);
+
+/// Fault-model-driven forms, the flow's assign passes. Every overload in
+/// this header except ranking_assign_incremental (whose incremental
+/// neighbor counts exist for bitflip(1) only) decides through the same
+/// core: per DC, the model's MintermEvents give the weight
+/// |if_on - if_off| and the phase adding the smaller event mass. The
+/// NeighborTable overloads above feed it bitflip(1) events (if_on =
+/// off-neighbors, if_off = on-neighbors), which is exactly the paper's
+/// majority vote. `tables` holds one prebuilt NeighborTable per output
+/// (tables.size() must equal num_outputs()); LC^f is computed from them
+/// whatever the model.
+AssignmentResult ranking_assign(IncompleteSpec& spec, double fraction,
+                                std::span<const NeighborTable> tables,
+                                const reliability::FaultModel& model);
 AssignmentResult lcf_assign(IncompleteSpec& spec, double threshold,
                             bool assign_balanced,
-                            std::span<const NeighborTable> tables);
+                            std::span<const NeighborTable> tables,
+                            const reliability::FaultModel& model);
 
 /// Assigns every remaining DC of `f` to the phase indicated by a
 /// completely specified reference implementation (used to realize

@@ -9,10 +9,12 @@
 #include "common/bitvec.hpp"
 #include "common/simd.hpp"
 #include "obs/counters.hpp"
+#include "reliability/estimator_util.hpp"
 #include "tt/neighbor_stats.hpp"
 
 namespace rdc {
-namespace {
+
+namespace reliability_detail {
 
 void check_error_rate_pair(const TernaryTruthTable& implementation,
                            const TernaryTruthTable& spec, const char* where) {
@@ -44,7 +46,10 @@ double check_pin_weights(std::span<const double> pin_weights, unsigned n,
   return total_weight;
 }
 
-}  // namespace
+}  // namespace reliability_detail
+
+using reliability_detail::check_error_rate_pair;
+using reliability_detail::check_pin_weights;
 
 double exact_error_rate(const TernaryTruthTable& implementation,
                         const TernaryTruthTable& spec) {

@@ -10,17 +10,19 @@
 
 #include "common/bits.hpp"
 #include "common/bitvec.hpp"
+#include "common/format.hpp"
 #include "exec/budget.hpp"
 #include "reliability/error_rate.hpp"
+#include "reliability/estimator_util.hpp"
 
 namespace rdc::reliability {
 namespace {
 
-/// Two-sided 95% normal quantile (matches sampling.cpp).
-constexpr double kZ95 = 1.959963984540054;
-
-/// Budget-poll stride inside sampling loops (matches sampling.cpp).
-constexpr std::uint64_t kCheckpointStride = 64;
+using reliability_detail::check_error_rate_pair;
+using reliability_detail::check_pin_weights;
+using reliability_detail::k_subsets;
+using reliability_detail::kCheckpointStride;
+using reliability_detail::with_ci;
 
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
@@ -39,16 +41,6 @@ std::uint64_t fnv_mix_double(std::uint64_t hash, double value) {
   return fnv_mix(hash, bits);
 }
 
-/// Shortest round-tripping decimal form (same contract as
-/// flow::format_double; duplicated here because the reliability layer sits
-/// below the flow layer).
-std::string shortest_double(double value) {
-  char buffer[32];
-  const auto [end, ec] = std::to_chars(buffer, buffer + sizeof(buffer), value);
-  if (ec != std::errc()) return "0";
-  return std::string(buffer, end);
-}
-
 exec::Status invalid(std::string message) {
   return exec::Status(exec::StatusCode::kInvalidArgument, std::move(message));
 }
@@ -58,63 +50,6 @@ bool parse_double_text(const std::string& text, double& out) {
   char* end = nullptr;
   out = std::strtod(begin, &end);
   return end == begin + text.size() && !text.empty();
-}
-
-void check_model_pair(const TernaryTruthTable& implementation,
-                      const TernaryTruthTable& spec, const char* where) {
-  if (!implementation.fully_specified())
-    throw std::invalid_argument(std::string(where) +
-                                ": implementation must be completely "
-                                "specified");
-  if (implementation.num_inputs() != spec.num_inputs())
-    throw std::invalid_argument(std::string(where) +
-                                ": input count mismatch");
-}
-
-double check_weights(const std::vector<double>& weights, unsigned n,
-                     const char* where) {
-  if (weights.size() != n)
-    throw std::invalid_argument(std::string(where) +
-                                ": weight count mismatch");
-  double total = 0.0;
-  for (const double w : weights) {
-    if (!std::isfinite(w))
-      throw std::invalid_argument(std::string(where) +
-                                  ": non-finite weight");
-    if (w < 0.0)
-      throw std::invalid_argument(std::string(where) + ": negative weight");
-    total += w;
-  }
-  if (total <= 0.0)
-    throw std::invalid_argument(std::string(where) + ": weights sum to zero");
-  return total;
-}
-
-SampledRate with_ci(double rate, double variance, std::uint64_t samples) {
-  SampledRate out;
-  out.rate = rate;
-  out.variance = variance;
-  const double half = kZ95 * std::sqrt(std::max(variance, 0.0));
-  out.ci_low = std::clamp(rate - half, 0.0, 1.0);
-  out.ci_high = std::clamp(rate + half, 0.0, 1.0);
-  out.samples = samples;
-  return out;
-}
-
-/// All n-bit masks with exactly k bits set (Gosper's hack).
-std::vector<std::uint32_t> k_subsets(unsigned n, unsigned k) {
-  std::vector<std::uint32_t> masks;
-  if (k == 0 || k > n) return masks;
-  std::uint32_t mask = (1u << k) - 1;
-  const std::uint32_t limit = 1u << n;
-  while (mask < limit) {
-    masks.push_back(mask);
-    const std::uint32_t c =
-        mask & static_cast<std::uint32_t>(-static_cast<std::int32_t>(mask));
-    const std::uint32_t r = mask + c;
-    mask = (((r ^ mask) >> 2) / c) | r;
-  }
-  return masks;
 }
 
 /// Membership bitset of the halfspace { m : bit_j(m) == 1 } over
@@ -164,9 +99,8 @@ class BitflipModel final : public FaultModel {
   }
 
   std::vector<MintermEvents> dc_assignment_events(
-      const TernaryTruthTable& spec,
+      const TernaryTruthTable& spec, std::span<const std::uint32_t> dcs,
       const NeighborTable& neighbors) const override {
-    const std::vector<std::uint32_t> dcs = spec.dc_minterms();
     std::vector<MintermEvents> events(dcs.size());
     if (model_spec().k() == 1) {
       // Distance-1 events are exactly the neighbor counts: assigning the DC
@@ -226,13 +160,12 @@ class BitflipWeightedModel final : public FaultModel {
   }
 
   std::vector<MintermEvents> dc_assignment_events(
-      const TernaryTruthTable& spec,
+      const TernaryTruthTable& spec, std::span<const std::uint32_t> dcs,
       const NeighborTable& neighbors) const override {
     (void)neighbors;
     const unsigned n = spec.num_inputs();
     const std::vector<double>& weights = model_spec().weights();
-    check_weights(weights, n, "bitflip_weighted");
-    const std::vector<std::uint32_t> dcs = spec.dc_minterms();
+    check_pin_weights(weights, n, "bitflip_weighted");
     std::vector<MintermEvents> events(dcs.size());
     for (std::size_t i = 0; i < dcs.size(); ++i) {
       for (unsigned j = 0; j < n; ++j) {
@@ -250,10 +183,10 @@ class BitflipWeightedModel final : public FaultModel {
   SampledRate sampled_rate(const TernaryTruthTable& implementation,
                            const TernaryTruthTable& spec,
                            std::uint64_t samples, Rng& rng) const override {
-    check_model_pair(implementation, spec, "bitflip_weighted");
+    check_error_rate_pair(implementation, spec, "bitflip_weighted");
     const unsigned n = spec.num_inputs();
     const double total =
-        check_weights(model_spec().weights(), n, "bitflip_weighted");
+        check_pin_weights(model_spec().weights(), n, "bitflip_weighted");
     if (samples == 0) return SampledRate{};
     // Stratified by pin like the uniform k = 1 estimator; the strata
     // combine with the normalized weights instead of 1/n, so
@@ -290,7 +223,7 @@ class StuckAtModel final : public FaultModel {
 
   double error_rate(const TernaryTruthTable& implementation,
                     const TernaryTruthTable& spec) const override {
-    check_model_pair(implementation, spec, "stuckat");
+    check_error_rate_pair(implementation, spec, "stuckat");
     const unsigned n = spec.num_inputs();
     if (n == 0) return 0.0;
     // Per fault (j, v): sources are care vectors in the halfspace
@@ -323,7 +256,7 @@ class StuckAtModel final : public FaultModel {
 
   double error_rate_scalar(const TernaryTruthTable& implementation,
                            const TernaryTruthTable& spec) const override {
-    check_model_pair(implementation, spec, "stuckat");
+    check_error_rate_pair(implementation, spec, "stuckat");
     const unsigned n = spec.num_inputs();
     if (n == 0) return 0.0;
     double sum = 0.0;
@@ -348,11 +281,10 @@ class StuckAtModel final : public FaultModel {
   }
 
   std::vector<MintermEvents> dc_assignment_events(
-      const TernaryTruthTable& spec,
+      const TernaryTruthTable& spec, std::span<const std::uint32_t> dcs,
       const NeighborTable& neighbors) const override {
     (void)neighbors;
     const unsigned n = spec.num_inputs();
-    const std::vector<std::uint32_t> dcs = spec.dc_minterms();
     std::vector<MintermEvents> events(dcs.size());
     if (n == 0) return events;
     // Care-set size of every pin halfspace, once: the event mass a DC adds
@@ -385,7 +317,7 @@ class StuckAtModel final : public FaultModel {
   SampledRate sampled_rate(const TernaryTruthTable& implementation,
                            const TernaryTruthTable& spec,
                            std::uint64_t samples, Rng& rng) const override {
-    check_model_pair(implementation, spec, "stuckat");
+    check_error_rate_pair(implementation, spec, "stuckat");
     const unsigned n = spec.num_inputs();
     if (n == 0 || samples == 0) return SampledRate{};
     // Stratified by fault (j, v). Each stratum draws uniformly from the
@@ -529,7 +461,7 @@ std::string FaultModelSpec::canonical() const {
       std::string out = "bitflip_weighted(";
       for (std::size_t i = 0; i < weights_.size(); ++i) {
         if (i != 0) out += ',';
-        out += shortest_double(weights_[i]);
+        out += format_double(weights_[i]);
       }
       out += ')';
       return out;

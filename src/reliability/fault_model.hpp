@@ -5,7 +5,7 @@
 // scenario end to end: the exact error rate of an implementation against a
 // specification, a brute-force scalar reference for differential testing, a
 // sampled estimator with a 95% confidence interval, and the per-minterm
-// propagating-event masses that drive model-aware DC assignment.
+// propagating-event masses that drive DC assignment.
 //
 // Concrete models:
 //  * bitflip(k)            — k simultaneous input-bit flips, uniform over
@@ -32,6 +32,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -53,8 +54,10 @@ enum class FaultModelKind : std::uint8_t {
 const char* fault_model_kind_name(FaultModelKind kind);
 
 /// Value-semantics description of a fault model. Default-constructed it is
-/// the paper's model, bitflip(1); is_default() gates every compatibility
-/// path (old fingerprints, golden reports, SIMD/tracker fast paths).
+/// the paper's model, bitflip(1); is_default() gates the compatibility
+/// paths (old fingerprints, report labels) and the two algorithms only
+/// bitflip(1) has: the incremental ErrorRateTracker and incremental
+/// ranking.
 class FaultModelSpec {
  public:
   /// The paper's default: single-bit flips, uniform over pins.
@@ -80,7 +83,7 @@ class FaultModelSpec {
 
   /// True iff this is the paper's model, bitflip(1). The default model
   /// keeps pre-refactor behavior byte-for-byte: old fingerprints, golden
-  /// reports without a "fault_model" key, the incremental tracker path.
+  /// reports without a "fault_model" key.
   bool is_default() const {
     return kind_ == FaultModelKind::kBitflip && k_ == 1;
   }
@@ -107,9 +110,9 @@ class FaultModelSpec {
 std::vector<std::string> fault_model_names();
 
 /// Propagating-event mass a DC minterm would add under each assignment
-/// phase. Model-aware ranking assigns to the phase with the smaller mass
-/// and ranks candidates by |if_on - if_off| (the paper's majority weight
-/// generalized beyond neighbor counts).
+/// phase. DC assignment (reliability/assignment.hpp) assigns to the phase
+/// with the smaller mass and ranks candidates by |if_on - if_off| (the
+/// paper's majority weight generalized beyond neighbor counts).
 struct MintermEvents {
   double if_on = 0.0;   ///< event mass added if the DC joins the on-set
   double if_off = 0.0;  ///< event mass added if the DC joins the off-set
@@ -135,15 +138,16 @@ class FaultModel {
   virtual double error_rate_scalar(const TernaryTruthTable& implementation,
                                    const TernaryTruthTable& spec) const = 0;
 
-  /// Per-DC-minterm assignment events for `spec`, in dc_minterms() order
-  /// (increasing minterm index). `neighbors` is the prebuilt table of the
-  /// same function.
+  /// Assignment events of each DC minterm in `dcs` (the caller's
+  /// spec.dc_minterms()), in the same order. `neighbors` is the prebuilt
+  /// table of the same function.
   virtual std::vector<MintermEvents> dc_assignment_events(
-      const TernaryTruthTable& spec, const NeighborTable& neighbors) const = 0;
+      const TernaryTruthTable& spec, std::span<const std::uint32_t> dcs,
+      const NeighborTable& neighbors) const = 0;
 
-  /// Monte-Carlo estimate with a 95% CI, for inputs past the exact
-  /// enumeration limit. Draw strategy is model-specific (stratified by pin
-  /// for flips, by fault halfspace for stuck-at).
+  /// Monte-Carlo estimate with a 95% CI (the `error_rate:sampled` pass).
+  /// Draw strategy is model-specific (stratified by pin for flips, by
+  /// fault halfspace for stuck-at).
   virtual SampledRate sampled_rate(const TernaryTruthTable& implementation,
                                    const TernaryTruthTable& spec,
                                    std::uint64_t samples, Rng& rng) const = 0;

@@ -8,18 +8,11 @@
 #include "common/bits.hpp"
 #include "common/bitvec.hpp"
 #include "exec/budget.hpp"
+#include "reliability/estimator_util.hpp"
 
 namespace rdc {
-namespace {
 
-/// Two-sided 95% normal quantile (z such that P(|Z| <= z) = 0.95).
-constexpr double kZ95 = 1.959963984540054;
-
-/// Budget-poll stride inside the sampling loops. One draw is a handful of
-/// rng calls and bit probes, so polling every draw would dominate; every
-/// 64th draw keeps the overhead invisible while a deadline or iteration
-/// cap still interrupts a large `samples` request mid-loop.
-constexpr std::uint64_t kCheckpointStride = 64;
+namespace reliability_detail {
 
 SampledRate with_ci(double rate, double variance, std::uint64_t samples) {
   SampledRate out;
@@ -32,7 +25,6 @@ SampledRate with_ci(double rate, double variance, std::uint64_t samples) {
   return out;
 }
 
-/// All n-bit masks with exactly k bits set (Gosper's hack).
 std::vector<std::uint32_t> k_subsets(unsigned n, unsigned k) {
   std::vector<std::uint32_t> masks;
   if (k == 0 || k > n) return masks;
@@ -46,6 +38,14 @@ std::vector<std::uint32_t> k_subsets(unsigned n, unsigned k) {
   }
   return masks;
 }
+
+}  // namespace reliability_detail
+
+using reliability_detail::k_subsets;
+using reliability_detail::kCheckpointStride;
+using reliability_detail::with_ci;
+
+namespace {
 
 void check_pair(const TernaryTruthTable& implementation,
                 const TernaryTruthTable& spec, unsigned k) {

@@ -23,6 +23,7 @@
 #include "flow/pass.hpp"
 #include "flow/pipeline.hpp"
 #include "flow/synthesis_flow.hpp"
+#include "reliability/assignment.hpp"
 #include "reliability/error_rate.hpp"
 #include "reliability/fault_model.hpp"
 #include "reliability/sampling.hpp"
@@ -271,9 +272,9 @@ TEST(BitflipModel, EventsMatchNeighborCounts) {
   for (unsigned n = 1; n <= 8; ++n) {
     const TernaryTruthTable spec = random_ternary(n, 0.5, rng);
     const NeighborTable neighbors(spec);
-    const std::vector<MintermEvents> events =
-        model->dc_assignment_events(spec, neighbors);
     const std::vector<std::uint32_t> dcs = spec.dc_minterms();
+    const std::vector<MintermEvents> events =
+        model->dc_assignment_events(spec, dcs, neighbors);
     ASSERT_EQ(events.size(), dcs.size()) << "n=" << n;
     for (std::size_t i = 0; i < dcs.size(); ++i) {
       const NeighborCounts c = neighbors.at(dcs[i]);
@@ -421,7 +422,7 @@ TEST(StuckAtModel, EventsBruteForceAtSmallN) {
     const NeighborTable neighbors(spec);
     const std::vector<std::uint32_t> dcs = spec.dc_minterms();
     const std::vector<MintermEvents> events =
-        model->dc_assignment_events(spec, neighbors);
+        model->dc_assignment_events(spec, dcs, neighbors);
     ASSERT_EQ(events.size(), dcs.size());
     for (std::size_t i = 0; i < dcs.size(); ++i) {
       const std::uint32_t m = dcs[i];
@@ -654,13 +655,16 @@ TEST(PipelineAnnotation, CanonicalFlowSpecCarriesNonDefaultModels) {
 
 // --- end-to-end flow integration ------------------------------------------
 
-IncompleteSpec flow_test_spec() {
-  Rng rng(9011);
-  IncompleteSpec spec("fmtest", 5, 2);
+/// Two outputs over `n` inputs, 40% DCs.
+IncompleteSpec seeded_flow_spec(std::uint64_t seed, unsigned n) {
+  Rng rng(seed);
+  IncompleteSpec spec("fmtest", n, 2);
   for (unsigned o = 0; o < 2; ++o)
-    spec.output(o) = random_ternary(5, 0.4, rng);
+    spec.output(o) = random_ternary(n, 0.4, rng);
   return spec;
 }
+
+IncompleteSpec flow_test_spec() { return seeded_flow_spec(9011, 5); }
 
 TEST(FlowFaultModel, ReportStampsNonDefaultModels) {
   const IncompleteSpec spec = flow_test_spec();
@@ -692,30 +696,94 @@ TEST(FlowFaultModel, WeightCountMismatchIsRejectedUpFront) {
       << result.status.message();
 }
 
+void expect_same_assignment(const AssignmentResult& a,
+                            const AssignmentResult& b,
+                            const std::string& where) {
+  EXPECT_EQ(a.dc_before, b.dc_before) << where;
+  EXPECT_EQ(a.assigned, b.assigned) << where;
+  EXPECT_EQ(a.assigned_on, b.assigned_on) << where;
+}
+
 TEST(FlowFaultModel, UniformWeightsReproduceDefaultDecisions) {
-  // bitflip_weighted with uniform weights produces the same event counts
-  // as the paper's model, so the generic (double-arithmetic) ranking path
-  // must make the very same assignment decisions as the legacy integer
-  // path — and the weighted exact rate reduces to the unweighted one.
-  const IncompleteSpec spec = flow_test_spec();
-  FlowOptions uniform;
-  uniform.fault_model =
-      FaultModelSpec::bitflip_weighted(std::vector<double>(5, 1.0));
-  const FlowResult weighted =
-      run_flow(spec, DcPolicy::kRankingFraction, uniform);
-  const FlowResult plain = run_flow(spec, DcPolicy::kRankingFraction, {});
-  ASSERT_TRUE(weighted.status.ok()) << weighted.status.to_string();
-  ASSERT_TRUE(plain.status.ok()) << plain.status.to_string();
-  for (unsigned o = 0; o < 2; ++o)
-    EXPECT_EQ(weighted.implementation.output(o), plain.implementation.output(o))
-        << "output " << o;
-  EXPECT_DOUBLE_EQ(weighted.error_rate, plain.error_rate);
+  // bitflip_weighted with uniform weights produces the same event masses
+  // as the paper's model, so every policy must make the very same
+  // assignment decisions under it — and the weighted exact rate reduces to
+  // the unweighted one.
+  struct Case {
+    const char* name;
+    DcPolicy policy;
+    double fraction;
+    bool balanced;
+  };
+  const Case cases[] = {
+      {"ranking(0)", DcPolicy::kRankingFraction, 0.0, false},
+      {"ranking(0.3)", DcPolicy::kRankingFraction, 0.3, false},
+      {"ranking(1)", DcPolicy::kRankingFraction, 1.0, false},
+      {"lcf(0.55)", DcPolicy::kLcfThreshold, 0.0, false},
+      {"lcf(0.55,balanced)", DcPolicy::kLcfThreshold, 0.0, true},
+      {"all", DcPolicy::kAllReliability, 0.0, false},
+  };
+  const struct {
+    std::uint64_t seed;
+    unsigned n;
+  } specs[] = {{9011, 5}, {9012, 6}, {9013, 7}, {9014, 8}};
+  for (const auto& s : specs) {
+    const IncompleteSpec spec = seeded_flow_spec(s.seed, s.n);
+    for (const Case& c : cases) {
+      const std::string where =
+          c.name + std::string(" seed=") + std::to_string(s.seed);
+      FlowOptions plain;
+      plain.ranking_fraction = c.fraction;
+      plain.lcf_assign_balanced = c.balanced;
+      FlowOptions uniform = plain;
+      uniform.fault_model =
+          FaultModelSpec::bitflip_weighted(std::vector<double>(s.n, 1.0));
+      const FlowResult weighted = run_flow(spec, c.policy, uniform);
+      const FlowResult base = run_flow(spec, c.policy, plain);
+      ASSERT_TRUE(weighted.status.ok()) << where;
+      ASSERT_TRUE(base.status.ok()) << where;
+      for (unsigned o = 0; o < 2; ++o)
+        EXPECT_EQ(weighted.implementation.output(o),
+                  base.implementation.output(o))
+            << where << " output " << o;
+      expect_same_assignment(weighted.assignment, base.assignment, where);
+      EXPECT_DOUBLE_EQ(weighted.error_rate, base.error_rate) << where;
+    }
+  }
+}
+
+TEST(FlowFaultModel, IncrementalRankingFallsBackToStaticRanking) {
+  // Incremental maintenance exists for bitflip(1) only; under any other
+  // model assign:ranking_inc must decide exactly like assign:ranking.
+  const IncompleteSpec spec = seeded_flow_spec(9015, 7);
+  for (const char* model : {"stuckat", "bitflip(2)"}) {
+    for (const char* fraction : {"0.25", "0.5", "1"}) {
+      const std::string suffix =
+          std::string("(") + fraction + ")@" + model;
+      exec::Result<flow::Pipeline> inc =
+          flow::parse_pipeline("assign:ranking_inc" + suffix);
+      exec::Result<flow::Pipeline> ranking =
+          flow::parse_pipeline("assign:ranking" + suffix);
+      ASSERT_TRUE(inc.ok()) << inc.status().message();
+      ASSERT_TRUE(ranking.ok()) << ranking.status().message();
+      flow::Design a(spec);
+      flow::Design b(spec);
+      ASSERT_TRUE(inc->run(a).ok()) << suffix;
+      ASSERT_TRUE(ranking->run(b).ok()) << suffix;
+      EXPECT_GT(a.assignment.assigned, 0u) << suffix;
+      for (unsigned o = 0; o < 2; ++o)
+        EXPECT_EQ(a.working().output(o), b.working().output(o))
+            << suffix << " output " << o;
+      expect_same_assignment(a.assignment, b.assignment, suffix);
+      EXPECT_EQ(a.fault_model_label, b.fault_model_label) << suffix;
+    }
+  }
 }
 
 TEST(FlowFaultModel, AnnotatedDefaultModelOnlySetsTheLabel) {
-  // An explicit @bitflip routes through the unchanged legacy kernels but
-  // still names the model in the report (and hence the canonical spec /
-  // serve-cache key).
+  // An explicit @bitflip decides through the same FaultModel core as the
+  // unannotated pass, but still names the model in the report (and hence
+  // the canonical spec / serve-cache key).
   const IncompleteSpec spec = flow_test_spec();
   exec::Result<flow::Pipeline> annotated = flow::parse_pipeline(
       "assign:ranking(0.5)@bitflip | espresso | factor | aig | map:power | "
