@@ -98,7 +98,8 @@ echo "== pipeline smoke: rdcsyn_cli --pipeline / batch =="
   --pipeline "assign:lcf(0.6,balanced) | espresso | extract | map:delay | analyze | error_rate" \
   --json "$smoke_dir/pipeline.json" > /dev/null
 ./build/tools/rdc_json_check "$smoke_dir/pipeline.json" \
-  schema phases metrics metrics.error_rate metrics.gates
+  schema phases metrics metrics.error_rate metrics.gates metrics.area \
+  metrics.delay_ps metrics.power_uw
 ./build/examples/rdcsyn_cli batch examples/fixtures/*.pla \
   --pipeline "assign:ranking(0.75) | espresso | factor | aig | resyn | map:power | analyze | error_rate" \
   --json "$smoke_dir/batch.json" > /dev/null

@@ -3,24 +3,9 @@
 #include <bit>
 #include <stdexcept>
 
+#include "common/bits.hpp"
+
 namespace rdc {
-namespace {
-
-/// The i-th input's truth table word at word index w: classic bit-parallel
-/// input patterns (0101..., 0011..., ...).
-std::uint64_t input_pattern(unsigned input, std::size_t word) {
-  if (input < 6) {
-    static constexpr std::uint64_t kPatterns[6] = {
-        0xAAAAAAAAAAAAAAAAull, 0xCCCCCCCCCCCCCCCCull, 0xF0F0F0F0F0F0F0F0ull,
-        0xFF00FF00FF00FF00ull, 0xFFFF0000FFFF0000ull, 0xFFFFFFFF00000000ull};
-    return kPatterns[input];
-  }
-  // For inputs >= 6 the pattern is constant per word: bit (input) of the
-  // word index selects all-ones vs all-zeros.
-  return (word >> (input - 6)) & 1u ? ~0ull : 0ull;
-}
-
-}  // namespace
 
 AigSimulator::AigSimulator(const Aig& aig) : aig_(aig) {
   const unsigned n = aig.num_inputs();
@@ -52,8 +37,7 @@ SimWords AigSimulator::literal_table(std::uint32_t lit) const {
   if (aiglit::is_complemented(lit))
     for (auto& w : t) w = ~w;
   // Mask unused tail bits so popcounts stay exact.
-  const unsigned tail = num_vectors_ % 64;
-  if (tail != 0) t.back() &= (1ull << tail) - 1;
+  t.back() &= sim_word_mask(aig_.num_inputs());
   return t;
 }
 

@@ -20,7 +20,7 @@ Cover cell_cover(CellKind kind, unsigned num_inputs) {
   TernaryTruthTable tt(num_inputs == 0 ? 1 : num_inputs);
   if (num_inputs == 0) {
     // Tie cells: constant over a dummy variable.
-    if (evaluate_cell(kind, {})) {
+    if (evaluate_cell(kind, std::span<const bool>{})) {
       tt.set_phase(0, Phase::kOne);
       tt.set_phase(1, Phase::kOne);
     }

@@ -50,7 +50,17 @@ struct Cell {
   double internal_energy;  ///< fJ per output transition
 };
 
-/// Evaluates the cell function on input values (size must match).
+/// Number of input pins of a cell kind.
+unsigned cell_arity(CellKind kind);
+
+/// Evaluates the cell function on 64 input vectors at once: bit b of
+/// inputs[j] is pin j's value on vector b, bit b of the result the output's.
+/// inputs.size() must equal cell_arity(kind).
+std::uint64_t evaluate_cell(CellKind kind,
+                            std::span<const std::uint64_t> inputs);
+
+/// Evaluates the cell function on one input vector. Throws
+/// std::invalid_argument if inputs.size() != cell_arity(kind).
 bool evaluate_cell(CellKind kind, std::span<const bool> inputs);
 
 class CellLibrary {

@@ -297,38 +297,7 @@ std::optional<CellKind> match_kind(const Expr& expr, unsigned num_inputs) {
 
   const std::uint32_t combos = 1u << num_inputs;
   for (const CellKind kind : kAllKinds) {
-    // Input counts must match (Tie cells have zero pins).
-    unsigned kind_inputs = 0;
-    switch (kind) {
-      case CellKind::kTie0:
-      case CellKind::kTie1:
-        kind_inputs = 0;
-        break;
-      case CellKind::kInv:
-      case CellKind::kBuf:
-        kind_inputs = 1;
-        break;
-      case CellKind::kAnd2:
-      case CellKind::kNand2:
-      case CellKind::kOr2:
-      case CellKind::kNor2:
-      case CellKind::kXor2:
-      case CellKind::kXnor2:
-        kind_inputs = 2;
-        break;
-      case CellKind::kAnd3:
-      case CellKind::kNand3:
-      case CellKind::kOr3:
-      case CellKind::kNor3:
-      case CellKind::kAoi21:
-      case CellKind::kOai21:
-        kind_inputs = 3;
-        break;
-      default:
-        kind_inputs = 4;
-        break;
-    }
-    if (kind_inputs != num_inputs) continue;
+    if (cell_arity(kind) != num_inputs) continue;
     bool all_match = true;
     bool pins[4];
     for (std::uint32_t m = 0; m < combos && all_match; ++m) {

@@ -1,12 +1,15 @@
 // Gate-level netlists produced by technology mapping.
 //
 // Nets are dense ids: 0..n-1 are the primary inputs, every gate drives one
-// new net. The netlist supports exact exhaustive simulation (for functional
-// verification and switching-activity extraction) and static timing with
-// the library's linear delay model.
+// new net. The netlist supports exact exhaustive simulation, 64 input
+// vectors per machine word (for functional verification and
+// switching-activity extraction), and static timing with the library's
+// linear delay model.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "mapper/cell_library.hpp"
@@ -34,7 +37,9 @@ class Netlist {
 
   std::uint32_t input_net(unsigned i) const { return i; }
 
-  /// Appends a gate; returns the net it drives.
+  /// Appends a gate; returns the net it drives. Throws
+  /// std::invalid_argument if fanins.size() != cell_arity(kind) and
+  /// std::out_of_range if a fanin net is not driven yet.
   std::uint32_t add_gate(CellKind kind, std::vector<std::uint32_t> fanins);
 
   void add_output(std::uint32_t net) { outputs_.push_back(net); }
@@ -57,6 +62,14 @@ class Netlist {
 
   /// Worst arrival time over the primary outputs (ps).
   double critical_delay(const CellLibrary& lib) const;
+
+  /// Simulates input vectors 64*block .. 64*block+63 at once: sets bit b
+  /// of values[net] to the net's value on vector 64*block + b. `values`
+  /// must hold one word per net (else std::invalid_argument). With fewer
+  /// than 6 inputs only the low 2^n bits are vectors; the bits above
+  /// repeat them.
+  void simulate_block(std::size_t block,
+                      std::span<std::uint64_t> values) const;
 
   /// Evaluates the netlist on one input vector (bit i = input i).
   std::vector<bool> evaluate(std::uint32_t minterm) const;

@@ -1,5 +1,6 @@
 #include "mapper/power.hpp"
 
+#include <bit>
 #include <stdexcept>
 
 #include "common/bits.hpp"
@@ -11,22 +12,13 @@ std::vector<double> net_probabilities(const Netlist& netlist) {
   if (n > TernaryTruthTable::kMaxInputs)
     throw std::invalid_argument("net_probabilities: too many inputs");
   const std::uint32_t vectors = num_minterms(n);
+  const std::uint64_t mask = sim_word_mask(n);
+  std::vector<std::uint64_t> values(netlist.num_nets());
   std::vector<std::uint64_t> ones(netlist.num_nets(), 0);
-  for (std::uint32_t m = 0; m < vectors; ++m) {
-    // evaluate() returns outputs only; recompute values inline instead.
-    // To avoid re-simulating per net we rely on evaluate()'s internal order:
-    // replicate it here for all nets.
-    std::vector<bool> value(netlist.num_nets(), false);
-    for (unsigned i = 0; i < n; ++i) value[i] = (m >> i) & 1u;
-    bool pins[8];
-    for (const Gate& g : netlist.gates()) {
-      std::size_t k = 0;
-      for (const std::uint32_t f : g.fanins) pins[k++] = value[f];
-      value[g.output_net] =
-          evaluate_cell(g.kind, std::span<const bool>(pins, k));
-    }
+  for (std::size_t block = 0; block < (vectors + 63) / 64; ++block) {
+    netlist.simulate_block(block, values);
     for (std::uint32_t net = 0; net < netlist.num_nets(); ++net)
-      if (value[net]) ++ones[net];
+      ones[net] += std::popcount(values[net] & mask);
   }
   std::vector<double> p(netlist.num_nets());
   for (std::uint32_t net = 0; net < netlist.num_nets(); ++net)

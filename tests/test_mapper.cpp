@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "aig/simulate.hpp"
+#include "common/bits.hpp"
 #include "common/rng.hpp"
 #include "espresso/espresso.hpp"
 #include "mapper/cell_library.hpp"
@@ -10,6 +11,7 @@
 #include "mapper/power.hpp"
 #include "mapper/subject_graph.hpp"
 #include "mapper/tree_map.hpp"
+#include "mapper/unmap.hpp"
 #include "sop/factor.hpp"
 
 namespace rdc {
@@ -22,6 +24,54 @@ Aig random_aig(unsigned n, Rng& rng) {
   Aig aig(n);
   aig.add_output(aig.build(factor(minimize(f))));
   return aig;
+}
+
+constexpr CellKind kAllCellKinds[] = {
+    CellKind::kInv,   CellKind::kBuf,   CellKind::kAnd2,  CellKind::kNand2,
+    CellKind::kOr2,   CellKind::kNor2,  CellKind::kAnd3,  CellKind::kNand3,
+    CellKind::kOr3,   CellKind::kNor3,  CellKind::kAnd4,  CellKind::kNand4,
+    CellKind::kAoi21, CellKind::kOai21, CellKind::kAoi22, CellKind::kOai22,
+    CellKind::kXor2,  CellKind::kXnor2, CellKind::kTie0,  CellKind::kTie1};
+
+/// Scalar reference simulation: every net's value on one input vector,
+/// one single-vector evaluate_cell per gate.
+std::vector<bool> reference_values(const Netlist& nl, std::uint32_t m) {
+  std::vector<bool> value(nl.num_nets(), false);
+  for (unsigned i = 0; i < nl.num_inputs(); ++i) value[i] = test_bit(m, i);
+  for (const Gate& g : nl.gates()) {
+    bool pins[4];
+    std::size_t k = 0;
+    for (const std::uint32_t f : g.fanins) pins[k++] = value[f];
+    value[g.output_net] =
+        evaluate_cell(g.kind, std::span<const bool>(pins, k));
+  }
+  return value;
+}
+
+/// Checks the word-parallel simulator against the scalar reference (per-net
+/// one-counts, per-vector outputs) and the output tables against the
+/// netlist's AIG.
+void expect_simulation_matches_reference(const Netlist& nl) {
+  const std::uint32_t vectors = num_minterms(nl.num_inputs());
+  std::vector<std::uint64_t> ones(nl.num_nets(), 0);
+  for (std::uint32_t m = 0; m < vectors; ++m) {
+    const std::vector<bool> value = reference_values(nl, m);
+    for (std::uint32_t net = 0; net < nl.num_nets(); ++net)
+      ones[net] += value[net];
+    const std::vector<bool> out = nl.evaluate(m);
+    ASSERT_EQ(out.size(), nl.outputs().size());
+    for (std::size_t o = 0; o < out.size(); ++o)
+      ASSERT_EQ(out[o], value[nl.outputs()[o]]) << "vector " << m;
+  }
+  const std::vector<double> p = net_probabilities(nl);
+  ASSERT_EQ(p.size(), nl.num_nets());
+  for (std::uint32_t net = 0; net < nl.num_nets(); ++net)
+    EXPECT_EQ(p[net] * vectors, static_cast<double>(ones[net]))
+        << "net " << net;
+  const Aig aig = netlist_to_aig(nl);
+  const AigSimulator sim(aig);
+  for (unsigned o = 0; o < nl.outputs().size(); ++o)
+    EXPECT_EQ(nl.output_table(o), sim.output_table(o)) << "output " << o;
 }
 
 TEST(CellLibrary, EvaluateAllKinds) {
@@ -50,8 +100,8 @@ TEST(CellLibrary, EvaluateAllKinds) {
     EXPECT_TRUE(evaluate_cell(CellKind::kAoi22, {in, 4}));   // ab+cd = 0
     EXPECT_FALSE(evaluate_cell(CellKind::kOai22, {in, 4}));  // (a+b)(c+d)=1
   }
-  EXPECT_FALSE(evaluate_cell(CellKind::kTie0, {}));
-  EXPECT_TRUE(evaluate_cell(CellKind::kTie1, {}));
+  EXPECT_FALSE(evaluate_cell(CellKind::kTie0, std::span<const bool>{}));
+  EXPECT_TRUE(evaluate_cell(CellKind::kTie1, std::span<const bool>{}));
 }
 
 TEST(CellLibrary, Generic70HasAllKinds) {
@@ -207,6 +257,59 @@ TEST(TreeMap, DelayModeNoWorseThanAreaModeInDelay) {
   // The DP uses estimated loads, so exact dominance is not guaranteed, but
   // it should hold in the large majority of cases.
   EXPECT_GE(delay_wins, 7);
+}
+
+// n = 0, 1 and 5 leave part of the one simulation word unused, n = 6
+// fills it exactly, n = 7 and 12 span several words. map:power maps with the area
+// objective.
+TEST(NetlistSim, MappedNetlistsMatchScalarReference) {
+  Rng rng(179);
+  for (const unsigned n : {0u, 1u, 5u, 6u, 7u, 12u}) {
+    const Aig aig = random_aig(n, rng);
+    for (const MapObjective obj : {MapObjective::kArea, MapObjective::kDelay}) {
+      SCOPED_TRACE("n = " + std::to_string(n) + ", objective " +
+                   std::to_string(static_cast<int>(obj)));
+      expect_simulation_matches_reference(
+          map_aig(aig, CellLibrary::generic70(), {obj}));
+    }
+  }
+}
+
+TEST(NetlistSim, EveryCellKindMatchesScalarReference) {
+  for (const unsigned n : {4u, 7u}) {
+    SCOPED_TRACE("n = " + std::to_string(n));
+    Netlist nl(n);
+    for (std::size_t i = 0; i < std::size(kAllCellKinds); ++i) {
+      const CellKind kind = kAllCellKinds[i];
+      EXPECT_EQ(cell_arity(kind),
+                CellLibrary::generic70().cell(kind).num_inputs);
+      std::vector<std::uint32_t> fanins;
+      for (unsigned j = 0; j < cell_arity(kind); ++j)
+        fanins.push_back(
+            static_cast<std::uint32_t>((3 * i + j) % nl.num_nets()));
+      nl.add_output(nl.add_gate(kind, std::move(fanins)));
+    }
+    expect_simulation_matches_reference(nl);
+  }
+}
+
+TEST(NetlistSim, SizeAndArityLimits) {
+  Netlist big(21);
+  big.add_output(
+      big.add_gate(CellKind::kAnd2, {big.input_net(0), big.input_net(20)}));
+  EXPECT_THROW(net_probabilities(big), std::invalid_argument);
+  EXPECT_THROW(big.output_table(0), std::invalid_argument);
+
+  Netlist nl(4);
+  EXPECT_THROW(nl.add_gate(CellKind::kAoi22, {0, 1}), std::invalid_argument);
+  EXPECT_THROW(nl.add_gate(CellKind::kInv, {}), std::invalid_argument);
+  EXPECT_THROW(nl.add_gate(CellKind::kTie1, {0}), std::invalid_argument);
+  EXPECT_EQ(nl.gate_count(), 0u);
+  std::vector<std::uint64_t> too_few(nl.num_nets() - 1);
+  EXPECT_THROW(nl.simulate_block(0, too_few), std::invalid_argument);
+  const bool pins[] = {true, false};
+  EXPECT_THROW(evaluate_cell(CellKind::kAnd3, {pins, 2}),
+               std::invalid_argument);
 }
 
 TEST(Power, ProbabilitiesExact) {
