@@ -15,12 +15,15 @@
 //       spec, e.g. "assign:ranking(0.5) | espresso | factor | aig |
 //       map:power | analyze | error_rate".
 //   rdcsyn_cli batch  <a.pla> <b.pla> ... --pipeline "<spec>"
-//              [--json report.json]
-//       Fans the pipeline over every circuit (RDC_THREADS) with
-//       per-circuit fault isolation and emits an aggregated JSON report.
+//              [--json report.json] [--retries N]
+//       Runs the pipeline over every circuit on the rdc_batch engine —
+//       one forked worker per circuit, RDC_THREADS at a time — and emits
+//       an aggregated JSON report.
 //
 // Without arguments, prints usage and a tiny demo.
+#include <climits>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -45,9 +48,11 @@
 #include "espresso/espresso.hpp"
 #include "aig/aig.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "decomp/renode.hpp"
 #include "io/blif_reader.hpp"
 #include "io/testbench.hpp"
+#include "obs/metrics.hpp"
 #include "sat/equivalence.hpp"
 
 namespace {
@@ -67,13 +72,13 @@ int usage() {
       "out.json]\n"
       "  rdcsyn_cli batch  <a.pla> <b.pla> ... --pipeline \"<spec>\"\n"
       "                    [--json report.json] [--retries N]\n"
-      "      Runs the pipeline over every circuit in parallel "
-      "(RDC_THREADS);\n"
-      "      failures become error rows, not aborts. --retries N gives\n"
-      "      each circuit up to N attempts (like rdc_batch: transient\n"
-      "      failures only, jittered backoff). Pipeline specs look\n"
-      "      like \"assign:ranking(0.5) | espresso | factor | aig |\n"
-      "      map:power | analyze | error_rate\".\n"
+      "      Runs the pipeline over every circuit on the rdc_batch engine:\n"
+      "      each circuit in its own worker process, RDC_THREADS workers at\n"
+      "      a time. Failures and crashes become error rows, not aborts;\n"
+      "      every row records its \"attempts\". --retries N gives each\n"
+      "      circuit up to N attempts (transient failures only, jittered\n"
+      "      backoff). Pipeline specs look like \"assign:ranking(0.5) |\n"
+      "      espresso | factor | aig | map:power | analyze | error_rate\".\n"
       "  rdcsyn_cli cachekey <in.pla> --pipeline \"<spec>\"\n"
       "      Prints the serve result-cache key (hex) for the spec bytes +\n"
       "      canonical pipeline + default flow options; pipelines with\n"
@@ -131,8 +136,13 @@ bool parse_args(int argc, char** argv, int first, Args& args) {
     } else if (a == "--json" && i + 1 < argc) {
       args.json = argv[++i];
     } else if (a == "--retries" && i + 1 < argc) {
-      args.retries = std::atoi(argv[++i]);
-      if (args.retries < 1) return false;
+      // The whole value must parse: "2x" is a usage error, not a 2.
+      const char* text = argv[++i];
+      char* end = nullptr;
+      const long retries = std::strtol(text, &end, 10);
+      if (end == text || *end != '\0' || retries < 1 || retries > INT_MAX)
+        return false;
+      args.retries = static_cast<int>(retries);
     } else if (a == "--fraction") {
       if (!value(args.fraction)) return false;
     } else if (a == "--threshold") {
@@ -292,24 +302,30 @@ int cmd_batch(const Args& args) {
   specs.reserve(args.inputs.size());
   for (const std::string& path : args.inputs) specs.push_back(load_pla(path));
 
-  flow::BatchOptions options;
-  options.flow.objective =
+  flow::SupervisedBatchOptions options;
+  options.batch.flow.objective =
       args.delay ? OptimizeFor::kDelay : OptimizeFor::kPower;
   options.retry.max_attempts = args.retries;
-  const flow::BatchResult batch =
-      flow::run_pipeline_batch(*pipeline, specs, options);
-  const std::string report = batch.report.to_json();
+  options.max_parallel = static_cast<int>(ThreadPool::global_size());
+  obs::metrics_init_from_env();
+  auto batch =
+      flow::run_pipeline_batch_supervised(args.pipeline, specs, options);
+  if (!batch.ok()) {
+    std::fprintf(stderr, "error: %s\n", batch.status().to_string().c_str());
+    return 1;
+  }
+  const std::string report = batch->report.to_json();
   if (!args.json.empty()) {
     if (!write_text_file(args.json, report)) return 1;
     std::printf("wrote %s (%zu circuits, %zu failures)\n", args.json.c_str(),
-                specs.size(), batch.failures);
+                specs.size(), batch->failures);
   } else {
     std::printf("%s\n", report.c_str());
   }
   // Exit 3 (not the generic 1): the batch itself completed and the report
   // was written, but some rows failed — scripts can distinguish "partial
   // results available" from a hard error.
-  return batch.failures == 0 ? 0 : 3;
+  return batch->failures == 0 ? 0 : 3;
 }
 
 int cmd_synth(const Args& args) {

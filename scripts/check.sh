@@ -19,8 +19,10 @@
 # The §14 crash-safe batch smoke interrupts a chaos-armed rdc_batch run
 # mid-flight and asserts the journal-resumed report matches an
 # uninterrupted one, that worker segfaults become INTERNAL rows with
-# job.crash events, and that SIGTERM produces an orderly shutdown in both
-# the driver-owned (exit 4) and unowned-snapshotter (exit 143) paths.
+# job.crash events, that rdcsyn_cli batch (same engine) retries through
+# them, that malformed numeric flags exit 2, and that SIGTERM produces an
+# orderly shutdown in both the driver-owned (exit 4) and
+# unowned-snapshotter (exit 143) paths.
 # The §15 serving smoke exercises rdcsynd end to end on a unix socket:
 # warm-cache request pair (byte-identical reply, serve.cache.hit counter),
 # malformed frames and a slow-loris client answered with Status replies
@@ -340,6 +342,34 @@ RDC_CHAOS=kill:1@1 ./build/tools/rdc_batch examples/fixtures/builtin.pla \
   echo "chaos smoke: retry did not recover the killed first attempt" >&2
   exit 1
 }
+
+# rdcsyn_cli batch runs on the same engine: a worker segfault on every
+# first attempt is absorbed by --retries 2, and every row records it.
+RDC_CHAOS=segv:1@1 ./build/examples/rdcsyn_cli batch examples/fixtures/*.pla \
+  --pipeline "assign:ranking(0.75) | espresso | factor | aig | resyn | map:power | analyze | error_rate" \
+  --retries 2 --json "$smoke_dir/cli_chaos.json" > /dev/null 2>&1 || {
+  echo "chaos smoke: rdcsyn_cli batch did not recover the segfaults" >&2
+  exit 1
+}
+python3 - "$smoke_dir/cli_chaos.json" <<'EOF'
+import json, sys
+with open(sys.argv[1]) as f:
+    rows = json.load(f)["rows"]
+assert rows, "cli chaos smoke: empty report"
+assert all(r.get("attempts") == 2 for r in rows), rows
+EOF
+
+# Numeric flags must parse whole and fit their type: exit 2, no run.
+for bad_flag in "--rss-mb inf" "--jobs 2x"; do
+  code=0
+  # shellcheck disable=SC2086  # flag and value split on purpose
+  ./build/tools/rdc_batch examples/fixtures/builtin.pla \
+    --pipeline "assign:zero | espresso" $bad_flag > /dev/null 2>&1 || code=$?
+  [[ "$code" == 2 ]] || {
+    echo "numeric-flag smoke: rdc_batch $bad_flag exited $code, want 2" >&2
+    exit 1
+  }
+done
 
 echo
 echo "== §14 graceful-shutdown smoke: SIGTERM mid-batch =="

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "common/hash.hpp"
 #include "common/thread_pool.hpp"
 #include "synthetic/generator.hpp"
 
@@ -24,16 +25,6 @@ constexpr std::array<BenchmarkInfo, 12> kTable1 = {{
     {"random2", 12, 12, 68.6, 0.52, 0.667},
     {"random3", 12, 12, 68.6, 0.52, 0.826},
 }};
-
-/// FNV-1a, for stable per-benchmark seeds.
-std::uint64_t stable_hash(std::string_view text) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const char c : text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
 
 }  // namespace
 
@@ -77,7 +68,7 @@ IncompleteSpec make_benchmark(const BenchmarkInfo& info) {
   options.target_complexity = info.target_cf;
   options.tolerance = 0.004;
   options.max_iterations = 3000000;
-  Rng rng(stable_hash(info.name) ^ 0x7265636f6e737472ull);
+  Rng rng(fnv1a(info.name) ^ 0x7265636f6e737472ull);
   return generate_spec(std::string(info.name), options, rng);
 }
 

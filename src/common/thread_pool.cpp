@@ -1,5 +1,8 @@
 #include "common/thread_pool.hpp"
 
+#include <pthread.h>
+
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdlib>
@@ -209,13 +212,23 @@ void ThreadPool::parallel_for(std::uint64_t begin, std::uint64_t end,
 }
 
 ThreadPool& ThreadPool::global() {
-  static ThreadPool pool([] {
-    const char* env = std::getenv("RDC_THREADS");
-    if (env == nullptr || *env == '\0') return 0u;
-    const long parsed = std::strtol(env, nullptr, 10);
-    return parsed > 0 ? static_cast<unsigned>(parsed) : 0u;
-  }());
+  static ThreadPool pool(global_size());
+  // The child of a fork() has none of the workers, and the pool's mutex
+  // and condition variable may be mid-use by threads that no longer exist
+  // (a broadcast can then block forever): drop the Impl, unjoined.
+  [[maybe_unused]] static const int fork_handler = ::pthread_atfork(
+      nullptr, nullptr, [] { pool.impl_ = nullptr; });
   return pool;
+}
+
+unsigned ThreadPool::global_size() {
+  static const unsigned size = [] {
+    const char* env = std::getenv("RDC_THREADS");
+    const long parsed = env == nullptr ? 0 : std::strtol(env, nullptr, 10);
+    if (parsed > 0) return static_cast<unsigned>(parsed);
+    return std::max(1u, std::thread::hardware_concurrency());
+  }();
+  return size;
 }
 
 }  // namespace rdc

@@ -60,8 +60,15 @@ class ThreadPool {
                     const std::function<void(std::uint64_t)>& fn);
 
   /// Process-wide pool sized from RDC_THREADS (see file comment). The env
-  /// var is read once, on first use.
+  /// var is read once, on first use. A fork()ed child inherits the pool
+  /// but none of its worker threads, so in the child it runs every
+  /// parallel_for inline.
   static ThreadPool& global();
+
+  /// The number of threads global() has or will have, without creating
+  /// it. A process about to fork() sizes its fan-out with this: a thread
+  /// alive at fork time may hold a lock the child then waits on forever.
+  static unsigned global_size();
 
  private:
   struct Impl;

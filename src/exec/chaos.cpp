@@ -10,26 +10,18 @@
 #include <thread>
 #include <vector>
 
+#include "common/hash.hpp"
+
 namespace rdc::exec {
 namespace {
 
-/// FNV-1a over an arbitrary byte run; the supervisor's only randomness
-/// source, so decisions replay exactly across runs.
-std::uint64_t fnv1a(const void* data, std::size_t size,
-                    std::uint64_t hash = 0xcbf29ce484222325ull) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= bytes[i];
-    hash *= 0x100000001b3ull;
-  }
-  return hash;
-}
-
 /// Uniform draw in [0, 1) from (job, attempt, rule) — 53 mantissa bits.
+/// FNV-1a is the supervisor's only randomness source, so decisions replay
+/// exactly across runs.
 double chaos_draw(std::uint64_t job_key, int attempt, std::size_t rule) {
-  std::uint64_t hash = fnv1a(&job_key, sizeof job_key);
-  hash = fnv1a(&attempt, sizeof attempt, hash);
-  hash = fnv1a(&rule, sizeof rule, hash);
+  std::uint64_t hash = fnv1a_bytes(&job_key, sizeof job_key);
+  hash = fnv1a_bytes(&attempt, sizeof attempt, hash);
+  hash = fnv1a_bytes(&rule, sizeof rule, hash);
   return static_cast<double>(hash >> 11) * 0x1p-53;
 }
 

@@ -16,6 +16,7 @@
 #include <thread>
 #include <utility>
 
+#include "common/hash.hpp"
 #include "exec/chaos.hpp"
 #include "exec/shutdown.hpp"
 #include "obs/counters.hpp"
@@ -48,15 +49,6 @@ double now_ms() {
                  std::chrono::steady_clock::now().time_since_epoch())
                  .count()) /
          1000.0;
-}
-
-std::uint64_t fnv1a(const void* data, std::size_t size, std::uint64_t hash) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= bytes[i];
-    hash *= 0x100000001b3ull;
-  }
-  return hash;
 }
 
 void append_u32(std::string& out, std::uint32_t value) {
@@ -224,8 +216,8 @@ double retry_backoff_ms(const RetryPolicy& retry, std::uint64_t key,
   if (retry.base_backoff_ms <= 0.0) return 0.0;
   double backoff = retry.base_backoff_ms;
   for (int i = 1; i < attempt; ++i) backoff *= 2.0;
-  std::uint64_t hash = fnv1a(&key, sizeof key, 0xcbf29ce484222325ull);
-  hash = fnv1a(&attempt, sizeof attempt, hash);
+  std::uint64_t hash = fnv1a_bytes(&key, sizeof key);
+  hash = fnv1a_bytes(&attempt, sizeof attempt, hash);
   const double u = static_cast<double>(hash >> 11) * 0x1p-53;
   return backoff * (1.0 + std::max(0.0, retry.jitter) * u);
 }

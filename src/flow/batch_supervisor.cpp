@@ -1,13 +1,12 @@
 #include "flow/batch_supervisor.hpp"
 
 #include <cctype>
-#include <cstring>
 #include <optional>
 #include <sstream>
 #include <unordered_map>
 #include <utility>
 
-#include "exec/budget.hpp"
+#include "common/hash.hpp"
 #include "exec/journal.hpp"
 #include "obs/counters.hpp"
 #include "obs/events.hpp"
@@ -16,25 +15,6 @@
 
 namespace rdc::flow {
 namespace {
-
-std::uint64_t fnv1a(const void* data, std::size_t size, std::uint64_t hash) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= bytes[i];
-    hash *= 0x100000001b3ull;
-  }
-  return hash;
-}
-
-std::uint64_t mix_double(std::uint64_t hash, double value) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &value, sizeof bits);
-  return fnv1a(&bits, sizeof bits, hash);
-}
-
-std::uint64_t mix_u64(std::uint64_t hash, std::uint64_t value) {
-  return fnv1a(&value, sizeof value, hash);
-}
 
 // --- flat JSON object scanner --------------------------------------------
 //
@@ -175,22 +155,22 @@ std::string serialize_row(const obs::Record& row) {
 
 std::uint64_t flow_options_fingerprint(const FlowOptions& options,
                                        const exec::BudgetLimits& budget) {
-  std::uint64_t hash = 0xcbf29ce484222325ull;
-  hash = mix_u64(hash, static_cast<std::uint64_t>(options.objective));
-  hash = mix_double(hash, options.ranking_fraction);
-  hash = mix_double(hash, options.lcf_threshold);
-  hash = mix_u64(hash, options.lcf_assign_balanced ? 1 : 0);
-  hash = mix_u64(hash, options.resyn_recipe ? 1 : 0);
-  hash = mix_u64(hash, options.use_extraction ? 1 : 0);
-  hash = mix_u64(hash, options.sample_seed);
-  hash = mix_double(hash, budget.deadline_ms);
-  hash = mix_u64(hash, budget.max_checkpoints);
-  hash = mix_u64(hash, budget.max_rss_bytes);
+  std::uint64_t hash =
+      fnv1a_u64(static_cast<std::uint64_t>(options.objective));
+  hash = fnv1a_double(options.ranking_fraction, hash);
+  hash = fnv1a_double(options.lcf_threshold, hash);
+  hash = fnv1a_u64(options.lcf_assign_balanced ? 1 : 0, hash);
+  hash = fnv1a_u64(options.resyn_recipe ? 1 : 0, hash);
+  hash = fnv1a_u64(options.use_extraction ? 1 : 0, hash);
+  hash = fnv1a_u64(options.sample_seed, hash);
+  hash = fnv1a_double(budget.deadline_ms, hash);
+  hash = fnv1a_u64(budget.max_checkpoints, hash);
+  hash = fnv1a_u64(budget.max_rss_bytes, hash);
   // Mixed only for non-default models: every fingerprint computed before
   // fault models existed stays byte-for-byte valid (warm serve caches,
   // resumable journals), while distinct models can never alias.
   if (!options.fault_model.is_default())
-    hash = mix_u64(hash, options.fault_model.fingerprint());
+    hash = fnv1a_u64(options.fault_model.fingerprint(), hash);
   return hash;
 }
 
@@ -199,14 +179,12 @@ std::uint64_t batch_job_key(const IncompleteSpec& spec,
                             const BatchOptions& options, std::uint64_t salt) {
   std::ostringstream pla;
   write_pla(spec, pla);
-  const std::string pla_text = pla.str();
-  std::uint64_t hash = fnv1a(pla_text.data(), pla_text.size(),
-                             0xcbf29ce484222325ull);
-  const std::string& name = spec.name();
-  hash = fnv1a(name.data(), name.size(), hash);
-  hash = fnv1a(pipeline_spec.data(), pipeline_spec.size(), hash);
-  hash = mix_u64(hash, flow_options_fingerprint(options.flow, options.budget));
-  if (salt != 0) hash = mix_u64(hash, salt);
+  std::uint64_t hash = fnv1a(pla.str());
+  hash = fnv1a(spec.name(), hash);
+  hash = fnv1a(pipeline_spec, hash);
+  hash = fnv1a_u64(flow_options_fingerprint(options.flow, options.budget),
+                   hash);
+  if (salt != 0) hash = fnv1a_u64(salt, hash);
   return hash;
 }
 
@@ -302,9 +280,9 @@ exec::Result<SupervisedBatchResult> run_pipeline_batch_supervised(
     exec::SupervisedJob job;
     job.key = keys[i];
     job.name = spec.name();
-    // Runs in the forked worker: the run_pipeline_batch per-circuit body,
-    // plus row construction — the worker owns its row so a frame-returned
-    // failure still carries the full circuit-annotated error text.
+    // Runs in the forked worker: the per-circuit body plus row
+    // construction — the worker owns its row so a frame-returned failure
+    // still carries the full circuit-annotated error text.
     job.run = [&pipeline, &spec, &options, budgeted](std::string& payload) {
       Design design(spec, options.batch.flow);
       exec::ExecBudget budget(options.batch.budget);

@@ -1,8 +1,10 @@
-// Crash-safe batch execution (DESIGN.md §14): run_pipeline_batch's
-// semantics — one deterministic report row per circuit, failures isolated
-// per row — lifted onto the process-isolation supervisor so a worker
-// SIGSEGV, OOM kill, or hang becomes an INTERNAL / RESOURCE_EXHAUSTED /
-// DEADLINE_EXCEEDED row instead of batch death.
+// The batch driver (DESIGN.md §11, §14): runs one pipeline over many
+// circuits, one deterministic report row per circuit, with every circuit
+// in its own forked, resource-capped worker — a worker SIGSEGV, OOM kill,
+// or hang becomes an INTERNAL / RESOURCE_EXHAUSTED / DEADLINE_EXCEEDED
+// row instead of batch death. rdc_batch, `rdcsyn_cli batch` and the
+// benchmark harness all run batches through this one engine; its only
+// retry loop is exec::run_supervised's.
 //
 // Identity: every (circuit, pipeline, options) job gets a stable 64-bit
 // key hashed from the spec's serialized .pla bytes, its name, the
@@ -24,10 +26,20 @@
 #include <string_view>
 #include <vector>
 
+#include "exec/budget.hpp"
 #include "exec/supervisor.hpp"
 #include "flow/pipeline.hpp"
 
 namespace rdc::flow {
+
+/// What every circuit of a batch shares.
+struct BatchOptions {
+  FlowOptions flow;  ///< per-circuit options (budget field is ignored)
+  /// Per-circuit budget limits; all-zero means unbudgeted. Each circuit
+  /// gets its own ExecBudget so one runaway circuit cannot starve the rest.
+  exec::BudgetLimits budget;
+  std::string suite = "pipeline_batch";  ///< RunReport suite name
+};
 
 /// Deterministic fingerprint of every result-affecting knob in
 /// (FlowOptions, BudgetLimits). The cell library pointer is not

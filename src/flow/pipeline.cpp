@@ -1,14 +1,11 @@
 #include "flow/pipeline.hpp"
 
 #include <cctype>
-#include <chrono>
 #include <cstring>
-#include <optional>
-#include <thread>
 #include <utility>
 
 #include "common/format.hpp"
-#include "common/thread_pool.hpp"
+#include "exec/budget.hpp"
 #include "exec/fault.hpp"
 #include "obs/events.hpp"
 #include "obs/metrics.hpp"
@@ -355,90 +352,6 @@ FlowResult take_flow_result(Design&& design) {
                     design.assignment,          std::move(design.report),
                     {},                         DegradationLevel::kNone};
   return result;
-}
-
-// --- batch driver ---------------------------------------------------------
-
-BatchResult run_pipeline_batch(const Pipeline& pipeline,
-                               const std::vector<IncompleteSpec>& specs,
-                               const BatchOptions& options) {
-  RDC_SPAN("pipeline.batch");
-  BatchResult batch{{}, obs::RunReport(options.suite), 0};
-  batch.results.resize(specs.size());
-
-  const bool budgeted = options.budget.deadline_ms > 0.0 ||
-                        options.budget.max_checkpoints > 0 ||
-                        options.budget.max_rss_bytes > 0;
-
-  const int max_attempts =
-      options.retry.max_attempts > 0 ? options.retry.max_attempts : 1;
-  std::vector<int> attempts_used(specs.size(), 1);
-
-  // Fan circuits over the pool. Each circuit gets its own budget (when
-  // limits are set) and its own exception→Status boundary, so one doomed
-  // circuit degrades into an error row instead of taking down the batch.
-  // Transient failures retry in place (fresh Design, fresh budget) under
-  // the shared classification: outcome_is_transient + retry_backoff_ms.
-  ThreadPool::global().parallel_for(0, specs.size(), [&](std::uint64_t i) {
-    const IncompleteSpec& spec = specs[i];
-    for (int attempt = 1; attempt <= max_attempts; ++attempt) {
-      Design design(spec, options.flow);
-      exec::ExecBudget budget(options.budget);
-      std::optional<exec::BudgetScope> scope;
-      if (budgeted) scope.emplace(&budget);
-      exec::Status status;
-      try {
-        status = pipeline.run(design);
-      } catch (...) {
-        status = exec::status_from_current_exception();
-      }
-      attempts_used[i] = attempt;
-      if (status.ok()) {
-        batch.results[i] = take_flow_result(std::move(design));
-        return;
-      }
-      exec::JobOutcome outcome;
-      outcome.status = status;
-      outcome.timed_out =
-          status.code() == exec::StatusCode::kDeadlineExceeded;
-      if (attempt < max_attempts && exec::outcome_is_transient(outcome)) {
-        const double backoff =
-            exec::retry_backoff_ms(options.retry, i, attempt);
-        if (backoff > 0)
-          std::this_thread::sleep_for(std::chrono::microseconds(
-              static_cast<long>(backoff * 1000)));
-        continue;
-      }
-      FlowResult partial{spec, Netlist(spec.num_inputs()), {}, 0.0, {}, {},
-                         {},   DegradationLevel::kPartial};
-      partial.status =
-          std::move(status.with_context("circuit " + spec.name()));
-      partial.report = std::move(design.report);
-      batch.results[i] = std::move(partial);
-      return;
-    }
-  });
-
-  // Aggregate rows serially in input order — deterministic regardless of
-  // RDC_THREADS.
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    const FlowResult& result = batch.results[i];
-    obs::Record& row = batch.report.add_row();
-    row.set("name", specs[i].name());
-    row.set("status", exec::status_code_name(result.status.code()));
-    // Stamped only when retries are enabled so single-shot batches keep
-    // their report documents byte-identical to earlier releases.
-    if (max_attempts > 1) row.set("attempts", attempts_used[i]);
-    row.merge(result.report.metrics);
-    if (!result.status.ok()) {
-      row.set("error", result.status.to_string());
-      ++batch.failures;
-    }
-  }
-  batch.report.meta().set("pipeline", pipeline.to_string());
-  batch.report.meta().set("circuits", specs.size());
-  batch.report.meta().set("failures", batch.failures);
-  return batch;
 }
 
 }  // namespace rdc::flow

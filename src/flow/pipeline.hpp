@@ -22,8 +22,7 @@
 #include <string_view>
 #include <vector>
 
-#include "exec/budget.hpp"
-#include "exec/supervisor.hpp"
+#include "exec/status.hpp"
 #include "flow/pass.hpp"
 #include "obs/report.hpp"
 
@@ -83,41 +82,5 @@ std::string conventional_fallback_spec(const FlowOptions& options);
 /// Moves a successfully run Design's artifacts into a FlowResult
 /// (status OK, degradation kNone; run_flow's ladder overwrites those).
 FlowResult take_flow_result(Design&& design);
-
-// --- batch driver ---------------------------------------------------------
-
-struct BatchOptions {
-  FlowOptions flow;  ///< per-circuit options (budget field is ignored)
-  /// Per-circuit budget limits; all-zero means unbudgeted. Each circuit
-  /// gets its own ExecBudget so one runaway circuit cannot starve the rest.
-  exec::BudgetLimits budget;
-  std::string suite = "pipeline_batch";  ///< RunReport suite name
-  /// In-process retry for transiently failing circuits. What retries is
-  /// decided by exec::outcome_is_transient — the same predicate the
-  /// process supervisor and the rdcsynd client use (deadline-outs count
-  /// as timeouts; parse/argument errors never retry) — and the wait
-  /// between attempts is exec::retry_backoff_ms. max_attempts = 1 (the
-  /// default) preserves single-shot behavior and report bytes exactly.
-  exec::RetryPolicy retry;
-};
-
-struct BatchResult {
-  /// One result per input spec, in input order. Circuits whose pipeline
-  /// failed carry a kPartial FlowResult with the failure status.
-  std::vector<FlowResult> results;
-  /// Aggregated rdc.bench.report.v1 document: one row per circuit (name,
-  /// status, result metrics), pipeline spec + circuit count in the
-  /// metadata.
-  obs::RunReport report;
-  std::size_t failures = 0;
-};
-
-/// Fans `pipeline` over every spec via the process-wide thread pool
-/// (RDC_THREADS), with per-circuit fault isolation: a failing circuit
-/// becomes an error row and a kPartial result, never an exception. Row
-/// order is deterministic (input order) regardless of thread count.
-BatchResult run_pipeline_batch(const Pipeline& pipeline,
-                               const std::vector<IncompleteSpec>& specs,
-                               const BatchOptions& options = {});
 
 }  // namespace rdc::flow

@@ -1,5 +1,6 @@
 #include "mapper/liberty.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <fstream>
 #include <memory>
@@ -294,6 +295,13 @@ std::optional<CellKind> match_kind(const Expr& expr, unsigned num_inputs) {
       CellKind::kOr3,   CellKind::kNor3,  CellKind::kAnd4,  CellKind::kNand4,
       CellKind::kAoi21, CellKind::kOai21, CellKind::kAoi22, CellKind::kOai22,
       CellKind::kXor2,  CellKind::kXnor2, CellKind::kTie0,  CellKind::kTie1};
+
+  // Wider than every supported kind: no match, and 1u << num_inputs
+  // below would be undefined from 32 pins on.
+  unsigned widest = 0;
+  for (const CellKind kind : kAllKinds)
+    widest = std::max(widest, cell_arity(kind));
+  if (num_inputs > widest) return std::nullopt;
 
   const std::uint32_t combos = 1u << num_inputs;
   for (const CellKind kind : kAllKinds) {

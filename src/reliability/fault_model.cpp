@@ -5,12 +5,12 @@
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 
 #include "common/bits.hpp"
 #include "common/bitvec.hpp"
 #include "common/format.hpp"
+#include "common/hash.hpp"
 #include "exec/budget.hpp"
 #include "reliability/error_rate.hpp"
 #include "reliability/estimator_util.hpp"
@@ -23,23 +23,6 @@ using reliability_detail::check_pin_weights;
 using reliability_detail::k_subsets;
 using reliability_detail::kCheckpointStride;
 using reliability_detail::with_ci;
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
-
-std::uint64_t fnv_mix(std::uint64_t hash, std::uint64_t value) {
-  for (unsigned byte = 0; byte < 8; ++byte) {
-    hash ^= (value >> (byte * 8)) & 0xff;
-    hash *= kFnvPrime;
-  }
-  return hash;
-}
-
-std::uint64_t fnv_mix_double(std::uint64_t hash, double value) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &value, sizeof(bits));
-  return fnv_mix(hash, bits);
-}
 
 exec::Status invalid(std::string message) {
   return exec::Status(exec::StatusCode::kInvalidArgument, std::move(message));
@@ -473,11 +456,10 @@ std::string FaultModelSpec::canonical() const {
 }
 
 std::uint64_t FaultModelSpec::fingerprint() const {
-  std::uint64_t hash = kFnvOffset;
-  hash = fnv_mix(hash, static_cast<std::uint64_t>(kind_));
-  hash = fnv_mix(hash, k_);
-  hash = fnv_mix(hash, weights_.size());
-  for (const double w : weights_) hash = fnv_mix_double(hash, w);
+  std::uint64_t hash = fnv1a_u64(static_cast<std::uint64_t>(kind_));
+  hash = fnv1a_u64(k_, hash);
+  hash = fnv1a_u64(weights_.size(), hash);
+  for (const double w : weights_) hash = fnv1a_double(w, hash);
   return hash;
 }
 

@@ -1,34 +1,18 @@
 #include "serve/cache.hpp"
 
+#include "common/hash.hpp"
 #include "obs/counters.hpp"
 
 namespace rdc::serve {
-namespace {
-
-std::uint64_t fnv1a(const void* data, std::size_t size, std::uint64_t hash) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= bytes[i];
-    hash *= 0x100000001b3ull;
-  }
-  return hash;
-}
-
-std::uint64_t fnv1a(std::string_view s, std::uint64_t hash) {
-  return fnv1a(s.data(), s.size(), hash);
-}
-
-}  // namespace
 
 std::uint64_t result_cache_key(std::string_view spec_bytes,
                                std::string_view canonical_pipeline,
                                std::uint64_t options_fingerprint) {
-  std::uint64_t hash = 0xcbf29ce484222325ull;
-  hash = fnv1a(spec_bytes, hash);
+  std::uint64_t hash = fnv1a(spec_bytes);
   hash = fnv1a("\x1f", hash);  // field separator: "ab"+"c" != "a"+"bc"
   hash = fnv1a(canonical_pipeline, hash);
   hash = fnv1a("\x1f", hash);
-  hash = fnv1a(&options_fingerprint, sizeof options_fingerprint, hash);
+  hash = fnv1a_bytes(&options_fingerprint, sizeof options_fingerprint, hash);
   return hash;
 }
 

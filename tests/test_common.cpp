@@ -2,6 +2,9 @@
 // thread pool, RNG, statistics.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <cmath>
 #include <numbers>
@@ -10,9 +13,15 @@
 
 #include "common/bits.hpp"
 #include "common/bitvec.hpp"
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/thread_pool.hpp"
+#include "exec/supervisor.hpp"
+#include "flow/batch_supervisor.hpp"
+#include "pla/pla_io.hpp"
+#include "reliability/fault_model.hpp"
+#include "serve/cache.hpp"
 
 namespace rdc {
 namespace {
@@ -405,6 +414,52 @@ TEST(ThreadPool, GlobalPoolIsUsable) {
                                     [&](std::uint64_t) { hits.fetch_add(1); });
   EXPECT_EQ(hits.load(), 32);
   EXPECT_GE(ThreadPool::global().num_threads(), 1u);
+  EXPECT_EQ(ThreadPool::global_size(), ThreadPool::global().num_threads());
+}
+
+TEST(ThreadPool, ForkedChildRunsTheGlobalPoolInline) {
+  // The batch engine forks workers from processes whose global pool is
+  // running. Forking right after a parallel_for, while the workers are
+  // still settling back onto the pool's condition variable, is the case
+  // that used to hang a child now and then — hence the repetitions.
+  ThreadPool& pool = ThreadPool::global();
+  for (int round = 0; round < 50; ++round) {
+    std::atomic<std::uint64_t> warm{0};
+    pool.parallel_for(0, 64, [&](std::uint64_t i) { warm += i; });
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+      ::alarm(5);  // a hang becomes a SIGALRM death, not a stuck test
+      std::atomic<std::uint64_t> sum{0};
+      pool.parallel_for(0, 64, [&](std::uint64_t i) { sum += i; });
+      ::_exit(sum == 64 * 63 / 2 ? 0 : 1);
+    }
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status))
+        << "round " << round << ": child died with signal "
+        << WTERMSIG(status);
+    ASSERT_EQ(WEXITSTATUS(status), 0) << "round " << round;
+  }
+}
+
+// Every value below is persisted or compared across runs (warm serve
+// caches, resumable journals, replayed retry schedules), so each pins the
+// exact output of the hash it is built on.
+TEST(StableHash, PinsPersistedValues) {
+  EXPECT_EQ(fnv1a("a"), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(serve::result_cache_key("abc", "espresso", 42),
+            0x91329fa0341065f7ull);
+  const IncompleteSpec spec =
+      parse_pla_string(".i 2\n.o 1\n11 1\n0- -\n.e\n", "pin");
+  EXPECT_EQ(flow::batch_job_key(spec, "assign:zero | espresso",
+                                flow::BatchOptions{}),
+            0xbf04505c673dbb69ull);
+  EXPECT_EQ(reliability::FaultModelSpec::stuckat().fingerprint(),
+            0x80237c8667fadf86ull);
+  exec::RetryPolicy retry;
+  retry.base_backoff_ms = 100;
+  EXPECT_EQ(exec::retry_backoff_ms(retry, 0x1234, 2), 258.32431214301727);
 }
 
 }  // namespace

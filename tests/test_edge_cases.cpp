@@ -5,6 +5,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "aig/balance.hpp"
 #include "aig/simulate.hpp"
@@ -141,6 +144,30 @@ TEST(EdgeCases, LibertyFileRoundTripOnDisk) {
   const CellLibrary lib = load_liberty(path);
   EXPECT_EQ(lib.cells().size(), CellLibrary::generic70().cells().size());
   std::filesystem::remove(path);
+}
+
+TEST(EdgeCases, LibertyRejectsCellWiderThanAnySupportedKind) {
+  // 32 input pins: wider than every supported cell kind (and than a
+  // 32-bit truth-table index), so the function is unsupported rather than
+  // evaluated.
+  std::ostringstream text;
+  text << "library(wide) {\n  cell(AND32) {\n    area : 1;\n";
+  std::string function;
+  for (int pin = 0; pin < 32; ++pin) {
+    const std::string name = "A" + std::to_string(pin);
+    text << "    pin(" << name << ") { direction : input; capacitance : 1; }\n";
+    function += (pin == 0 ? "" : "&") + name;
+  }
+  text << "    pin(Y) { direction : output; function : \"" << function
+       << "\"; }\n  }\n}\n";
+  try {
+    parse_liberty_string(text.str());
+    FAIL() << "a 32-input cell was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported function"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(EdgeCases, FlowWithCustomLibraryMatchesBuiltin) {

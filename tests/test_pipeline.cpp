@@ -15,6 +15,7 @@
 #include "common/rng.hpp"
 #include "exec/budget.hpp"
 #include "exec/fault.hpp"
+#include "flow/batch_supervisor.hpp"
 #include "flow/pipeline.hpp"
 #include "flow/synthesis_flow.hpp"
 #include "obs/json.hpp"
@@ -620,6 +621,22 @@ TEST(FlowValidation, PoliciesIgnoreUnrelatedKnobs) {
 
 // --- batch driver ---------------------------------------------------------
 
+/// Runs `pipeline` over `specs` on the batch engine and parses its report;
+/// the batch itself must not fail.
+obs::JsonValue run_batch(const std::string& pipeline,
+                         const std::vector<IncompleteSpec>& specs,
+                         const flow::SupervisedBatchOptions& options,
+                         std::size_t* failures = nullptr) {
+  auto batch = flow::run_pipeline_batch_supervised(pipeline, specs, options);
+  EXPECT_TRUE(batch.ok()) << batch.status().to_string();
+  if (!batch.ok()) return {};
+  if (failures != nullptr) *failures = batch->failures;
+  std::string error;
+  auto parsed = obs::parse_json(batch->report.to_json(), &error);
+  EXPECT_TRUE(parsed.has_value()) << error;
+  return parsed ? std::move(*parsed) : obs::JsonValue{};
+}
+
 TEST(PipelineBatch, RunsAllCircuitsAndAggregatesReport) {
   Rng rng(7);
   std::vector<IncompleteSpec> specs;
@@ -627,36 +644,35 @@ TEST(PipelineBatch, RunsAllCircuitsAndAggregatesReport) {
   specs.push_back(random_spec(5, 2, 0.4, rng));
   specs.push_back(random_spec(6, 1, 0.6, rng));
 
-  const flow::Pipeline pipeline = parse_ok(
+  const std::string spec_text =
       "assign:ranking(0.5) | espresso | factor | aig | map:power | analyze "
-      "| error_rate");
-  const flow::BatchResult batch = flow::run_pipeline_batch(pipeline, specs);
-  EXPECT_EQ(batch.failures, 0u);
-  ASSERT_EQ(batch.results.size(), specs.size());
+      "| error_rate";
+  std::size_t failures = 1;
+  const obs::JsonValue report =
+      run_batch(spec_text, specs, flow::SupervisedBatchOptions{}, &failures);
+  EXPECT_EQ(failures, 0u);
 
-  // Per-circuit results match a standalone run of the same pipeline.
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    flow::Design design(specs[i]);
-    ASSERT_TRUE(pipeline.run(design).ok());
-    EXPECT_TRUE(batch.results[i].status.ok());
-    EXPECT_EQ(batch.results[i].stats.gates, design.stats.gates);
-    EXPECT_EQ(batch.results[i].error_rate, design.error_rate);
-  }
-
-  // The aggregated document is valid JSON with one row per circuit, in
-  // input order, and carries the pipeline spec in its metadata.
-  std::string error;
-  const auto parsed = obs::parse_json(batch.report.to_json(), &error);
-  ASSERT_TRUE(parsed.has_value()) << error;
-  EXPECT_EQ(parsed->find("schema")->string, "rdc.bench.report.v1");
-  EXPECT_EQ(parsed->find("meta")->find("pipeline")->string,
+  // The aggregated document has one row per circuit, in input order, and
+  // carries the canonical pipeline spec in its metadata.
+  const flow::Pipeline pipeline = parse_ok(spec_text);
+  ASSERT_NE(report.find("schema"), nullptr);
+  EXPECT_EQ(report.find("schema")->string, "rdc.bench.report.v1");
+  EXPECT_EQ(report.find("meta")->find("pipeline")->string,
             pipeline.to_string());
-  const obs::JsonValue* rows = parsed->find("rows");
+  const obs::JsonValue* rows = report.find("rows");
   ASSERT_NE(rows, nullptr);
   ASSERT_EQ(rows->array.size(), specs.size());
+
+  // Each row matches a standalone run of the same pipeline.
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    EXPECT_EQ(rows->array[i].find("name")->string, specs[i].name());
-    EXPECT_EQ(rows->array[i].find("status")->string, "OK");
+    const obs::JsonValue& row = rows->array[i];
+    EXPECT_EQ(row.find("name")->string, specs[i].name());
+    EXPECT_EQ(row.find("status")->string, "OK");
+    flow::Design design(specs[i]);
+    ASSERT_TRUE(pipeline.run(design).ok());
+    EXPECT_EQ(row.find("gates")->number,
+              static_cast<double>(design.stats.gates));
+    EXPECT_EQ(row.find("error_rate")->number, design.error_rate);
   }
 }
 
@@ -671,27 +687,23 @@ TEST(PipelineBatch, IsolatesPerCircuitFailures) {
   specs.push_back(random_spec(8, 3, 0.5, rng));  // the expensive one
   specs.push_back(builtin_spec());
 
-  const flow::Pipeline pipeline = parse_ok(
-      "assign:ranking(0.5) | espresso | factor | aig | map:power | analyze");
-  flow::BatchOptions options;
+  flow::SupervisedBatchOptions options;
   // Measured: the builtin circuit needs ~33 checkpoints, the dense
   // 8-input one ~775 (thread-count independent) — 200 splits them with a
   // wide margin on both sides.
-  options.budget.max_checkpoints = 200;
-  const flow::BatchResult batch =
-      flow::run_pipeline_batch(pipeline, specs, options);
+  options.batch.budget.max_checkpoints = 200;
+  std::size_t failures = 0;
+  const obs::JsonValue report = run_batch(
+      "assign:ranking(0.5) | espresso | factor | aig | map:power | analyze",
+      specs, options, &failures);
 
-  EXPECT_EQ(batch.failures, 1u);
-  EXPECT_TRUE(batch.results[0].status.ok());
-  EXPECT_TRUE(batch.results[2].status.ok());
-  EXPECT_EQ(batch.results[1].status.code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(batch.results[1].degradation, DegradationLevel::kPartial);
-  // The failing circuit's row carries the error; its neighbors report QoR.
-  std::string error;
-  const auto parsed = obs::parse_json(batch.report.to_json(), &error);
-  ASSERT_TRUE(parsed.has_value()) << error;
-  const obs::JsonValue* rows = parsed->find("rows");
+  EXPECT_EQ(failures, 1u);
+  const obs::JsonValue* rows = report.find("rows");
   ASSERT_NE(rows, nullptr);
+  ASSERT_EQ(rows->array.size(), specs.size());
+  EXPECT_EQ(rows->array[0].find("status")->string, "OK");
+  EXPECT_EQ(rows->array[2].find("status")->string, "OK");
+  // The failing circuit's row carries the error; its neighbors report QoR.
   EXPECT_EQ(rows->array[1].find("status")->string, "RESOURCE_EXHAUSTED");
   EXPECT_NE(rows->array[1].find("error"), nullptr);
   EXPECT_EQ(rows->array[0].find("error"), nullptr);
@@ -701,45 +713,43 @@ TEST(PipelineBatch, IsolatesPerCircuitFailures) {
 TEST(PipelineBatch, RetriesShareTheSupervisorsTransientPredicate) {
   std::vector<IncompleteSpec> specs;
   specs.push_back(builtin_spec());
-  const flow::Pipeline pipeline = parse_ok("assign:zero | espresso");
+  const std::string pipeline = "assign:zero | espresso";
 
-  // An armed espresso fault site throws kFaultInjected on every hit, so
-  // each attempt fails transiently: the batch must burn all attempts
-  // (outcome_is_transient says kFaultInjected retries) and stamp the
-  // count into the row.
+  // An armed espresso fault site throws kFaultInjected on the first hit,
+  // and every attempt runs in a fresh worker whose hit count starts from
+  // zero, so each attempt fails transiently: the batch must burn all
+  // attempts (outcome_is_transient says kFaultInjected retries) and stamp
+  // the count into the row.
   {
     FaultSpecGuard guard("espresso:1");
-    flow::BatchOptions options;
+    flow::SupervisedBatchOptions options;
     options.retry.max_attempts = 3;
     options.retry.base_backoff_ms = 0.01;
-    const flow::BatchResult batch =
-        flow::run_pipeline_batch(pipeline, specs, options);
-    EXPECT_EQ(batch.failures, 1u);
-    EXPECT_EQ(batch.results[0].status.code(), StatusCode::kFaultInjected);
-    std::string error;
-    const auto parsed = obs::parse_json(batch.report.to_json(), &error);
-    ASSERT_TRUE(parsed.has_value()) << error;
-    EXPECT_EQ(parsed->find("rows")->array[0].find("attempts")->number, 3.0);
+    std::size_t failures = 0;
+    const obs::JsonValue report =
+        run_batch(pipeline, specs, options, &failures);
+    EXPECT_EQ(failures, 1u);
+    const obs::JsonValue* rows = report.find("rows");
+    ASSERT_NE(rows, nullptr);
+    ASSERT_EQ(rows->array.size(), 1u);
+    EXPECT_EQ(rows->array[0].find("status")->string, "FAULT_INJECTED");
+    EXPECT_EQ(rows->array[0].find("attempts")->number, 3.0);
   }
 
   // A clean run with retries enabled succeeds on attempt 1 — the stamp
   // records the truth, not the budget.
   {
-    flow::BatchOptions options;
+    flow::SupervisedBatchOptions options;
     options.retry.max_attempts = 3;
-    const flow::BatchResult batch =
-        flow::run_pipeline_batch(pipeline, specs, options);
-    EXPECT_EQ(batch.failures, 0u);
-    std::string error;
-    const auto parsed = obs::parse_json(batch.report.to_json(), &error);
-    ASSERT_TRUE(parsed.has_value()) << error;
-    EXPECT_EQ(parsed->find("rows")->array[0].find("attempts")->number, 1.0);
+    std::size_t failures = 1;
+    const obs::JsonValue report =
+        run_batch(pipeline, specs, options, &failures);
+    EXPECT_EQ(failures, 0u);
+    const obs::JsonValue* rows = report.find("rows");
+    ASSERT_NE(rows, nullptr);
+    ASSERT_EQ(rows->array.size(), 1u);
+    EXPECT_EQ(rows->array[0].find("attempts")->number, 1.0);
   }
-
-  // Single-shot batches (the default) must not grow an attempts field:
-  // report documents stay byte-compatible with earlier releases.
-  const flow::BatchResult batch = flow::run_pipeline_batch(pipeline, specs);
-  EXPECT_EQ(batch.report.to_json().find("\"attempts\""), std::string::npos);
 }
 
 // --- sampled error-rate pass ----------------------------------------------
@@ -867,18 +877,16 @@ TEST(PipelineSampled, BatchDegradesSampledBudgetTripsToErrorRows) {
   specs.push_back(builtin_spec());
   specs.push_back(random_spec(5, 2, 0.4, rng));
 
-  flow::BatchOptions options;
-  options.budget.max_checkpoints = 200;
-  const flow::BatchResult batch = flow::run_pipeline_batch(
-      parse_ok("assign:zero | covers:minterm | "
-               "error_rate:sampled(50000)"),
-      specs, options);
-  EXPECT_EQ(batch.failures, specs.size());
-  std::string error;
-  const auto parsed = obs::parse_json(batch.report.to_json(), &error);
-  ASSERT_TRUE(parsed.has_value()) << error;
-  const obs::JsonValue* rows = parsed->find("rows");
+  flow::SupervisedBatchOptions options;
+  options.batch.budget.max_checkpoints = 200;
+  std::size_t failures = 0;
+  const obs::JsonValue report = run_batch(
+      "assign:zero | covers:minterm | error_rate:sampled(50000)", specs,
+      options, &failures);
+  EXPECT_EQ(failures, specs.size());
+  const obs::JsonValue* rows = report.find("rows");
   ASSERT_NE(rows, nullptr);
+  ASSERT_EQ(rows->array.size(), specs.size());
   for (const obs::JsonValue& row : rows->array) {
     EXPECT_EQ(row.find("status")->string, "RESOURCE_EXHAUSTED");
     ASSERT_NE(row.find("error"), nullptr);

@@ -17,10 +17,13 @@
 // deterministic worker failures keyed by job identity — the CI smoke
 // interrupts a chaos batch mid-flight and asserts the resumed report
 // matches an uninterrupted run.
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -93,11 +96,41 @@ struct Args {
   long stop_after = 0;
 };
 
+/// Whole-string integer that fits `Int`: "2x", "" and overflow fail.
+template <typename Int>
+bool parse_number(const char* text, Int& out) {
+  char* end = nullptr;
+  errno = 0;
+  const long long value = std::strtoll(text, &end, 10);
+  if (end == text || *end != '\0' || errno == ERANGE ||
+      value < std::numeric_limits<Int>::min() ||
+      value > std::numeric_limits<Int>::max())
+    return false;
+  out = static_cast<Int>(value);
+  return true;
+}
+
+/// Whole-string finite number: "2x", "inf" and "nan" fail.
+bool parse_number(const char* text, double& out) {
+  char* end = nullptr;
+  const double value = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !std::isfinite(value)) return false;
+  out = value;
+  return true;
+}
+
 bool parse_args(int argc, char** argv, Args& args) {
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     const auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
+    };
+    const auto number = [&](auto& slot) {
+      const char* v = next();
+      if (v != nullptr && parse_number(v, slot)) return true;
+      std::fprintf(stderr, "rdc_batch: invalid %s value '%s'\n",
+                   a.c_str(), v == nullptr ? "" : v);
+      return false;
     };
     if (a == "--pipeline") {
       const char* v = next();
@@ -114,33 +147,19 @@ bool parse_args(int argc, char** argv, Args& args) {
     } else if (a == "--resume") {
       args.resume = true;
     } else if (a == "--retries") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args.retries = std::atoi(v);
+      if (!number(args.retries)) return false;
     } else if (a == "--backoff-ms") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args.backoff_ms = std::atof(v);
+      if (!number(args.backoff_ms)) return false;
     } else if (a == "--deadline-ms") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args.deadline_ms = std::atof(v);
+      if (!number(args.deadline_ms)) return false;
     } else if (a == "--budget-ms") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args.budget_ms = std::atof(v);
+      if (!number(args.budget_ms)) return false;
     } else if (a == "--rss-mb") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args.rss_mb = std::atof(v);
+      if (!number(args.rss_mb)) return false;
     } else if (a == "--jobs") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args.jobs = std::atoi(v);
+      if (!number(args.jobs)) return false;
     } else if (a == "--stop-after") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args.stop_after = std::atol(v);
+      if (!number(args.stop_after)) return false;
     } else if (!a.empty() && a[0] != '-') {
       args.inputs.push_back(a);
     } else {
@@ -153,6 +172,12 @@ bool parse_args(int argc, char** argv, Args& args) {
       args.backoff_ms < 0.0 || args.deadline_ms < 0.0 ||
       args.budget_ms < 0.0 || args.rss_mb < 0.0) {
     std::fprintf(stderr, "rdc_batch: negative/zero option value\n");
+    return false;
+  }
+  // The limits become uint64 byte and nanosecond counts downstream.
+  if (args.rss_mb * 1024.0 * 1024.0 >= 0x1p64 ||
+      args.deadline_ms * 1e6 >= 0x1p64 || args.budget_ms * 1e6 >= 0x1p64) {
+    std::fprintf(stderr, "rdc_batch: option value out of range\n");
     return false;
   }
   return true;
