@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Local CI: the tier-1 configure/build/ctest line from ROADMAP.md (run
 # twice: once on the default SIMD dispatch, once pinned to the scalar
-# backend with RDC_SIMD=scalar), followed
+# backend with RDC_SIMD=scalar), then the whole unit-test binary once in a
+# single process (ctest runs every test in its own process, which hides
+# state one test leaks into the next), followed
 # by an ASan+UBSan build of the unit tests to catch memory and UB bugs the
 # release build hides (the word-parallel kernels and the thread pool are
 # exactly the kind of code sanitizers pay off on), a fuzz-corpus replay of
@@ -52,6 +54,13 @@ echo "== tier-1 rerun on the scalar SIMD backend =="
 # must also hold with the dispatch pinned to the portable kernels — the
 # configuration every non-x86 target runs.
 (cd build && RDC_SIMD=scalar ctest --output-on-failure -j)
+
+echo
+echo "== unit tests in one process =="
+# Every test after every other in one process: a test that depends on
+# state an earlier test left behind (thread-locals, globals, the
+# environment) fails here even though it passes alone under ctest.
+./build/tests/rdcsyn_tests --gtest_brief=1
 
 echo
 echo "== observability smoke: traced --json harness run =="

@@ -35,14 +35,14 @@ Cover complement(const Cover& cover) {
 
   // Recurse on the most binate variable; if unate, any active variable
   // still splits the problem and guarantees progress.
+  const PolarityCounts counts(cover);
   unsigned split = 0;
-  if (const auto binate = most_binate_variable(cover); binate) {
+  if (const auto binate = most_binate_variable(counts, n); binate) {
     split = *binate;
   } else {
     unsigned best_activity = 0;
     for (unsigned j = 0; j < n; ++j) {
-      const VariableActivity a = variable_activity(cover, j);
-      const unsigned activity = a.negative + a.positive;
+      const unsigned activity = counts.negative[j] + counts.positive[j];
       if (activity > best_activity) {
         best_activity = activity;
         split = j;
@@ -55,10 +55,13 @@ Cover complement(const Cover& cover) {
   const Cover comp_lo = complement(cover.cofactor(lo));
   const Cover comp_hi = complement(cover.cofactor(hi));
 
+  // No containment cleanup: both halves are containment-free, their cubes
+  // leave `split` free (it is inactive in the cofactors), and a lo cube and
+  // a hi cube differ in `split`, so neither contains the other.
   Cover result(n);
+  result.cubes().reserve(comp_lo.size() + comp_hi.size());
   for (const Cube& c : comp_lo.cubes()) result.add(c.intersect(lo));
   for (const Cube& c : comp_hi.cubes()) result.add(c.intersect(hi));
-  result.remove_single_cube_contained();
   return result;
 }
 

@@ -6,7 +6,8 @@
 namespace rdc {
 
 /// Returns a cover of the complement of `cover` (over the same variables).
-/// The result is cleaned with single-cube containment but not minimized.
+/// The result is containment-free (no cube contains another, no duplicate
+/// cubes) but not minimized.
 Cover complement(const Cover& cover);
 
 /// Complement of a single cube by De Morgan expansion.

@@ -1,47 +1,52 @@
 #include "espresso/expand.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <numeric>
 #include <vector>
 
 #include "exec/budget.hpp"
 
 namespace rdc {
-namespace {
-
-bool intersects_cover(const Cube& c, const Cover& cover) {
-  for (const Cube& q : cover.cubes())
-    if (c.intersects(q, cover.num_inputs())) return true;
-  return false;
-}
-
-}  // namespace
 
 Cube expand_cube(const Cube& c, const Cover& off, const Cover& peers) {
   const unsigned n = off.num_inputs();
+  const std::uint32_t vars = var_mask(n);
+  std::array<std::size_t, 32> gain{};
   Cube current = c;
   while (true) {
-    int best_var = -1;
-    std::size_t best_gain = 0;
-    bool best_valid = false;
-    for (unsigned j = 0; j < n; ++j) {
-      const bool fixed =
-          test_bit(current.mask0, j) != test_bit(current.mask1, j);
-      if (!fixed) continue;
-      const Cube raised = current.expanded(j);
-      if (intersects_cover(raised, off)) continue;
-      // Gain: peer cubes newly contained by the raised cube.
-      std::size_t gain = 0;
-      for (const Cube& p : peers.cubes())
-        if (raised.contains(p) && !current.contains(p)) ++gain;
-      if (!best_valid || gain > best_gain) {
-        best_valid = true;
-        best_var = static_cast<int>(j);
-        best_gain = gain;
-      }
+    const std::uint32_t fixed = (current.mask0 ^ current.mask1) & vars;
+    if (fixed == 0) break;
+    // Raising j makes the cube meet an off-cube q iff q's conflict set
+    // with the current cube (the variables whose parts do not meet) is
+    // empty or exactly {j}. An off-cube with an empty part meets nothing.
+    std::uint32_t blocked = 0;
+    for (const Cube& q : off.cubes()) {
+      if (((q.mask0 | q.mask1) & vars) != vars) continue;
+      const std::uint32_t conflict =
+          ~((current.mask0 & q.mask0) | (current.mask1 & q.mask1)) & vars;
+      if ((conflict & (conflict - 1)) == 0)
+        blocked |= conflict != 0 ? conflict : vars;
     }
-    if (!best_valid) break;
-    current = current.expanded(static_cast<unsigned>(best_var));
+    const std::uint32_t candidates = fixed & ~blocked;
+    if (candidates == 0) break;
+    // Gain of raising j: peers that only j keeps out of the current cube.
+    gain.fill(0);
+    for (const Cube& p : peers.cubes()) {
+      const std::uint32_t miss =
+          (p.mask0 & ~current.mask0) | (p.mask1 & ~current.mask1);
+      if (miss != 0 && (miss & (miss - 1)) == 0)
+        ++gain[std::countr_zero(miss)];
+    }
+    // Largest gain wins; ties go to the lowest variable.
+    unsigned best = std::countr_zero(candidates);
+    for (std::uint32_t rest = candidates & (candidates - 1); rest != 0;
+         rest &= rest - 1) {
+      const unsigned j = std::countr_zero(rest);
+      if (gain[j] > gain[best]) best = j;
+    }
+    current = current.expanded(best);
   }
   return current;
 }

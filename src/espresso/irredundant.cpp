@@ -24,14 +24,22 @@ Cover irredundant(const Cover& on, const Cover& dc) {
                             on.cube(b).literal_count(n);
                    });
 
+  Cover in_cube(n);  // reused: keeps its capacity across candidates
   for (std::size_t candidate : order) {
     exec::checkpoint();  // per-cube budget poll (DESIGN.md §10)
-    Cover rest(n);
+    // The other live cubes plus the DC cubes contain c iff one of them
+    // does, or else iff their cofactor against c is a tautology.
+    const Cube c = on.cube(candidate);
+    in_cube.cubes().clear();
+    bool contained = false;
+    const auto add = [&](const Cube& q) {
+      contained = contained || q.contains(c);
+      if (!contained) in_cube.add_cofactor(q, c);
+    };
     for (std::size_t i = 0; i < on.size(); ++i)
-      if (alive[i] && i != candidate) rest.add(on.cube(i));
-    for (const Cube& c : dc.cubes()) rest.add(c);
-    if (cover_contains_cube(rest, on.cube(candidate)))
-      alive[candidate] = false;
+      if (alive[i] && i != candidate) add(on.cube(i));
+    for (const Cube& q : dc.cubes()) add(q);
+    if (contained || is_tautology(in_cube)) alive[candidate] = false;
   }
 
   Cover result(n);

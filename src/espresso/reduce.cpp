@@ -36,20 +36,22 @@ Cover reduce(const Cover& on, const Cover& dc) {
                    });
 
   std::vector<bool> dropped(cubes.size(), false);
+  Cover in_cube(n);  // reused: keeps its capacity across candidates
   for (std::size_t idx : order) {
     exec::checkpoint();  // per-cube budget poll (DESIGN.md §10)
-    Cover rest(n);
+    // The other live cubes, then the DC cubes, cofactored against c.
+    const Cube c = cubes[idx];
+    in_cube.cubes().clear();
     for (std::size_t i = 0; i < cubes.size(); ++i)
-      if (i != idx && !dropped[i]) rest.add(cubes[i]);
-    for (const Cube& c : dc.cubes()) rest.add(c);
+      if (i != idx && !dropped[i]) in_cube.add_cofactor(cubes[i], c);
+    for (const Cube& q : dc.cubes()) in_cube.add_cofactor(q, c);
 
-    const Cover in_cube = rest.cofactor(cubes[idx]);
     const Cover uncovered = complement(in_cube);
     if (uncovered.empty_cover()) {
       dropped[idx] = true;  // everything in the cube is covered elsewhere
       continue;
     }
-    cubes[idx] = cubes[idx].intersect(supercube(uncovered));
+    cubes[idx] = c.intersect(supercube(uncovered));
   }
 
   Cover result(n);

@@ -1,30 +1,31 @@
 #include "espresso/unate.hpp"
 
-#include <cassert>
+#include <algorithm>
+#include <bit>
 
 namespace rdc {
 
-VariableActivity variable_activity(const Cover& cover, unsigned j) {
-  VariableActivity a;
-  const std::uint32_t bit = 1u << j;
+PolarityCounts::PolarityCounts(const Cover& cover) {
+  const std::uint32_t vars = var_mask(cover.num_inputs());
   for (const Cube& c : cover.cubes()) {
-    const bool allow0 = (c.mask0 & bit) != 0;
-    const bool allow1 = (c.mask1 & bit) != 0;
-    if (allow0 && !allow1) ++a.negative;
-    if (allow1 && !allow0) ++a.positive;
+    for (std::uint32_t neg = c.mask0 & ~c.mask1 & vars; neg != 0;
+         neg &= neg - 1)
+      ++negative[std::countr_zero(neg)];
+    for (std::uint32_t pos = c.mask1 & ~c.mask0 & vars; pos != 0;
+         pos &= pos - 1)
+      ++positive[std::countr_zero(pos)];
   }
-  return a;
 }
 
-std::optional<unsigned> most_binate_variable(const Cover& cover) {
+std::optional<unsigned> most_binate_variable(const PolarityCounts& counts,
+                                             unsigned num_inputs) {
   std::optional<unsigned> best;
   unsigned best_min = 0;
   unsigned best_total = 0;
-  for (unsigned j = 0; j < cover.num_inputs(); ++j) {
-    const VariableActivity a = variable_activity(cover, j);
-    if (!a.binate()) continue;
-    const unsigned lo = std::min(a.negative, a.positive);
-    const unsigned total = a.negative + a.positive;
+  for (unsigned j = 0; j < num_inputs; ++j) {
+    if (!counts.binate(j)) continue;
+    const unsigned lo = std::min(counts.negative[j], counts.positive[j]);
+    const unsigned total = counts.negative[j] + counts.positive[j];
     if (!best || lo > best_min || (lo == best_min && total > best_total)) {
       best = j;
       best_min = lo;
@@ -32,6 +33,10 @@ std::optional<unsigned> most_binate_variable(const Cover& cover) {
     }
   }
   return best;
+}
+
+std::optional<unsigned> most_binate_variable(const Cover& cover) {
+  return most_binate_variable(PolarityCounts(cover), cover.num_inputs());
 }
 
 bool is_tautology(const Cover& cover) {

@@ -5,24 +5,25 @@
 // is built from, following the classic formulation of Brayton et al.
 #pragma once
 
+#include <array>
 #include <optional>
 
 #include "pla/cover.hpp"
 
 namespace rdc {
 
-/// Per-variable polarity usage inside a cover.
-struct VariableActivity {
-  unsigned negative = 0;  ///< cubes with literal !x_j
-  unsigned positive = 0;  ///< cubes with literal x_j
-  bool binate() const { return negative > 0 && positive > 0; }
+/// Per-variable literal counts of a cover, gathered in one pass over it.
+struct PolarityCounts {
+  std::array<unsigned, 32> negative{};  ///< cubes with literal !x_j
+  std::array<unsigned, 32> positive{};  ///< cubes with literal x_j
+  explicit PolarityCounts(const Cover& cover);
+  bool binate(unsigned j) const { return negative[j] > 0 && positive[j] > 0; }
 };
-
-/// Computes the activity of variable j across the cover.
-VariableActivity variable_activity(const Cover& cover, unsigned j);
 
 /// Picks the most binate variable (maximizing min(neg, pos), ties by total
 /// activity then index); returns nullopt if the cover is unate.
+std::optional<unsigned> most_binate_variable(const PolarityCounts& counts,
+                                             unsigned num_inputs);
 std::optional<unsigned> most_binate_variable(const Cover& cover);
 
 /// True iff the cover is a tautology (covers every minterm).

@@ -22,10 +22,13 @@ std::uint64_t steady_now_ns() {
 
 thread_local ExecBudget* tls_budget = nullptr;
 
+std::atomic<std::uint64_t> next_budget_id{1};
+
 }  // namespace
 
 ExecBudget::ExecBudget(const BudgetLimits& limits)
-    : max_checkpoints_(limits.max_checkpoints),
+    : id_(next_budget_id.fetch_add(1, std::memory_order_relaxed)),
+      max_checkpoints_(limits.max_checkpoints),
       max_rss_bytes_(limits.max_rss_bytes) {
   if (limits.deadline_ms > 0.0)
     deadline_ns_ = steady_now_ns() +
@@ -83,9 +86,16 @@ Status ExecBudget::check() {
       return trip(StatusCode::kResourceExhausted, "iterations");
   }
   if (deadline_ns_ != 0 || max_rss_bytes_ != 0) {
-    // Clock/RSS reads are strided per thread; (stride & 63) == 1 fires on
-    // the very first poll so an already-expired deadline is seen at once.
+    // Clock/RSS reads are strided per thread and per budget: the stride
+    // restarts whenever this thread polls a different budget than last
+    // time, and (stride & 63) == 1 fires on the very first poll, so an
+    // already-expired deadline is seen at once.
+    thread_local std::uint64_t stride_budget = 0;
     thread_local std::uint64_t stride = 0;
+    if (stride_budget != id_) {
+      stride_budget = id_;
+      stride = 0;
+    }
     const std::uint64_t s = ++stride;
     if ((s & 63u) == 1u) {
       if (deadline_ns_ != 0 && steady_now_ns() >= deadline_ns_)

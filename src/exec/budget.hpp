@@ -16,11 +16,13 @@
 // Polling cost (the contract checkpoints rely on, see DESIGN.md §10):
 // without an installed budget a checkpoint is one thread-local load and a
 // branch; with one it adds one relaxed atomic load (the cancellation flag —
-// observed on the very next poll) and, every 64th poll per thread, a
-// steady_clock read for the deadline plus, every 4096th, a /proc RSS read
-// when a memory limit is set. Trips are sticky: once a limit fails, every
-// later check fails with the same code, which is what makes the flow's
-// degradation ladder descend instead of re-running doomed rungs.
+// observed on the very next poll) and, every 64th poll per thread and
+// budget, a steady_clock read for the deadline plus, every 4096th, a /proc
+// RSS read when a memory limit is set. A budget's first poll on a thread
+// always reads the clock, however many polls other budgets made before.
+// Trips are sticky: once a limit fails, every later check fails with the
+// same code, which is what makes the flow's degradation ladder descend
+// instead of re-running doomed rungs.
 #pragma once
 
 #include <atomic>
@@ -80,6 +82,7 @@ class ExecBudget {
   Status trip(StatusCode code, const char* what);
   Status tripped_status() const;
 
+  std::uint64_t id_;  ///< process-unique; keys the per-thread clock stride
   std::uint64_t deadline_ns_ = 0;  ///< absolute steady-clock ns; 0 = none
   std::uint64_t max_checkpoints_ = 0;
   std::uint64_t max_rss_bytes_ = 0;

@@ -1,6 +1,8 @@
 #include "pla/cover.hpp"
 
+#include <bit>
 #include <cassert>
+#include <unordered_set>
 
 namespace rdc {
 
@@ -39,33 +41,45 @@ Cover Cover::from_phase(const TernaryTruthTable& f, Phase phase) {
 Cover Cover::cofactor(const Cube& c) const {
   // Variables fixed by c get raised to don't-care in the surviving cubes;
   // cubes that conflict with c on a fixed variable drop out.
-  const std::uint32_t fixed = c.mask0 ^ c.mask1;
   Cover result(num_inputs_);
-  for (const Cube& q : cubes_) {
-    if (!q.intersects(c, num_inputs_)) continue;
-    Cube r = q;
-    r.mask0 |= fixed;
-    r.mask1 |= fixed;
-    result.add(r);
-  }
+  for (const Cube& q : cubes_) result.add_cofactor(q, c);
   return result;
 }
 
 void Cover::remove_single_cube_contained() {
-  std::vector<Cube> kept;
-  kept.reserve(cubes_.size());
+  if (cubes_.size() < 2) return;
+  // Containment is bitwise inclusion of both masks, so a cube can only be
+  // contained by a cube with more set mask bits (fewer literals), or by an
+  // equal one. Equal cubes: the earliest one wins. Strict containment: it
+  // is enough to compare each cube against the survivors of strictly
+  // greater weight, because whatever contains a removed cube contains what
+  // that cube contained. A cover of distinct minterms costs O(N).
+  std::vector<bool> removed(cubes_.size(), false);
+  std::unordered_set<std::uint64_t> seen;
+  seen.reserve(cubes_.size());
+  std::vector<std::vector<std::size_t>> by_weight(65);
   for (std::size_t i = 0; i < cubes_.size(); ++i) {
-    bool contained = false;
-    for (std::size_t j = 0; j < cubes_.size() && !contained; ++j) {
-      if (i == j) continue;
-      if (cubes_[j].contains(cubes_[i])) {
-        // Break ties between equal cubes by keeping the earlier one.
-        contained = cubes_[j] != cubes_[i] || j < i;
-      }
+    const Cube& c = cubes_[i];
+    if (!seen.insert(std::uint64_t{c.mask1} << 32 | c.mask0).second) {
+      removed[i] = true;
+      continue;
     }
-    if (!contained) kept.push_back(cubes_[i]);
+    by_weight[std::popcount(c.mask0) + std::popcount(c.mask1)].push_back(i);
   }
-  cubes_ = std::move(kept);
+  std::vector<Cube> heavier;  // survivors of every weight visited so far
+  for (std::size_t w = by_weight.size(); w-- > 0;) {
+    const std::size_t visited = heavier.size();
+    for (std::size_t i : by_weight[w]) {
+      const Cube& c = cubes_[i];
+      for (std::size_t h = 0; h < visited && !removed[i]; ++h)
+        removed[i] = heavier[h].contains(c);
+      if (!removed[i]) heavier.push_back(c);
+    }
+  }
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < cubes_.size(); ++i)
+    if (!removed[i]) cubes_[kept++] = cubes_[i];
+  cubes_.resize(kept);
 }
 
 }  // namespace rdc

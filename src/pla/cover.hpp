@@ -52,6 +52,14 @@ class Cover {
   /// keeps cubes intersecting c, raising variables fixed by c.
   Cover cofactor(const Cube& c) const;
 
+  /// Appends the cofactor of cube `q` with respect to `c` — q with the
+  /// variables fixed by c raised — if q meets c: one cube of cofactor().
+  void add_cofactor(const Cube& q, const Cube& c) {
+    if (!q.intersects(c, num_inputs_)) return;
+    const std::uint32_t fixed = c.mask0 ^ c.mask1;
+    cubes_.push_back(Cube{q.mask0 | fixed, q.mask1 | fixed});
+  }
+
   /// Removes cubes contained in another cube of the cover (single-cube
   /// containment minimization). Stable order of survivors.
   void remove_single_cube_contained();

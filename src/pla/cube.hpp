@@ -17,20 +17,23 @@
 
 namespace rdc {
 
+/// Mask of the variable bits of a cube over n <= 32 inputs.
+constexpr std::uint32_t var_mask(unsigned n) {
+  return n >= 32 ? ~0u : (1u << n) - 1;
+}
+
 struct Cube {
   std::uint32_t mask0 = 0;
   std::uint32_t mask1 = 0;
 
   /// The universal cube (no literals) over n variables.
   static Cube full(unsigned n) {
-    const std::uint32_t all = (n == 32) ? ~0u : ((1u << n) - 1);
-    return Cube{all, all};
+    return Cube{var_mask(n), var_mask(n)};
   }
 
   /// The cube containing exactly one minterm.
   static Cube minterm(std::uint32_t m, unsigned n) {
-    const std::uint32_t all = (1u << n) - 1;
-    return Cube{static_cast<std::uint32_t>(~m) & all, m};
+    return Cube{~m & var_mask(n), m};
   }
 
   /// Parses an espresso-style input part, e.g. "1-0". Throws on bad chars.
@@ -40,14 +43,12 @@ struct Cube {
 
   /// True iff some variable admits neither value.
   bool empty(unsigned n) const {
-    const std::uint32_t all = (1u << n) - 1;
-    return ((mask0 | mask1) & all) != all;
+    return ((mask0 | mask1) & var_mask(n)) != var_mask(n);
   }
 
   /// Number of literals (variables fixed to a single value).
   unsigned literal_count(unsigned n) const {
-    const std::uint32_t all = (1u << n) - 1;
-    return static_cast<unsigned>(std::popcount((mask0 ^ mask1) & all));
+    return static_cast<unsigned>(std::popcount((mask0 ^ mask1) & var_mask(n)));
   }
 
   /// Number of minterms contained: 2^(n - literals).
@@ -56,10 +57,9 @@ struct Cube {
   }
 
   bool contains_minterm(std::uint32_t m, unsigned n) const {
-    const std::uint32_t all = (1u << n) - 1;
     // Every variable set to 1 in m must be admitted by mask1, every variable
     // set to 0 by mask0.
-    return (m & all & ~mask1) == 0 && (~m & all & ~mask0) == 0;
+    return (m & var_mask(n) & ~mask1) == 0 && (~m & var_mask(n) & ~mask0) == 0;
   }
 
   /// True iff this cube contains `other` (other implies this).
@@ -80,9 +80,8 @@ struct Cube {
   /// Distance: number of variables where the two cubes conflict (empty part).
   unsigned conflict_count(const Cube& other, unsigned n) const {
     const Cube x = intersect(other);
-    const std::uint32_t all = (1u << n) - 1;
     return static_cast<unsigned>(
-        std::popcount(static_cast<std::uint32_t>(~(x.mask0 | x.mask1)) & all));
+        std::popcount(~(x.mask0 | x.mask1) & var_mask(n)));
   }
 
   /// Raise variable j to don't-care.

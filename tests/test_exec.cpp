@@ -136,6 +136,25 @@ TEST(ExecBudget, ExpiredDeadlineTripsSticky) {
   EXPECT_TRUE(budget.tripped());
 }
 
+TEST(ExecBudget, FreshBudgetReadsTheClockOnFirstPoll) {
+  // The clock-read stride must not carry over from one budget to the
+  // next: after 37 polls of a live deadline budget (not a multiple of the
+  // 64-poll stride), a fresh expired budget trips on its first poll. A new
+  // thread starts the stride from a known state.
+  std::thread([] {
+    exec::ExecBudget live = exec::ExecBudget::with_deadline_ms(60000);
+    {
+      exec::BudgetScope scope(&live);
+      for (int i = 0; i < 37; ++i) EXPECT_TRUE(exec::checkpoint_status().ok());
+    }
+    exec::ExecBudget expired = exec::ExecBudget::with_deadline_ms(0.001);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    exec::BudgetScope scope(&expired);
+    EXPECT_EQ(exec::checkpoint_status().code(),
+              exec::StatusCode::kDeadlineExceeded);
+  }).join();
+}
+
 TEST(ExecBudget, CancellationObservedByCheck) {
   exec::ExecBudget budget;
   EXPECT_TRUE(budget.check().ok());

@@ -99,6 +99,20 @@ TEST(Cover, TruthTableRoundTrip) {
     EXPECT_EQ(back.covers_minterm(m), cover.covers_minterm(m));
 }
 
+TEST(Cube, VariableMaskCoversEveryWidth) {
+  EXPECT_EQ(var_mask(0), 0u);
+  EXPECT_EQ(var_mask(5), 0x1fu);
+  EXPECT_EQ(var_mask(32), ~0u);
+  // Width 32 shifts by the word size without the helper.
+  const Cube m = Cube::minterm(0xf0f0f0f0u, 32);
+  EXPECT_EQ(m.literal_count(32), 32u);
+  EXPECT_TRUE(m.contains_minterm(0xf0f0f0f0u, 32));
+  EXPECT_FALSE(m.contains_minterm(0xf0f0f0f1u, 32));
+  EXPECT_FALSE(m.empty(32));
+  EXPECT_EQ(Cube::full(32).literal_count(32), 0u);
+  EXPECT_EQ(m.conflict_count(Cube::minterm(0x0f0f0f0fu, 32), 32), 32u);
+}
+
 TEST(Cover, Cofactor) {
   Cover cover(3);
   cover.add(Cube::parse("11-"));
