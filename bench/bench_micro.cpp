@@ -24,7 +24,6 @@
 #include "bdd/bdd_ops.hpp"
 #include "common/rng.hpp"
 #include "espresso/espresso.hpp"
-#include "espresso/exact.hpp"
 #include "flow/synthesis_flow.hpp"
 #include "mapper/tree_map.hpp"
 #include "reliability/assignment.hpp"
@@ -212,13 +211,6 @@ void BM_MapAig(benchmark::State& state) {
     benchmark::DoNotOptimize(map_aig(aig, CellLibrary::generic70()));
 }
 BENCHMARK(BM_MapAig)->Arg(6)->Arg(8)->Arg(10);
-
-void BM_ExactMinimize(benchmark::State& state) {
-  const auto n = static_cast<unsigned>(state.range(0));
-  const TernaryTruthTable f = random_ternary(n, 0.4, 86);
-  for (auto _ : state) benchmark::DoNotOptimize(exact_minimize(f));
-}
-BENCHMARK(BM_ExactMinimize)->Arg(5)->Arg(6)->Arg(7);
 
 void BM_SatEquivalence(benchmark::State& state) {
   const auto n = static_cast<unsigned>(state.range(0));

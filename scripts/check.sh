@@ -404,13 +404,18 @@ grep -qF '"event": "process.shutdown"' "$smoke_dir/term_events.jsonl" || {
 
 # Unowned: nobody claims the signal, so the metrics snapshotter flushes a
 # final snapshot plus the terminating event and re-raises — the process
-# dies with the conventional 128+15 status.
+# dies with the conventional 128+15 status. TERM goes out as soon as the
+# first snapshot exists (the snapshotter is running), so the smoke does not
+# depend on how long the run itself would take.
 printf '%s\n' "$smoke_dir/slow.pla" > "$smoke_dir/slow_list.txt"
 RDC_METRICS="$smoke_dir/unowned_metrics.json:50" \
 RDC_EVENTS="$smoke_dir/unowned_events.jsonl" \
   ./build/bench/bench_table1 --circuits "$smoke_dir/slow_list.txt" \
   > /dev/null 2>&1 & bench_pid=$!
-sleep 1
+for _ in $(seq 200); do
+  [[ -e "$smoke_dir/unowned_metrics.json" ]] && break
+  sleep 0.05
+done
 kill -TERM "$bench_pid"
 code=0; wait "$bench_pid" || code=$?
 [[ "$code" == 143 ]] || {

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "espresso/complement.hpp"
 #include "espresso/expand.hpp"
 #include "espresso/irredundant.hpp"
 #include "espresso/reduce.hpp"
@@ -29,14 +28,15 @@ Cost cost_of(const Cover& cover) {
 
 }  // namespace
 
-EspressoResult espresso_bounded(const Cover& on, const Cover& dc,
-                                const Cover& off,
+EspressoResult minimize_bounded(const TernaryTruthTable& f,
                                 const EspressoOptions& options) {
   RDC_SPAN("espresso.run");
   obs::count(obs::Counter::kEspressoCalls);
   exec::fault_point("espresso");
+  const BitVec& dc = f.dc_bits();
+  const BitVec off = f.off_bits();
   EspressoResult result;
-  Cover current = on;
+  Cover current = Cover::from_phase(f, Phase::kOne);
   current.remove_single_cube_contained();
   if (current.empty_cover()) {
     obs::observe(obs::Histo::kEspressoIterations, 0);
@@ -81,27 +81,6 @@ EspressoResult espresso_bounded(const Cover& on, const Cover& dc,
   return result;
 }
 
-Cover espresso(const Cover& on, const Cover& dc, const Cover& off,
-               const EspressoOptions& options) {
-  EspressoResult result = espresso_bounded(on, dc, off, options);
-  if (result.partial) throw exec::StatusError(std::move(result.status));
-  return std::move(result.cover);
-}
-
-EspressoResult minimize_bounded(const TernaryTruthTable& f,
-                                const EspressoOptions& options) {
-  const Cover on = Cover::from_phase(f, Phase::kOne);
-  const Cover dc = Cover::from_phase(f, Phase::kDc);
-
-  // The off-set is known exactly; complementing on ∪ dc gives a compact
-  // blocking cover (far fewer cubes than one per off minterm).
-  Cover on_dc = on;
-  for (const Cube& c : dc.cubes()) on_dc.add(c);
-  const Cover off = complement(on_dc);
-
-  return espresso_bounded(on, dc, off, options);
-}
-
 Cover minimize(const TernaryTruthTable& f, const EspressoOptions& options) {
   EspressoResult result = minimize_bounded(f, options);
   if (result.partial) throw exec::StatusError(std::move(result.status));
@@ -122,8 +101,9 @@ Cover conventional_assign(TernaryTruthTable& f,
                           const EspressoOptions& options) {
   const Cover cover = minimize(f, options);
   obs::count(obs::Counter::kDcConventionalAssigned, f.dc_count());
+  const BitVec covered = cover.minterm_bits();
   for (std::uint32_t m : f.dc_minterms())
-    f.set_phase(m, cover.covers_minterm(m) ? Phase::kOne : Phase::kZero);
+    f.set_phase(m, covered.get(m) ? Phase::kOne : Phase::kZero);
   return cover;
 }
 
@@ -132,12 +112,9 @@ void conventional_assign(IncompleteSpec& spec) {
 }
 
 bool cover_is_valid_for(const Cover& cover, const TernaryTruthTable& f) {
-  for (std::uint32_t m = 0; m < f.size(); ++m) {
-    const bool covered = cover.covers_minterm(m);
-    if (f.is_on(m) && !covered) return false;
-    if (f.is_off(m) && covered) return false;
-  }
-  return true;
+  const BitVec covered = cover.minterm_bits();
+  return bv_andnot(f.on_bits(), covered).count() == 0 &&
+         popcount_and(covered, f.off_bits()) == 0;
 }
 
 }  // namespace rdc

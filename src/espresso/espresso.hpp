@@ -35,22 +35,16 @@ struct EspressoResult {
 /// passes (and, through the pass kernels, per cube) and salvages the best
 /// complete cover seen so far instead of throwing on a budget trip.
 /// Non-budget exceptions still propagate.
-EspressoResult espresso_bounded(const Cover& on, const Cover& dc,
-                                const Cover& off,
-                                const EspressoOptions& options = {});
-
-/// Minimizes an ON cover against a DC cover and an OFF cover. `off` must be
-/// the complement of on ∪ dc. Throws StatusError if the installed exec
-/// budget trips (use espresso_bounded to get the partial cover instead).
-Cover espresso(const Cover& on, const Cover& dc, const Cover& off,
-               const EspressoOptions& options = {});
-
-/// Budget-aware form of minimize(): never throws on a budget trip, returns
-/// the best valid cover found with status/partial set.
+///
+/// The loop keeps covers of cubes, but asks its questions of the minterm
+/// sets: EXPAND tests raises against the OFF bitset, IRREDUNDANT and
+/// REDUCE read per-minterm cover counts next to the DC bitset.
 EspressoResult minimize_bounded(const TernaryTruthTable& f,
                                 const EspressoOptions& options = {});
 
-/// Minimizes a ternary truth table (ON minterms against its DC set).
+/// Minimizes a ternary truth table (ON minterms against its DC set). Throws
+/// StatusError if the installed exec budget trips (use minimize_bounded to
+/// get the partial cover instead).
 Cover minimize(const TernaryTruthTable& f,
                const EspressoOptions& options = {});
 
@@ -71,7 +65,7 @@ Cover conventional_assign(TernaryTruthTable& f,
 void conventional_assign(IncompleteSpec& spec);
 
 /// Debug/test helper: checks that `cover` covers every ON minterm of `f`
-/// and no OFF minterm.
+/// and no OFF minterm. `cover` must have the width of `f`.
 bool cover_is_valid_for(const Cover& cover, const TernaryTruthTable& f);
 
 }  // namespace rdc

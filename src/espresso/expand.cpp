@@ -10,35 +10,50 @@
 
 namespace rdc {
 
-Cube expand_cube(const Cube& c, const Cover& off, const Cover& peers) {
-  const unsigned n = off.num_inputs();
+Cube expand_cube(const Cube& c, const BitVec& off, const Cover& peers) {
+  const unsigned n = peers.num_inputs();
   const std::uint32_t vars = var_mask(n);
+  // Raising only grows a cube, so one that meets OFF can raise nothing.
+  if (cube_meets(off, c, n)) return c;
   std::array<std::size_t, 32> gain{};
+  // Blocking is monotone: a raise that meets OFF keeps meeting it as the
+  // cube grows, and a blocked variable is never raised.
+  std::uint32_t blocked = 0;
+  // Peers that may still add gain. Miss sets only shrink, so a peer the
+  // cube contains, or one that misses on a blocked variable, never again
+  // has a miss set of exactly one candidate; it drops out for good.
+  std::vector<Cube> live;
+  const std::vector<Cube>* scan = &peers.cubes();
   Cube current = c;
   while (true) {
     const std::uint32_t fixed = (current.mask0 ^ current.mask1) & vars;
     if (fixed == 0) break;
-    // Raising j makes the cube meet an off-cube q iff q's conflict set
-    // with the current cube (the variables whose parts do not meet) is
-    // empty or exactly {j}. An off-cube with an empty part meets nothing.
-    std::uint32_t blocked = 0;
-    for (const Cube& q : off.cubes()) {
-      if (((q.mask0 | q.mask1) & vars) != vars) continue;
-      const std::uint32_t conflict =
-          ~((current.mask0 & q.mask0) | (current.mask1 & q.mask1)) & vars;
-      if ((conflict & (conflict - 1)) == 0)
-        blocked |= conflict != 0 ? conflict : vars;
+    // The cube misses OFF, so raising j meets OFF iff some minterm of the
+    // cube with x_j flipped is OFF: iff the cube with literal j flipped
+    // meets OFF.
+    for (std::uint32_t rest = fixed & ~blocked; rest != 0; rest &= rest - 1) {
+      const std::uint32_t bit = rest & -rest;
+      if (cube_meets(off, Cube{current.mask0 ^ bit, current.mask1 ^ bit}, n))
+        blocked |= bit;
     }
     const std::uint32_t candidates = fixed & ~blocked;
     if (candidates == 0) break;
     // Gain of raising j: peers that only j keeps out of the current cube.
     gain.fill(0);
-    for (const Cube& p : peers.cubes()) {
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < scan->size(); ++i) {
+      const Cube p = (*scan)[i];
       const std::uint32_t miss =
           (p.mask0 & ~current.mask0) | (p.mask1 & ~current.mask1);
-      if (miss != 0 && (miss & (miss - 1)) == 0)
-        ++gain[std::countr_zero(miss)];
+      if (miss == 0 || (miss & blocked) != 0) continue;
+      if ((miss & (miss - 1)) == 0) ++gain[std::countr_zero(miss)];
+      if (scan == &live)
+        live[kept++] = p;
+      else
+        live.push_back(p);
     }
+    if (scan == &live) live.resize(kept);
+    scan = &live;
     // Largest gain wins; ties go to the lowest variable.
     unsigned best = std::countr_zero(candidates);
     for (std::uint32_t rest = candidates & (candidates - 1); rest != 0;
@@ -51,7 +66,7 @@ Cube expand_cube(const Cube& c, const Cover& off, const Cover& peers) {
   return current;
 }
 
-Cover expand(const Cover& on, const Cover& off) {
+Cover expand(const Cover& on, const BitVec& off) {
   const unsigned n = on.num_inputs();
 
   // Process small cubes first: they have the most to gain, and the cubes
@@ -65,13 +80,19 @@ Cover expand(const Cover& on, const Cover& off) {
 
   Cover result(n);
   std::vector<bool> covered(on.size(), false);
+  std::vector<std::size_t> uncovered(on.size());  // shrinks as primes absorb
+  std::iota(uncovered.begin(), uncovered.end(), std::size_t{0});
   for (std::size_t idx : order) {
     if (covered[idx]) continue;
     exec::checkpoint();  // per-cube budget poll (DESIGN.md §10)
     const Cube prime = expand_cube(on.cube(idx), off, on);
     result.add(prime);
-    for (std::size_t i = 0; i < on.size(); ++i)
-      if (!covered[i] && prime.contains(on.cube(i))) covered[i] = true;
+    std::size_t kept = 0;
+    for (std::size_t i : uncovered) {
+      covered[i] = prime.contains(on.cube(i));
+      if (!covered[i]) uncovered[kept++] = i;
+    }
+    uncovered.resize(kept);
   }
   result.remove_single_cube_contained();
   return result;

@@ -4,28 +4,20 @@
 #include <numeric>
 #include <vector>
 
-#include "espresso/complement.hpp"
+#include "espresso/minterm_counts.hpp"
 #include "exec/budget.hpp"
 
 namespace rdc {
 
-Cube supercube(const Cover& cover) {
-  Cube super{0, 0};
-  for (const Cube& c : cover.cubes()) {
-    super.mask0 |= c.mask0;
-    super.mask1 |= c.mask1;
-  }
-  return super;
-}
-
-Cover reduce(const Cover& on, const Cover& dc) {
+Cover reduce(const Cover& on, const BitVec& dc) {
   const unsigned n = on.num_inputs();
+  const std::uint32_t vars = var_mask(n);
 
-  // Classic maximal-reduction rule: c is replaced by
-  //   c ∩ supercube(complement((F \ {c} ∪ D) cofactored by c)),
-  // i.e. the smallest cube keeping exactly the minterms of c that nothing
-  // else covers. Processing is sequential — each reduction sees its
-  // predecessors' reduced forms — ordered largest-cube-first as in espresso.
+  // Classic maximal-reduction rule: c is replaced by the smallest cube
+  // keeping exactly the minterms of c that nothing else covers — c ∩ the
+  // supercube of its minterms that are neither DC nor held by another live
+  // cube. Processing is sequential — each reduction sees its predecessors'
+  // reduced forms — ordered largest-cube-first as in espresso.
   std::vector<Cube> cubes = on.cubes();
   std::vector<std::size_t> order(cubes.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
@@ -36,22 +28,38 @@ Cover reduce(const Cover& on, const Cover& dc) {
                    });
 
   std::vector<bool> dropped(cubes.size(), false);
-  Cover in_cube(n);  // reused: keeps its capacity across candidates
+  MintermCounts counts(cubes, n);
   for (std::size_t idx : order) {
     exec::checkpoint();  // per-cube budget poll (DESIGN.md §10)
-    // The other live cubes, then the DC cubes, cofactored against c.
     const Cube c = cubes[idx];
-    in_cube.cubes().clear();
-    for (std::size_t i = 0; i < cubes.size(); ++i)
-      if (i != idx && !dropped[i]) in_cube.add_cofactor(cubes[i], c);
-    for (const Cube& q : dc.cubes()) in_cube.add_cofactor(q, c);
-
-    const Cover uncovered = complement(in_cube);
-    if (uncovered.empty_cover()) {
+    // Supercube of the sole minterms: the OR of their in-word positions
+    // gives the inputs below 6, their word indices the inputs above.
+    std::uint64_t low = 0;
+    std::uint32_t high1 = 0;
+    std::uint32_t high0 = 0;
+    for_each_cube_word(c, n, [&](std::size_t w, std::uint64_t bits) {
+      if (const std::uint64_t sole = counts.sole(w, bits, dc); sole != 0) {
+        low |= sole;
+        high1 |= static_cast<std::uint32_t>(w);
+        high0 |= ~static_cast<std::uint32_t>(w);
+      }
+      return true;
+    });
+    if (low == 0) {
       dropped[idx] = true;  // everything in the cube is covered elsewhere
+      counts.remove(c);
       continue;
     }
-    cubes[idx] = c.intersect(supercube(uncovered));
+    Cube super{(high0 << 6) & vars, (high1 << 6) & vars};
+    for (unsigned j = 0; j < n && j < 6; ++j) {
+      if (low & input_pattern(j, 0)) super.mask1 |= 1u << j;
+      if (low & ~input_pattern(j, 0)) super.mask0 |= 1u << j;
+    }
+    cubes[idx] = c.intersect(super);
+    if (cubes[idx] != c) {
+      counts.remove(c);
+      counts.add(cubes[idx]);
+    }
   }
 
   Cover result(n);

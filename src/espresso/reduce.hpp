@@ -3,16 +3,13 @@
 // to escape local minima.
 #pragma once
 
+#include "common/bitvec.hpp"
 #include "pla/cover.hpp"
 
 namespace rdc {
 
-/// Returns the reduced cover (same function relative to `dc`). Cubes that
-/// become entirely redundant are dropped.
-Cover reduce(const Cover& on, const Cover& dc);
-
-/// Smallest single cube containing every cube of `cover`; the empty cube
-/// (all-zero masks) if the cover is empty.
-Cube supercube(const Cover& cover);
+/// Returns the reduced cover (same function relative to the DC minterms
+/// `dc`, a 2^n bitset). Cubes that become entirely redundant are dropped.
+Cover reduce(const Cover& on, const BitVec& dc);
 
 }  // namespace rdc

@@ -3,7 +3,7 @@
 // RDC_FAULT=site:N[,site:N...] arms named fault sites: the Nth and every
 // later pass through fault_point("site") in the process throws
 // StatusError(kFaultInjected). Sites planted in the tree: "espresso" (one
-// espresso() run), "sat" (one Solver::solve call), "neighbor" (one
+// minimize_bounded() run), "sat" (one Solver::solve call), "neighbor" (one
 // NeighborTable build), "flow.exact" / "flow.heuristic" /
 // "flow.conventional" (the three rungs of run_flow's degradation ladder),
 // "pipeline.pass" (the Pipeline harness's pass boundary — one hit per pass

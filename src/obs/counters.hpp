@@ -34,7 +34,7 @@ enum class Counter : unsigned {
   kDcConventionalAssigned,  ///< DCs assigned by conventional_assign
   kErrorTrackerSyncs,       ///< ErrorRateTracker full per-output recomputes
   kErrorTrackerFlips,       ///< ErrorRateTracker O(n) single-flip deltas
-  kEspressoCalls,           ///< espresso() invocations
+  kEspressoCalls,           ///< minimize_bounded() invocations
   kEspressoIterations,      ///< reduce/expand/irredundant loop iterations
   kAigAndsBuilt,            ///< AND nodes in flow-constructed AIGs
   kMapRuns,                 ///< map_aig invocations
@@ -65,7 +65,7 @@ const char* counter_name(Counter c);
 bool counter_is_deterministic(Counter c);
 
 enum class Histo : unsigned {
-  kEspressoIterations,  ///< loop iterations per espresso() call
+  kEspressoIterations,  ///< loop iterations per minimize_bounded() call
   kPoolTasksPerJob,     ///< indices per parallel_for invocation
   kCount,
 };

@@ -18,32 +18,30 @@ bool Cover::covers_minterm(std::uint32_t m) const {
   return false;
 }
 
-bool Cover::single_cube_contains(const Cube& target) const {
-  for (const Cube& c : cubes_)
-    if (c.contains(target)) return true;
-  return false;
+BitVec Cover::minterm_bits() const {
+  BitVec bits(num_minterms(num_inputs_));
+  for (const Cube& c : cubes_) paint_cube(bits, c, num_inputs_);
+  return bits;
 }
 
 TernaryTruthTable Cover::to_truth_table() const {
   TernaryTruthTable tt(num_inputs_);
-  for (std::uint32_t m = 0; m < tt.size(); ++m)
-    if (covers_minterm(m)) tt.set_phase(m, Phase::kOne);
+  minterm_bits().for_each_set([&](std::uint64_t m) {
+    tt.set_phase(static_cast<std::uint32_t>(m), Phase::kOne);
+  });
   return tt;
 }
 
 Cover Cover::from_phase(const TernaryTruthTable& f, Phase phase) {
+  const BitVec bits = phase == Phase::kOne  ? f.on_bits()
+                      : phase == Phase::kDc ? f.dc_bits()
+                                            : f.off_bits();
   Cover cover(f.num_inputs());
-  for (std::uint32_t m = 0; m < f.size(); ++m)
-    if (f.phase(m) == phase) cover.add(Cube::minterm(m, f.num_inputs()));
+  cover.cubes_.reserve(bits.count());
+  bits.for_each_set([&](std::uint64_t m) {
+    cover.add(Cube::minterm(static_cast<std::uint32_t>(m), f.num_inputs()));
+  });
   return cover;
-}
-
-Cover Cover::cofactor(const Cube& c) const {
-  // Variables fixed by c get raised to don't-care in the surviving cubes;
-  // cubes that conflict with c on a fixed variable drop out.
-  Cover result(num_inputs_);
-  for (const Cube& q : cubes_) result.add_cofactor(q, c);
-  return result;
 }
 
 void Cover::remove_single_cube_contained() {

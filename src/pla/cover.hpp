@@ -36,29 +36,17 @@ class Cover {
   /// True iff some cube contains the minterm.
   bool covers_minterm(std::uint32_t m) const;
 
-  /// True iff some cube contains cube `c` entirely (single-cube containment;
-  /// used as a cheap filter — full containment checks go through espresso).
-  bool single_cube_contains(const Cube& c) const;
+  /// The set of minterms covered, as a packed 2^n-minterm bitset: each cube
+  /// painted word by word. Requires num_inputs <= TernaryTruthTable::kMaxInputs.
+  BitVec minterm_bits() const;
 
   /// Builds the set of minterms covered, as an on-set-only truth table
   /// (off elsewhere). Requires num_inputs <= TernaryTruthTable::kMaxInputs.
   TernaryTruthTable to_truth_table() const;
 
   /// Cover consisting of one minterm cube per on-set minterm of `f`
-  /// (`phase` selects which set to enumerate).
+  /// (`phase` selects which set to enumerate), in increasing minterm order.
   static Cover from_phase(const TernaryTruthTable& f, Phase phase);
-
-  /// Cofactor of the cover with respect to cube `c` (Shannon/generalized):
-  /// keeps cubes intersecting c, raising variables fixed by c.
-  Cover cofactor(const Cube& c) const;
-
-  /// Appends the cofactor of cube `q` with respect to `c` — q with the
-  /// variables fixed by c raised — if q meets c: one cube of cofactor().
-  void add_cofactor(const Cube& q, const Cube& c) {
-    if (!q.intersects(c, num_inputs_)) return;
-    const std::uint32_t fixed = c.mask0 ^ c.mask1;
-    cubes_.push_back(Cube{q.mask0 | fixed, q.mask1 | fixed});
-  }
 
   /// Removes cubes contained in another cube of the cover (single-cube
   /// containment minimization). Stable order of survivors.

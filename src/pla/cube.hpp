@@ -6,14 +6,16 @@
 //   mask0=0, mask1=1  -> literal   x_j
 //   mask0=1, mask1=1  -> variable absent (don't care)
 //   mask0=0, mask1=0  -> empty cube (contradiction)
-// This is the representation used by ESPRESSO and makes intersection,
-// containment and cofactoring pure bit arithmetic.
+// This is the representation used by ESPRESSO and makes intersection and
+// containment pure bit arithmetic. for_each_cube_word() bridges a cube to the
+// packed 2^n-minterm bitsets (BitVec) the truth tables are made of.
 #pragma once
 
 #include <cstdint>
 #include <string>
 
 #include "common/bits.hpp"
+#include "common/bitvec.hpp"
 
 namespace rdc {
 
@@ -102,5 +104,49 @@ struct Cube {
   /// Espresso-style text, e.g. "1-0" (variable 0 first).
   std::string to_string(unsigned n) const;
 };
+
+/// Walks the minterms of cube `c` over n <= 20 inputs as words of a packed
+/// 2^n-minterm bitset (bit b of word w is minterm 64*w + b, as in BitVec):
+/// calls `fn(w, bits)` for every word w holding minterms of `c`, in
+/// increasing w, with `bits` the cube's minterms in that word. The in-word
+/// pattern comes from the low six inputs; the words are the submasks of the
+/// cube's free inputs >= 6 over its fixed ones. No bit past minterm 2^n - 1
+/// is set, and an empty cube visits no word. Stops as soon as `fn` returns
+/// false, and then returns false.
+template <typename Fn>
+bool for_each_cube_word(const Cube& c, unsigned n, Fn fn) {
+  if (c.empty(n)) return true;
+  std::uint64_t bits = sim_word_mask(n);
+  for (unsigned j = 0; j < n && j < 6; ++j) {
+    if (!test_bit(c.mask1, j)) bits &= ~input_pattern(j, 0);
+    if (!test_bit(c.mask0, j)) bits &= input_pattern(j, 0);
+  }
+  const std::uint32_t vars = var_mask(n);
+  const std::uint32_t high_ones = (c.mask1 & ~c.mask0 & vars) >> 6;
+  const std::uint32_t high_free = (c.mask0 & c.mask1 & vars) >> 6;
+  std::uint32_t sub = 0;
+  do {
+    if (!fn(std::size_t{high_ones | sub}, bits)) return false;
+    sub = (sub - high_free) & high_free;  // next submask, ascending
+  } while (sub != 0);
+  return true;
+}
+
+/// Adds the minterms of `c` to `set`, a bitset of 2^n minterms.
+inline void paint_cube(BitVec& set, const Cube& c, unsigned n) {
+  std::uint64_t* words = set.data();
+  for_each_cube_word(c, n, [&](std::size_t w, std::uint64_t bits) {
+    words[w] |= bits;
+    return true;
+  });
+}
+
+/// True iff `c` holds a minterm of `set`, a bitset of 2^n minterms.
+inline bool cube_meets(const BitVec& set, const Cube& c, unsigned n) {
+  const std::uint64_t* words = set.data();
+  return !for_each_cube_word(c, n, [&](std::size_t w, std::uint64_t bits) {
+    return (words[w] & bits) == 0;
+  });
+}
 
 }  // namespace rdc

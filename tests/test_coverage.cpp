@@ -50,7 +50,8 @@ TEST(ExpandCoverage, ExpandCubeStopsAtPrime) {
   Cover off(2);
   off.add(Cube::parse("0-"));
   off.add(Cube::parse("-0"));
-  const Cube prime = expand_cube(Cube::parse("11"), off, Cover(2));
+  const Cube prime =
+      expand_cube(Cube::parse("11"), off.minterm_bits(), Cover(2));
   EXPECT_EQ(prime.to_string(2), "11");
 }
 
@@ -59,7 +60,8 @@ TEST(ExpandCoverage, ExpandPrefersCoveringPeers) {
   // cube; peers bias the first raise but the result is the same.
   Cover peers(3);
   peers.add(Cube::parse("100"));
-  const Cube prime = expand_cube(Cube::parse("000"), Cover(3), peers);
+  const Cube prime =
+      expand_cube(Cube::parse("000"), Cover(3).minterm_bits(), peers);
   EXPECT_EQ(prime.literal_count(3), 0u);
 }
 

@@ -1,15 +1,19 @@
-// Tests for the exact (Quine-McCluskey + branch-and-bound) minimizer, and
-// cross-checks of the heuristic ESPRESSO loop against it.
+// Tests for the exact (Quine-McCluskey + branch-and-bound) minimizer oracle,
+// and cross-checks of the heuristic ESPRESSO loop against it.
 #include <gtest/gtest.h>
 
 #include <bit>
 
 #include "common/rng.hpp"
 #include "espresso/espresso.hpp"
-#include "espresso/exact.hpp"
+#include "oracles/exact.hpp"
 
 namespace rdc {
 namespace {
+
+using oracle::exact_minimize;
+using oracle::minimum_sop_size;
+using oracle::prime_implicants;
 
 TernaryTruthTable random_ternary(unsigned n, double dc, Rng& rng) {
   TernaryTruthTable f(n);

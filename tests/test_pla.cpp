@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "pla/cover.hpp"
@@ -113,14 +114,73 @@ TEST(Cube, VariableMaskCoversEveryWidth) {
   EXPECT_EQ(m.conflict_count(Cube::minterm(0x0f0f0f0fu, 32), 32), 32u);
 }
 
-TEST(Cover, Cofactor) {
-  Cover cover(3);
-  cover.add(Cube::parse("11-"));
-  cover.add(Cube::parse("0--"));
-  const Cover cof = cover.cofactor(Cube::parse("1--"));
-  // The 0-- cube drops out; 11- has x0 raised.
-  ASSERT_EQ(cof.size(), 1u);
-  EXPECT_EQ(cof.cube(0).to_string(3), "-1-");
+// The word painter agrees with contains_minterm at every width, on full,
+// random and empty cubes, visits words in increasing order, stops when
+// asked, and sets no bit past minterm 2^n - 1 (the BitVec tail invariant).
+TEST(Cube, MintermWordsMatchContainsMinterm) {
+  Rng rng(131);
+  for (unsigned n = 0; n <= 20; ++n) {
+    std::vector<Cube> cubes = {Cube::full(n), Cube{0, 0}};
+    for (int i = 0; i < (n <= 12 ? 16 : 4); ++i) {
+      Cube c = Cube::full(n);
+      const double literal_prob = rng.uniform();
+      for (unsigned j = 0; j < n; ++j)
+        if (rng.flip(literal_prob)) c = c.restricted(j, rng.flip(0.5));
+      cubes.push_back(c);
+    }
+    if (n > 0) {
+      const std::uint32_t bit = 1u << rng.below(n);
+      const Cube last = cubes.back();
+      cubes.push_back(Cube{last.mask0 & ~bit, last.mask1 & ~bit});
+    }
+    for (const Cube& c : cubes) {
+      BitVec bits(num_minterms(n));
+      paint_cube(bits, c, n);
+      if (n < 6) EXPECT_EQ(bits.word(0) >> num_minterms(n), 0u) << "n=" << n;
+      std::uint32_t mismatches = 0;
+      for (std::uint32_t m = 0; m < num_minterms(n); ++m)
+        mismatches += bits.get(m) != c.contains_minterm(m, n);
+      EXPECT_EQ(mismatches, 0u) << "n=" << n << " cube " << c.to_string(n);
+      EXPECT_EQ(bits.count(), c.minterm_count(n)) << "n=" << n;
+
+      std::size_t visits = 0;
+      std::size_t next = 0;
+      for_each_cube_word(c, n, [&](std::size_t w, std::uint64_t) {
+        EXPECT_GE(w, next);
+        next = w + 1;
+        ++visits;
+        return true;
+      });
+      std::size_t nonzero_words = 0;
+      for (std::size_t w = 0; w < bits.num_words(); ++w)
+        nonzero_words += bits.word(w) != 0;
+      EXPECT_EQ(visits, nonzero_words) << "n=" << n;
+      const bool stopped = !for_each_cube_word(
+          c, n, [](std::size_t, std::uint64_t) { return false; });
+      EXPECT_EQ(stopped, !c.empty(n));
+
+      const auto m = static_cast<std::uint32_t>(rng.below(num_minterms(n)));
+      BitVec single(num_minterms(n));
+      single.set(m, true);
+      EXPECT_EQ(cube_meets(single, c, n), c.contains_minterm(m, n));
+    }
+  }
+}
+
+TEST(Cover, MintermBitsMatchCoversMinterm) {
+  Rng rng(137);
+  for (unsigned n = 0; n <= 12; ++n) {
+    Cover cover(n);
+    for (int i = 0; i < 6; ++i) {
+      Cube c = Cube::full(n);
+      for (unsigned j = 0; j < n; ++j)
+        if (rng.flip(0.6)) c = c.restricted(j, rng.flip(0.5));
+      cover.add(c);
+    }
+    const BitVec bits = cover.minterm_bits();
+    for (std::uint32_t m = 0; m < num_minterms(n); ++m)
+      EXPECT_EQ(bits.get(m), cover.covers_minterm(m)) << "n=" << n;
+  }
 }
 
 TEST(Cover, RemoveSingleCubeContained) {

@@ -7,9 +7,9 @@
 
 #include "bdd/bdd_ops.hpp"
 #include "common/rng.hpp"
-#include "espresso/complement.hpp"
 #include "espresso/espresso.hpp"
 #include "flow/synthesis_flow.hpp"
+#include "oracles/cube_calculus.hpp"
 #include "reliability/assignment.hpp"
 #include "reliability/complexity.hpp"
 #include "reliability/error_rate.hpp"
@@ -49,7 +49,7 @@ TEST_P(FunctionProperty, EspressoCoverIsValid) {
 TEST_P(FunctionProperty, ComplementIsExact) {
   const TernaryTruthTable f = make_function();
   const Cover on = Cover::from_phase(f, Phase::kOne);
-  const Cover comp = complement(on);
+  const Cover comp = oracle::complement(on);
   for (std::uint32_t m = 0; m < f.size(); ++m)
     EXPECT_EQ(comp.covers_minterm(m), !f.is_on(m));
 }
