@@ -169,7 +169,8 @@ inline bool parse_args(int argc, char** argv, Options& options,
           "                     error rows and the run continues\n"
           "  --circuits <list>  file with one .pla/.blif path per line\n"
           "                     (bench_table1 only; replaces the suite)\n"
-          "Environment: RDC_THREADS, RDC_TRACE, RDC_COUNTERS, RDC_FAULT,\n"
+          "Environment: RDC_THREADS, RDC_TRACE, RDC_COUNTERS,\n"
+          "RDC_FAULT=site:N[,...] (throw from the Nth hit of a fault site),\n"
           "RDC_METRICS=<path>[:interval_ms] (live metric snapshots),\n"
           "RDC_EVENTS=<path> (rdc.events.v1 lifecycle log),\n"
           "RDC_PERF=1 (hardware counters on spans/passes) — see DESIGN.md.\n",

@@ -32,7 +32,7 @@ EspressoResult minimize_bounded(const TernaryTruthTable& f,
                                 const EspressoOptions& options) {
   RDC_SPAN("espresso.run");
   obs::count(obs::Counter::kEspressoCalls);
-  exec::fault_point("espresso");
+  exec::fault_point(exec::FaultSite::kEspresso);
   const BitVec& dc = f.dc_bits();
   const BitVec off = f.off_bits();
   EspressoResult result;

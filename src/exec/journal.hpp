@@ -20,7 +20,7 @@
 // malformed line) is counted in `malformed` and skipped, never fatal —
 // the corresponding job simply replays as non-terminal and re-runs. The
 // audit counters (`terminal_records` per job, `duplicate_terminal`) are
-// how the chaos-resume smoke proves "none executed twice".
+// how the fault-resume smoke proves "none executed twice".
 #pragma once
 
 #include <cstdint>
@@ -81,7 +81,7 @@ class JournalWriter {
 };
 
 /// The replayed view of a journal: per-job final state plus the audit
-/// counters the resume path and the chaos smoke check.
+/// counters the resume path and the fault-resume smoke check.
 struct JournalReplay {
   struct Job {
     std::string name;

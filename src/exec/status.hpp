@@ -30,7 +30,7 @@ enum class StatusCode : std::uint8_t {
   kDeadlineExceeded,   ///< wall-clock budget expired
   kCancelled,          ///< cooperative cancellation requested
   kResourceExhausted,  ///< iteration cap or memory high-water exceeded
-  kFaultInjected,      ///< deterministic RDC_FAULT test fault
+  kFaultInjected,      ///< deterministic RDC_FAULT throw (tests only)
   kUnavailable,        ///< missing file / environment dependency
   kInternal,           ///< anything else (unclassified exception)
 };

@@ -17,7 +17,7 @@
 #include <utility>
 
 #include "common/hash.hpp"
-#include "exec/chaos.hpp"
+#include "exec/fault.hpp"
 #include "exec/shutdown.hpp"
 #include "obs/counters.hpp"
 #include "obs/events.hpp"
@@ -135,7 +135,8 @@ bool write_all(int fd, const char* data, std::size_t size) {
   Status status;
   std::string payload;
   try {
-    chaos_maybe_inject(job.key, attempt);
+    set_fault_context(job.key, attempt);
+    fault_point(FaultSite::kJob);
     status = job.run ? job.run(payload)
                      : Status(StatusCode::kInvalidArgument,
                               "supervised job has no body");
@@ -228,6 +229,7 @@ SupervisorResult run_supervised(
   SupervisorResult result;
   result.outcomes.resize(jobs.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) result.outcomes[i].index = i;
+  faults_armed();  // parse RDC_FAULT once here; every worker inherits it
 
   const int max_parallel = std::max(1, options.max_parallel);
   const bool events = obs::events_enabled();

@@ -15,7 +15,7 @@
 //
 // then _exit(0)s — never running destructors or atexit hooks, so a forked
 // copy of the parent's thread pool / telemetry threads is never joined.
-// Crashes of any kind (SIGSEGV, chaos SIGKILL, a missing/short frame)
+// Crashes of any kind (SIGSEGV, injected SIGKILL, a missing/short frame)
 // become per-job kInternal outcomes with `crashed` set; the batch
 // survives every one of them.
 //
@@ -27,7 +27,8 @@
 //
 // Observability: job.spawn / job.crash / retry.attempt events and the
 // supervisor.{retries,crashes} counters (non-deterministic by contract —
-// they depend on chaos/scheduling, so they stay out of report JSON).
+// they depend on fault injection and scheduling, so they stay out of
+// report JSON).
 #pragma once
 
 #include <cstdint>
@@ -43,7 +44,7 @@ namespace rdc::exec {
 struct WorkerLimits {
   double wall_ms = 0.0;  ///< parent watchdog: SIGKILL + kDeadlineExceeded
   /// RLIMIT_AS in the worker. Skipped under ASan (the shadow mapping is
-  /// incompatible with address-space limits); the chaos oom bomb
+  /// incompatible with address-space limits); the injected oom bomb
   /// self-caps so that build still exercises the exhaustion path.
   std::uint64_t max_rss_bytes = 0;
 };
@@ -58,7 +59,7 @@ struct RetryPolicy {
 /// fills `payload` (returned verbatim over the pipe) and returns the job
 /// status. It must not assume any parent thread exists.
 struct SupervisedJob {
-  std::uint64_t key = 0;  ///< stable identity (journal/chaos seed)
+  std::uint64_t key = 0;  ///< stable identity (journal, fault draws)
   std::string name;       ///< human label for events and reports
   std::function<Status(std::string& payload)> run;
 };
@@ -80,7 +81,7 @@ struct SupervisorOptions {
   int max_parallel = 1;  ///< concurrently forked workers
   /// Stop launching new attempts once this many jobs have completed
   /// (0 = no cap). The deterministic "interrupt the batch mid-flight"
-  /// switch used by the chaos-resume smoke — unlaunched jobs end with
+  /// switch used by the fault-resume smoke — unlaunched jobs end with
   /// ran == false.
   std::size_t max_completions = 0;
   /// Called in the parent immediately before each fork (journal hook:

@@ -9,7 +9,7 @@
 // Identity: every (circuit, pipeline, options) job gets a stable 64-bit
 // key hashed from the spec's serialized .pla bytes, its name, the
 // canonical pipeline spec, and flow_options_fingerprint(). The key seeds
-// both the journal (resume matching) and the chaos harness (decision
+// both the journal (resume matching) and the RDC_FAULT p-draws (fault
 // reproducibility), which is what makes an interrupted-and-resumed batch
 // byte-identical to an uninterrupted one.
 //
@@ -67,7 +67,7 @@ struct SupervisedBatchOptions {
   /// fresh run, not an error.
   bool resume = false;
   /// Stop launching after this many completions (0 = all) — the
-  /// deterministic mid-flight interruption used by the chaos smoke.
+  /// deterministic mid-flight interruption used by the fault-resume smoke.
   std::size_t max_completions = 0;
 };
 

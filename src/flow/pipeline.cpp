@@ -102,7 +102,7 @@ exec::Status Pipeline::run(Design& design) const {
     if (obs::perf_collecting()) perf_begin = obs::perf_read();
     exec::Status status;
     try {
-      exec::fault_point("pipeline.pass");
+      exec::fault_point(exec::FaultSite::kPipelinePass);
       status = pass->run(design);
     } catch (...) {
       status = exec::status_from_current_exception();

@@ -89,7 +89,7 @@ FlowResult run_rung(const IncompleteSpec& spec, DcPolicy policy,
 FlowResult run_conventional_fallback(const IncompleteSpec& spec,
                                      const FlowOptions& options) {
   exec::BudgetScope mask(nullptr);
-  exec::fault_point("flow.conventional");
+  exec::fault_point(exec::FaultSite::kFlowConventional);
   flow::Design design(spec, options);
   run_canonical(flow::conventional_fallback_spec(options), design);
   FlowResult result = flow::take_flow_result(std::move(design));
@@ -174,7 +174,7 @@ FlowResult run_flow(const IncompleteSpec& spec, DcPolicy policy,
 
   // Rung 0: the full-quality flow with exact-effort ESPRESSO.
   exec::Result<FlowResult> exact = exec::capture([&] {
-    exec::fault_point("flow.exact");
+    exec::fault_point(exec::FaultSite::kFlowExact);
     return run_rung(spec, policy, options, /*heuristic=*/false);
   });
   if (exact.ok()) {
@@ -188,7 +188,7 @@ FlowResult run_flow(const IncompleteSpec& spec, DcPolicy policy,
   if (reason.code() != exec::StatusCode::kCancelled) {
     // Rung 1: heuristic ESPRESSO — single expand+irredundant pass.
     exec::Result<FlowResult> heuristic = exec::capture([&] {
-      exec::fault_point("flow.heuristic");
+      exec::fault_point(exec::FaultSite::kFlowHeuristic);
       return run_rung(spec, policy, options, /*heuristic=*/true);
     });
     if (heuristic.ok()) {

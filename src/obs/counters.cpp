@@ -110,8 +110,8 @@ bool counter_is_deterministic(Counter c) {
   // Which worker executes an index and how long it stays busy depend on
   // scheduling; additionally, a straggler worker can publish these after
   // the owning parallel_for already returned, so they are also racy to
-  // read at report time. The supervisor counters depend on chaos injection
-  // and signal timing, so a chaos-interrupted batch must not diverge from
+  // read at report time. The supervisor counters depend on fault injection
+  // and signal timing, so a fault-interrupted batch must not diverge from
   // an uninterrupted one in report JSON. The serve counters depend on
   // traffic and admission timing for the same reason. Everything else is
   // pure work arithmetic.

@@ -2,7 +2,7 @@
 //
 // A process-wide JSONL stream for incident forensics: the Pipeline
 // harness, the degradation ladder, ExecBudget trips, and RDC_FAULT
-// injections emit one compact JSON object per line to the sink named by
+// firings emit one compact JSON object per line to the sink named by
 // RDC_EVENTS=<path> (append; "-" for stderr). Each line carries the
 // schema tag, a process-monotonic sequence number (== line order, the
 // sink mutex assigns it), a trace-epoch timestamp, the event name, and
@@ -17,7 +17,7 @@
 //   pass.begin / pass.end          (flow::Pipeline::run, per pass)
 //   flow.degrade                   (run_flow's degradation ladder)
 //   budget.trip                    (exec::ExecBudget, first trip only)
-//   fault.fired                    (exec::fault_point, on the throwing hit)
+//   fault.fired                    (exec::fault_point, on a firing hit)
 //
 // Determinism: `ts_ns` and `wall_ms` are the only run-varying fields; with
 // RDC_THREADS=1 the stream minus those fields is byte-identical run to

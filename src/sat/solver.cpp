@@ -211,7 +211,7 @@ unsigned Solver::pick_branch_var() {
 }
 
 SolveResult Solver::solve() {
-  exec::fault_point("sat");
+  exec::fault_point(exec::FaultSite::kSat);
   last_status_ = exec::Status();
   if (unsat_) return SolveResult::kUnsat;
 

@@ -296,7 +296,7 @@ NeighborTable::NeighborTable(const TernaryTruthTable& f)
       off_(new std::uint8_t[f.size()]),
       dc_(new std::uint8_t[f.size()]) {
   obs::count(obs::Counter::kNeighborTableBuilds);
-  exec::fault_point("neighbor");
+  exec::fault_point(exec::FaultSite::kNeighbor);
   const unsigned n = num_inputs_;
   const std::uint64_t* on = f.on_bits().data();
   const std::uint64_t* dc = f.dc_bits().data();

@@ -15,6 +15,7 @@
 #include "exec/budget.hpp"
 #include "exec/fault.hpp"
 #include "exec/status.hpp"
+#include "fault_guard.hpp"
 #include "flow/synthesis_flow.hpp"
 #include "io/aiger.hpp"
 #include "io/blif_reader.hpp"
@@ -26,14 +27,6 @@
 namespace {
 
 using namespace rdc;
-
-/// Restores a clean fault configuration even when a test fails mid-way.
-struct FaultSpecGuard {
-  explicit FaultSpecGuard(const std::string& spec) {
-    exec::testing::set_fault_spec(spec);
-  }
-  ~FaultSpecGuard() { exec::testing::set_fault_spec(""); }
-};
 
 IncompleteSpec small_spec() {
   // 4-input single-output function with a DC band: enough structure for
@@ -281,8 +274,73 @@ TEST(ExecFault, NthHitTriggersAndLaterHitsKeepFailing) {
 TEST(ExecFault, DisarmedSitesAreFree) {
   FaultSpecGuard guard("");
   EXPECT_FALSE(exec::faults_armed());
-  EXPECT_NO_THROW(exec::fault_point("espresso"));
-  EXPECT_NO_THROW(exec::fault_point("no.such.site"));
+  EXPECT_NO_THROW(exec::fault_point(exec::FaultSite::kEspresso));
+  EXPECT_NO_THROW(exec::fault_point(exec::FaultSite::kJob));
+}
+
+TEST(ExecFault, ParsesRulesAndRejectsGarbage) {
+  for (const char* good :
+       {"espresso:2", "job:kill:0.3,job:oom:0.5@2,job:hang:1",
+        "sat:throw:1@3", "neighbor:0.25", "flow.exact:1,flow.heuristic:1.0",
+        "flow.conventional:segv:0.", "pipeline.pass:.5"}) {
+    EXPECT_TRUE(exec::testing::set_fault_spec(good).ok()) << good;
+    EXPECT_TRUE(exec::faults_armed()) << good;
+  }
+  // A bad rule rejects the whole spec and leaves the injector disarmed,
+  // even when a valid spec was armed before.
+  for (const char* bad :
+       {"job:explode:0.5", "job:kill:1.5", "job:kill:-0.1", "job:kill",
+        "job:kill:0.5@0", "job:kill:0.5@x", ":0.5", "job:kill:", "espreso:2",
+        "espresso:0", "espresso:x", ":3", "job:explode:1", "espresso",
+        "espresso:1,", ",espresso:1", "espresso:1,,sat:1", "espresso:1@",
+        "espresso: 1", "espresso:+1", "espresso:0.5.5", "espresso:1e-1",
+        "espresso:kill:throw:1", "espresso:1,espreso:2", ","}) {
+    ASSERT_TRUE(exec::testing::set_fault_spec("espresso:1").ok());
+    const exec::Status status = exec::testing::set_fault_spec(bad);
+    EXPECT_EQ(status.code(), exec::StatusCode::kInvalidArgument) << bad;
+    EXPECT_FALSE(exec::faults_armed()) << bad;
+    EXPECT_NO_THROW(exec::fault_point(exec::FaultSite::kEspresso)) << bad;
+  }
+  EXPECT_TRUE(exec::testing::set_fault_spec("").ok());
+  EXPECT_FALSE(exec::faults_armed());
+}
+
+/// True when one `job` hit fires under the (key, attempt) context.
+bool job_fires(std::uint64_t key, int attempt) {
+  exec::set_fault_context(key, attempt);
+  try {
+    exec::fault_point(exec::FaultSite::kJob);
+    return false;
+  } catch (const exec::StatusError& error) {
+    EXPECT_EQ(error.status().code(), exec::StatusCode::kFaultInjected);
+    return true;
+  }
+}
+
+TEST(ExecFault, DrawsAreDeterministicPerJobAndAttempt) {
+  {
+    FaultSpecGuard guard("job:1@2");
+    EXPECT_TRUE(exec::faults_armed());
+    EXPECT_FALSE(job_fires(42, 1));
+    EXPECT_TRUE(job_fires(42, 2));
+    EXPECT_FALSE(job_fires(42, 3));
+    EXPECT_FALSE(job_fires(0, 0));  // in process: `@attempt` never fires
+  }
+  {
+    FaultSpecGuard guard("job:0.5");
+    // Pure function of (key, attempt): repeated calls agree, and over many
+    // keys the firing fraction tracks the probability.
+    std::size_t fired = 0;
+    for (std::uint64_t key = 0; key < 1000; ++key) {
+      const bool first = job_fires(key, 1);
+      EXPECT_EQ(job_fires(key, 1), first);
+      if (first) ++fired;
+    }
+    EXPECT_GT(fired, 350u);
+    EXPECT_LT(fired, 650u);
+  }
+  EXPECT_FALSE(exec::faults_armed());
+  EXPECT_NO_THROW(exec::fault_point(exec::FaultSite::kJob));
 }
 
 // --- run_flow degradation ladder -----------------------------------------

@@ -13,10 +13,11 @@
 //             [--backoff-ms MS] [--deadline-ms MS] [--budget-ms MS]
 //             [--rss-mb MB] [--jobs N] [--stop-after N]
 //
-// Chaos harness: RDC_CHAOS=kill:0.3 (see exec/chaos.hpp) injects
+// Fault injection: RDC_FAULT=job:kill:0.3 (see exec/fault.hpp) injects
 // deterministic worker failures keyed by job identity — the CI smoke
-// interrupts a chaos batch mid-flight and asserts the resumed report
-// matches an uninterrupted run.
+// interrupts such a batch mid-flight and asserts the resumed report
+// matches an uninterrupted run. Hit counts restart in every worker, so
+// `site:N` counts within one job attempt.
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -68,9 +69,10 @@ int usage() {
       "  --stop-after <n>     stop launching after n completions (testing\n"
       "                       hook: deterministic interruption)\n"
       "\n"
-      "environment: RDC_CHAOS=kill:p,segv:p,oom:p,hang:p[@attempt] injects\n"
-      "deterministic per-job worker failures; RDC_EVENTS / RDC_METRICS /\n"
-      "RDC_TRACE as everywhere else.\n"
+      "environment: RDC_FAULT=site:[action:]trigger[@attempt],... injects\n"
+      "deterministic faults, e.g. job:kill:0.3 or job:segv:1@1 (actions\n"
+      "throw, kill, segv, oom, hang; hit counts restart in every job\n"
+      "attempt); RDC_EVENTS / RDC_METRICS / RDC_TRACE as everywhere else.\n"
       "\n"
       "exit codes:\n"
       "  0  every row OK\n"
