@@ -30,6 +30,7 @@
 #include "reliability/complexity.hpp"
 #include "reliability/error_rate.hpp"
 #include "reliability/error_tracker.hpp"
+#include "reliability/fault_model.hpp"
 #include "reliability/sampling.hpp"
 #include "sat/equivalence.hpp"
 #include "sop/extract.hpp"
@@ -101,6 +102,32 @@ void BM_ErrorRateKbit(benchmark::State& state) {
     benchmark::DoNotOptimize(exact_error_rate_kbit(impl, spec, 2));
 }
 BENCHMARK(BM_ErrorRateKbit)->Arg(8)->Arg(12)->Arg(16);
+
+void BM_DcEventsKbit(benchmark::State& state) {
+  // bitflip(k) assignment events of every DC at the perfbench sweep's DC
+  // density: k = 2 reads the NeighborTable at the DCs only, k = 3 also
+  // builds one distance level over all 2^n minterms per care set.
+  const auto n = static_cast<unsigned>(state.range(0));
+  const auto k = static_cast<unsigned>(state.range(1));
+  const TernaryTruthTable spec = random_ternary(n, 0.7, 93);
+  const NeighborTable neighbors(spec);
+  const std::vector<std::uint32_t> dcs = spec.dc_minterms();
+  const auto model = reliability::make_fault_model(
+      reliability::FaultModelSpec::bitflip(k));
+  for (auto _ : state)
+    benchmark::DoNotOptimize(
+        model->dc_assignment_events(spec, dcs, neighbors));
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(dcs.size()));
+}
+BENCHMARK(BM_DcEventsKbit)
+    ->Args({12, 2})
+    ->Args({12, 3})
+    ->Args({16, 2})
+    ->Args({16, 3})
+    ->Args({18, 2})
+    ->Args({18, 3})
+    ->Unit(benchmark::kMillisecond);
 
 
 void BM_ErrorRateTracker(benchmark::State& state) {

@@ -20,7 +20,6 @@ namespace {
 
 using reliability_detail::check_error_rate_pair;
 using reliability_detail::check_pin_weights;
-using reliability_detail::k_subsets;
 using reliability_detail::kCheckpointStride;
 using reliability_detail::with_ci;
 
@@ -58,6 +57,72 @@ BitVec halfspace_one(std::uint64_t num_bits, unsigned j) {
 }
 
 // --- bitflip(k) -----------------------------------------------------------
+//
+// (D_l g)(m) = sum over |S| = l of g(m ^ S) counts the members of a set g
+// at Hamming distance exactly l from m. With A the pin-neighbor sum,
+// (A h)(m) = sum_j h(m ^ e_j), the hypercube obeys
+//   A D_l = (l + 1) D_{l+1} + (n - l + 1) D_{l-1}:
+// a point at distance l + 1 from m is at distance l from l + 1 of m's
+// neighbors, a point at distance l - 1 from the other n - l + 1. D_0 is the
+// set's indicator and D_1 its NeighborTable count, so the k-flip events
+// follow level by level instead of by probing C(n,k) masks per DC.
+
+/// D_{l+1}(m) from the accessors of D_l and D_{l-1}. The division is exact
+/// and the subtraction never goes negative; n * C(n, l) < 2^32 for
+/// n <= kMaxInputs, so uint32 holds every value.
+template <typename Level, typename Below>
+std::uint32_t next_level(const Level& level, const Below& below,
+                         std::uint32_t m, unsigned n, unsigned l) {
+  std::uint32_t sum = 0;
+  for (unsigned j = 0; j < n; ++j) sum += level(flip_bit(m, j));
+  return (sum - (n - l + 1) * below(m)) / (l + 1);
+}
+
+/// Fills `out` (one entry per minterm) with D_{l+1}, polling the budget
+/// once per 64 minterms.
+template <typename Level, typename Below>
+void fill_level(std::vector<std::uint32_t>& out, const Level& level,
+                const Below& below, unsigned n, unsigned l) {
+  for (std::uint32_t m = 0; m < out.size(); ++m) {
+    if (m % kCheckpointStride == 0) exec::checkpoint();
+    out[m] = next_level(level, below, m, n, l);
+  }
+}
+
+/// D_k (2 <= k <= n) of one care set at each minterm of `dcs`, from its
+/// indicator `d0` and neighbor count `d1`. Levels 2 .. k-1 are built over
+/// all minterms, at most three arrays at once; level k only at the DCs.
+template <typename D0, typename D1>
+std::vector<std::uint32_t> distance_counts(std::span<const std::uint32_t> dcs,
+                                           unsigned n, unsigned k,
+                                           const D0& d0, const D1& d1) {
+  const auto finish = [&](const auto& level, const auto& below) {
+    std::vector<std::uint32_t> counts(dcs.size());
+    for (std::size_t i = 0; i < dcs.size(); ++i) {
+      if (i % kCheckpointStride == 0) exec::checkpoint();
+      counts[i] = next_level(level, below, dcs[i], n, k - 1);
+    }
+    return counts;
+  };
+  // D_0 vanishes at a DC, so k = 2 needs no level array.
+  if (k == 2) return finish(d1, [](std::uint32_t) { return 0u; });
+  const auto view = [](const std::vector<std::uint32_t>& v) {
+    return [&v](std::uint32_t x) { return v[x]; };
+  };
+  const std::uint32_t size = std::uint32_t{1} << n;
+  std::vector<std::uint32_t> level(size);
+  fill_level(level, d1, d0, n, 1);
+  if (k == 3) return finish(view(level), d1);
+  std::vector<std::uint32_t> below(size);
+  std::vector<std::uint32_t> above(size);
+  fill_level(above, view(level), d1, n, 2);
+  for (unsigned l = 3;; ++l) {
+    std::swap(below, level);  // below = D_{l-1}
+    std::swap(level, above);  // level = D_l
+    if (l + 1 == k) return finish(view(level), view(below));
+    fill_level(above, view(level), view(below), n, l);
+  }
+}
 
 class BitflipModel final : public FaultModel {
  public:
@@ -96,21 +161,18 @@ class BitflipModel final : public FaultModel {
       }
       return events;
     }
-    const std::vector<std::uint32_t> masks =
-        k_subsets(spec.num_inputs(), model_spec().k());
+    const unsigned n = spec.num_inputs();
+    const unsigned k = model_spec().k();
+    if (k > n) return events;  // no minterm lies k flips away
+    const std::vector<std::uint32_t> care_on = distance_counts(
+        dcs, n, k, [&](std::uint32_t x) { return unsigned{spec.is_on(x)}; },
+        [&](std::uint32_t x) { return unsigned{neighbors.at(x).on}; });
+    const std::vector<std::uint32_t> care_off = distance_counts(
+        dcs, n, k, [&](std::uint32_t x) { return unsigned{spec.is_off(x)}; },
+        [&](std::uint32_t x) { return unsigned{neighbors.at(x).off}; });
     for (std::size_t i = 0; i < dcs.size(); ++i) {
-      unsigned care_on = 0;
-      unsigned care_off = 0;
-      for (const std::uint32_t mask : masks) {
-        const std::uint32_t x = dcs[i] ^ mask;
-        if (!spec.is_care(x)) continue;
-        if (spec.is_on(x))
-          ++care_on;
-        else
-          ++care_off;
-      }
-      events[i].if_on = static_cast<double>(care_off);
-      events[i].if_off = static_cast<double>(care_on);
+      events[i].if_on = static_cast<double>(care_off[i]);
+      events[i].if_off = static_cast<double>(care_on[i]);
     }
     return events;
   }

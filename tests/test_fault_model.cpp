@@ -8,25 +8,31 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "exec/budget.hpp"
 #include "flow/batch_supervisor.hpp"
 #include "flow/pass.hpp"
 #include "flow/pipeline.hpp"
 #include "flow/synthesis_flow.hpp"
+#include "oracles/kbit_events.hpp"
 #include "reliability/assignment.hpp"
 #include "reliability/error_rate.hpp"
 #include "reliability/fault_model.hpp"
 #include "reliability/sampling.hpp"
+#include "synthetic/generator.hpp"
 #include "tt/incomplete_spec.hpp"
 #include "tt/neighbor_stats.hpp"
 #include "tt/ternary_function.hpp"
@@ -286,6 +292,74 @@ TEST(BitflipModel, EventsMatchNeighborCounts) {
   }
 }
 
+// bitflip(k) events against the probe-loop oracle. Both sides count
+// integers, so they must agree exactly. k = n + 1 exceeds the cube (all-zero
+// events); n = 16, k = 8 is where the recursion's intermediate levels peak
+// (C(16,8) = 12870); n = 20 is kMaxInputs. At the two large widths the
+// oracle probes a sample of the DCs, which the model also accepts.
+TEST(BitflipModel, KbitEventsMatchOracle) {
+  const auto expect_match = [](const TernaryTruthTable& spec,
+                               std::span<const std::uint32_t> dcs, unsigned k,
+                               const std::string& where) {
+    const NeighborTable neighbors(spec);
+    const auto model =
+        reliability::make_fault_model(FaultModelSpec::bitflip(k));
+    const std::vector<MintermEvents> events =
+        model->dc_assignment_events(spec, dcs, neighbors);
+    const std::vector<MintermEvents> expected =
+        oracle::kbit_events(spec, dcs, k);
+    ASSERT_EQ(events.size(), expected.size()) << where;
+    for (std::size_t i = 0; i < dcs.size(); ++i) {
+      EXPECT_EQ(events[i].if_on, expected[i].if_on) << where << " m=" << dcs[i];
+      EXPECT_EQ(events[i].if_off, expected[i].if_off)
+          << where << " m=" << dcs[i];
+      if (::testing::Test::HasFailure()) return;  // one report, not thousands
+    }
+  };
+  const auto sample_dcs = [](const TernaryTruthTable& spec, std::size_t count,
+                             Rng& rng) {
+    const std::vector<std::uint32_t> all = spec.dc_minterms();
+    std::vector<std::uint32_t> picked(count);
+    for (std::uint32_t& m : picked) m = all[rng.below(all.size())];
+    return picked;
+  };
+
+  Rng rng(9020);
+  for (unsigned n = 1; n <= 12; ++n) {
+    for (const double density : {0.0, 0.3, 0.7, 1.0}) {
+      const TernaryTruthTable spec = random_ternary(n, density, rng);
+      const std::vector<std::uint32_t> dcs = spec.dc_minterms();
+      for (unsigned k = 1; k <= n + 1; ++k)
+        expect_match(spec, dcs, k,
+                     "n=" + std::to_string(n) + " k=" + std::to_string(k) +
+                         " dc=" + std::to_string(density));
+    }
+  }
+  const TernaryTruthTable wide = random_ternary(16, 0.5, rng);
+  expect_match(wide, sample_dcs(wide, 1024, rng), 8, "n=16 k=8");
+  const TernaryTruthTable widest = random_ternary(20, 0.7, rng);
+  expect_match(widest, sample_dcs(widest, 4096, rng), 2, "n=20 k=2");
+}
+
+TEST(BitflipModel, KbitEventsPollTheBudget) {
+  // The k >= 2 events poll exec::checkpoint() once per 64 minterms of each
+  // pass, so an expired deadline stops them instead of running to the end.
+  Rng rng(9021);
+  const TernaryTruthTable spec = random_ternary(14, 0.7, rng);
+  const NeighborTable neighbors(spec);
+  const std::vector<std::uint32_t> dcs = spec.dc_minterms();
+  const auto model = reliability::make_fault_model(FaultModelSpec::bitflip(3));
+  exec::ExecBudget expired = exec::ExecBudget::with_deadline_ms(0.001);
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  exec::BudgetScope scope(&expired);
+  try {
+    (void)model->dc_assignment_events(spec, dcs, neighbors);
+    FAIL() << "bitflip(3) events ignored the expired budget";
+  } catch (const exec::StatusError& e) {
+    EXPECT_EQ(e.status().code(), StatusCode::kDeadlineExceeded);
+  }
+}
+
 // --- weighted model: differential + degenerate weights --------------------
 
 TEST(WeightedModel, MatchesExactWeightedKernels) {
@@ -417,7 +491,7 @@ TEST(StuckAtModel, EventsBruteForceAtSmallN) {
   // among care sources reading across to the opposite phase.
   const auto model = reliability::make_fault_model(FaultModelSpec::stuckat());
   Rng rng(9007);
-  for (unsigned n = 2; n <= 6; ++n) {
+  for (unsigned n = 2; n <= 10; ++n) {
     const TernaryTruthTable spec = random_ternary(n, 0.5, rng);
     const NeighborTable neighbors(spec);
     const std::vector<std::uint32_t> dcs = spec.dc_minterms();
@@ -440,8 +514,8 @@ TEST(StuckAtModel, EventsBruteForceAtSmallN) {
         if (spec.is_on(source)) if_off += 1.0 / care_sources;
         if (spec.is_off(source)) if_on += 1.0 / care_sources;
       }
-      EXPECT_DOUBLE_EQ(events[i].if_on, if_on) << "n=" << n << " m=" << m;
-      EXPECT_DOUBLE_EQ(events[i].if_off, if_off) << "n=" << n << " m=" << m;
+      EXPECT_EQ(events[i].if_on, if_on) << "n=" << n << " m=" << m;
+      EXPECT_EQ(events[i].if_off, if_off) << "n=" << n << " m=" << m;
     }
   }
 }
@@ -750,6 +824,38 @@ TEST(FlowFaultModel, UniformWeightsReproduceDefaultDecisions) {
       EXPECT_DOUBLE_EQ(weighted.error_rate, base.error_rate) << where;
     }
   }
+}
+
+// FNV-1a over the working on/dc words after each k >= 2 assign pass on
+// synthetic specs of the paper's kind (70% DC, C^f = 0.55). The literal was
+// computed with the C(n,k)-probe events, so any change to a k >= 2
+// decision moves it.
+TEST(FlowFaultModel, KbitDecisionFingerprint) {
+  const char* const steps[] = {
+      "assign:ranking(0.3)@bitflip(2)",
+      "assign:ranking(1)@bitflip(2)",
+      "assign:lcf(0.55)@bitflip(2)",
+      "assign:ranking(0.5)@bitflip(3)",
+  };
+  Rng rng(9016);
+  std::uint64_t hash = kFnv1aOffset;
+  for (unsigned n = 12; n <= 16; ++n) {
+    const IncompleteSpec spec =
+        generate_spec("kbit", options_for_target(n, 0.7, 0.55), rng);
+    for (const char* step : steps) {
+      exec::Result<flow::Pipeline> pipeline = flow::parse_pipeline(step);
+      ASSERT_TRUE(pipeline.ok()) << pipeline.status().message();
+      flow::Design design(spec);
+      ASSERT_TRUE(pipeline->run(design).ok()) << step << " n=" << n;
+      for (unsigned o = 0; o < spec.num_outputs(); ++o) {
+        const TernaryTruthTable& f = design.working().output(o);
+        for (const BitVec* bits : {&f.on_bits(), &f.dc_bits()})
+          for (std::size_t w = 0; w < bits->num_words(); ++w)
+            hash = fnv1a_u64(bits->data()[w], hash);
+      }
+    }
+  }
+  EXPECT_EQ(hash, 0x189050f7e8749b1bull);
 }
 
 TEST(FlowFaultModel, IncrementalRankingFallsBackToStaticRanking) {
