@@ -3,7 +3,8 @@
 # twice: once on the default SIMD dispatch, once pinned to the scalar
 # backend with RDC_SIMD=scalar), then the whole unit-test binary once in a
 # single process (ctest runs every test in its own process, which hides
-# state one test leaks into the next), followed
+# state one test leaks into the next), a diff of the paper harnesses'
+# stdout against the goldens in tests/golden/, followed
 # by an ASan+UBSan build of the unit tests to catch memory and UB bugs the
 # release build hides (the word-parallel kernels and the thread pool are
 # exactly the kind of code sanitizers pay off on), a fuzz-corpus replay of
@@ -62,6 +63,13 @@ echo "== unit tests in one process =="
 # state an earlier test left behind (thread-locals, globals, the
 # environment) fails here even though it passes alone under ctest.
 ./build/tests/rdcsyn_tests --gtest_brief=1
+
+echo
+echo "== paper-harness goldens =="
+# The stdout of the deterministic table/figure harnesses must match
+# tests/golden/ byte for byte; a failure names the harness. A change meant
+# to move results regenerates them with scripts/update_goldens.sh.
+scripts/update_goldens.sh --check build
 
 echo
 echo "== observability smoke: traced --json harness run =="
