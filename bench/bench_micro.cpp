@@ -1,7 +1,8 @@
 // Microbenchmarks (google-benchmark) for the computational kernels:
 // the word-parallel kernel layer (exact error rate, NeighborTable,
-// complexity factor — each against its scalar reference), ESPRESSO
-// minimization, DC-assignment passes, BDD construction and the mapper.
+// complexity factor — each against its scalar oracle in tests/oracles/),
+// ESPRESSO minimization, DC-assignment passes, BDD construction and the
+// mapper.
 // These track the cost of the building blocks the experiment harnesses are
 // made of; bench/run_bench_baseline.sh snapshots the kernel group into
 // BENCH_kernels.json so the perf trajectory is recorded across PRs.
@@ -19,6 +20,7 @@
 
 #include "exec/status.hpp"
 #include "obs/report.hpp"
+#include "oracles/error_rate.hpp"
 
 #include "aig/balance.hpp"
 #include "bdd/bdd_ops.hpp"
@@ -31,7 +33,6 @@
 #include "reliability/error_rate.hpp"
 #include "reliability/error_tracker.hpp"
 #include "reliability/fault_model.hpp"
-#include "reliability/sampling.hpp"
 #include "sat/equivalence.hpp"
 #include "sop/extract.hpp"
 #include "sop/factor.hpp"
@@ -53,7 +54,7 @@ TernaryTruthTable random_ternary(unsigned n, double dc, std::uint64_t seed) {
   return f;
 }
 
-// --- Kernel layer: word-parallel vs scalar reference ---------------------
+// --- Kernel layer: word-parallel vs the scalar test oracles --------------
 
 void BM_ExactErrorRate(benchmark::State& state) {
   const auto n = static_cast<unsigned>(state.range(0));
@@ -68,7 +69,7 @@ void BM_ExactErrorRateScalar(benchmark::State& state) {
   const TernaryTruthTable spec = random_ternary(n, 0.6, 90);
   const TernaryTruthTable impl = spec.with_all_dc_assigned(Phase::kZero);
   for (auto _ : state)
-    benchmark::DoNotOptimize(exact_error_rate_scalar(impl, spec));
+    benchmark::DoNotOptimize(oracle::error_rate(impl, spec));
 }
 BENCHMARK(BM_ExactErrorRateScalar)->Arg(8)->Arg(12)->Arg(16)->Arg(20);
 
@@ -82,15 +83,14 @@ BENCHMARK(BM_NeighborTable)->Arg(8)->Arg(12)->Arg(16)->Arg(20);
 void BM_NeighborTableScalar(benchmark::State& state) {
   const auto n = static_cast<unsigned>(state.range(0));
   const TernaryTruthTable f = random_ternary(n, 0.6, 91);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(NeighborTable::build_scalar(f));
+  for (auto _ : state) benchmark::DoNotOptimize(oracle::neighbor_counts(f));
 }
 BENCHMARK(BM_NeighborTableScalar)->Arg(8)->Arg(12)->Arg(16)->Arg(20);
 
 void BM_ComplexityFactorScalar(benchmark::State& state) {
   const auto n = static_cast<unsigned>(state.range(0));
   const TernaryTruthTable f = random_ternary(n, 0.6, 81);
-  for (auto _ : state) benchmark::DoNotOptimize(complexity_factor_scalar(f));
+  for (auto _ : state) benchmark::DoNotOptimize(oracle::complexity_factor(f));
 }
 BENCHMARK(BM_ComplexityFactorScalar)->Arg(10)->Arg(12)->Arg(14);
 
@@ -98,8 +98,10 @@ void BM_ErrorRateKbit(benchmark::State& state) {
   const auto n = static_cast<unsigned>(state.range(0));
   const TernaryTruthTable spec = random_ternary(n, 0.6, 92);
   const TernaryTruthTable impl = spec.with_all_dc_assigned(Phase::kOne);
+  const auto model = reliability::make_fault_model(
+      reliability::FaultModelSpec::bitflip(2));
   for (auto _ : state)
-    benchmark::DoNotOptimize(exact_error_rate_kbit(impl, spec, 2));
+    benchmark::DoNotOptimize(model->error_rate(impl, spec));
 }
 BENCHMARK(BM_ErrorRateKbit)->Arg(8)->Arg(12)->Arg(16);
 
@@ -160,10 +162,11 @@ void BM_SampledErrorRate(benchmark::State& state) {
   const auto n = static_cast<unsigned>(state.range(0));
   const TernaryTruthTable spec = random_ternary(n, 0.6, 90);
   const TernaryTruthTable impl = spec.with_all_dc_assigned(Phase::kZero);
+  const auto model = reliability::make_fault_model(
+      reliability::FaultModelSpec::bitflip(1));
   Rng rng(23);
   for (auto _ : state)
-    benchmark::DoNotOptimize(
-        sampled_error_rate_ci(impl, spec, 1, 100000, rng));
+    benchmark::DoNotOptimize(model->sampled_rate(impl, spec, 100000, rng));
 }
 BENCHMARK(BM_SampledErrorRate)->Arg(12)->Arg(16)->Arg(20);
 

@@ -11,7 +11,7 @@
 
 #include "bench_util.hpp"
 #include "common/rng.hpp"
-#include "reliability/sampling.hpp"
+#include "reliability/fault_model.hpp"
 
 int main(int argc, char** argv) {
   using namespace rdc;
@@ -27,6 +27,11 @@ int main(int argc, char** argv) {
       "--------\n");
 
   obs::RunReport report("multibit");
+  using reliability::FaultModelSpec;
+  const auto bitflip1 =
+      reliability::make_fault_model(FaultModelSpec::bitflip(1));
+  const auto bitflip2 =
+      reliability::make_fault_model(FaultModelSpec::bitflip(2));
   Rng rng(0xD00D);
   double impr1 = 0.0;
   double impr2 = 0.0;
@@ -39,18 +44,18 @@ int main(int argc, char** argv) {
 
       const double c1 = conventional.error_rate;
       const double r1 = reliability.error_rate;
-      const double c2 =
-          exact_error_rate_kbit(conventional.implementation, spec, 2);
-      const double r2 =
-          exact_error_rate_kbit(reliability.implementation, spec, 2);
+      const double c2 = bitflip2->error_rate(conventional.implementation, spec);
+      const double r2 = bitflip2->error_rate(reliability.implementation, spec);
       const double i1 = bench::improvement_percent(c1, r1);
       const double i2 = bench::improvement_percent(c2, r2);
       impr1 += i1;
       impr2 += i2;
 
-      // Monte-Carlo agreement check on the k = 1 conventional rate.
-      const double mc = sampled_error_rate(conventional.implementation, spec,
-                                           1, 20000, rng);
+      // Monte-Carlo agreement check on the k = 1 conventional rate, with
+      // the stratified estimator of the error_rate:sampled pass.
+      const double mc =
+          bitflip1->sampled_rate(conventional.implementation, spec, 20000, rng)
+              .rate;
       std::printf("%-8s | %8.4f %8.4f %7.1f | %8.4f %8.4f %7.1f | %8.4f\n",
                   spec.name().c_str(), c1, r1, i1, c2, r2, i2, mc - c1);
       obs::Record& row = report.add_row();

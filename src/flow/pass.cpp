@@ -14,7 +14,6 @@
 #include "mapper/tree_map.hpp"
 #include "obs/counters.hpp"
 #include "reliability/fault_model.hpp"
-#include "reliability/sampling.hpp"
 #include "sop/extract.hpp"
 
 namespace rdc::flow {
@@ -495,8 +494,9 @@ class ErrorRatePass final : public Pass {
       // Seeded from FlowOptions::sample_seed so the report is
       // byte-deterministic for a fixed (spec, pipeline, seed).
       Rng rng(design.options().sample_seed);
-      const SampledRate estimate = design.fault_model(model).sampled_rate(
-          design.working(), design.spec(), *samples_, rng);
+      const reliability::SampledRate estimate =
+          design.fault_model(model).sampled_rate(
+              design.working(), design.spec(), *samples_, rng);
       design.error_rate = estimate.rate;
       design.estimator.sampled = true;
       design.estimator.ci_low = estimate.ci_low;

@@ -30,15 +30,12 @@ const char* policy_name(DcPolicy policy) {
 /// reject NaN.
 exec::Status validate_options(DcPolicy policy, const FlowOptions& options,
                               unsigned num_inputs) {
-  // Weighted fault models carry per-pin weights; a count mismatch with the
-  // spec would otherwise surface as a mid-pipeline throw.
-  if (options.fault_model.kind() ==
-          reliability::FaultModelKind::kBitflipWeighted &&
-      options.fault_model.weights().size() != num_inputs)
-    return exec::Status(exec::StatusCode::kInvalidArgument,
-                        "fault_model bitflip_weighted needs " +
-                            std::to_string(num_inputs) + " weights, got " +
-                            std::to_string(options.fault_model.weights().size()));
+  // A model that does not fit the spec's width (bitflip(k) with k > n, a
+  // weight count other than n) would otherwise surface only after every
+  // ladder rung had run assign and map and then thrown in error_rate.
+  if (exec::Status status = options.fault_model.check_inputs(num_inputs);
+      !status.ok())
+    return status;
   switch (policy) {
     case DcPolicy::kRankingFraction:
     case DcPolicy::kRankingIncremental:

@@ -12,7 +12,13 @@ std::uint64_t Cover::literal_count() const {
   return total;
 }
 
-bool Cover::covers_minterm(std::uint32_t m) const {
+// parse_pla calls this once per minterm and cover, so its short loop is
+// the parser's hot path. Starting it on a cache line fixes where the
+// loop's branches fall relative to 32-byte boundaries, whatever the size
+// of the code linked before it. On Intel CPUs with the JCC-erratum
+// microcode a branch that crosses such a boundary is not cached as
+// decoded; on a Xeon VM that made PLA parsing about 40% slower.
+[[gnu::aligned(64)]] bool Cover::covers_minterm(std::uint32_t m) const {
   for (const Cube& c : cubes_)
     if (c.contains_minterm(m, num_inputs_)) return true;
   return false;

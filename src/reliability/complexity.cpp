@@ -31,17 +31,6 @@ double complexity_factor(const TernaryTruthTable& f) {
          (static_cast<double>(n) * static_cast<double>(f.size()));
 }
 
-double complexity_factor_scalar(const TernaryTruthTable& f) {
-  const unsigned n = f.num_inputs();
-  if (n == 0) return 0.0;
-  const NeighborTable neighbors = NeighborTable::build_scalar(f);
-  std::uint64_t same = 0;
-  for (std::uint32_t m = 0; m < f.size(); ++m)
-    same += neighbors.same_phase_neighbors(f, m);
-  return static_cast<double>(same) /
-         (static_cast<double>(n) * static_cast<double>(f.size()));
-}
-
 double complexity_factor(const IncompleteSpec& spec) {
   if (spec.num_outputs() == 0) return 0.0;
   double sum = 0.0;

@@ -27,10 +27,6 @@ std::uint64_t same_phase_pairs(const TernaryTruthTable& f);
 /// Normalized complexity factor C^f in [0, 1] (0 for 0-input functions).
 double complexity_factor(const TernaryTruthTable& f);
 
-/// Scalar reference for C^f via a scalar NeighborTable (differential
-/// testing and microbenchmarks).
-double complexity_factor_scalar(const TernaryTruthTable& f);
-
 /// Mean C^f across the outputs of a multi-output spec.
 double complexity_factor(const IncompleteSpec& spec);
 

@@ -11,10 +11,12 @@
 // paper's headline numbers are ratios of such rates, so the normalization
 // cancels there, and this choice makes the Section-5 closed forms for
 // base/min-dc/max-dc error consistent with Table 3's magnitudes.
+//
+// The other fault models (k-bit flips, weighted pins, stuck-at) live behind
+// reliability::FaultModel (fault_model.hpp); bitflip(1) calls this kernel.
 #pragma once
 
 #include <cstdint>
-#include <span>
 
 #include "tt/incomplete_spec.hpp"
 #include "tt/ternary_function.hpp"
@@ -27,30 +29,9 @@ namespace rdc {
 double exact_error_rate(const TernaryTruthTable& implementation,
                         const TernaryTruthTable& spec);
 
-/// Scalar (one bit per lookup) reference implementation, kept for
-/// differential testing and the kernel microbenchmarks.
-double exact_error_rate_scalar(const TernaryTruthTable& implementation,
-                               const TernaryTruthTable& spec);
-
 /// Mean per-output exact error rate of a multi-output implementation.
 double exact_error_rate(const IncompleteSpec& implementation,
                         const IncompleteSpec& spec);
-
-/// Error rate under non-uniform pin failure probabilities: each event
-/// (source, pin j) carries weight `pin_weights[j]`; the rate is the
-/// weighted fraction of propagating events. Uniform weights reduce to
-/// exact_error_rate. Weights must be non-negative with a positive sum.
-double exact_error_rate_weighted(const TernaryTruthTable& implementation,
-                                 const TernaryTruthTable& spec,
-                                 std::span<const double> pin_weights);
-double exact_error_rate_weighted(const IncompleteSpec& implementation,
-                                 const IncompleteSpec& spec,
-                                 std::span<const double> pin_weights);
-
-/// Scalar reference for the weighted rate (differential testing).
-double exact_error_rate_weighted_scalar(
-    const TernaryTruthTable& implementation, const TernaryTruthTable& spec,
-    std::span<const double> pin_weights);
 
 /// Exact error-event decomposition of Section 5.
 struct ErrorBounds {

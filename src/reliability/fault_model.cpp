@@ -11,6 +11,7 @@
 #include "common/bitvec.hpp"
 #include "common/format.hpp"
 #include "common/hash.hpp"
+#include "common/simd.hpp"
 #include "exec/budget.hpp"
 #include "reliability/error_rate.hpp"
 #include "reliability/estimator_util.hpp"
@@ -19,12 +20,98 @@ namespace rdc::reliability {
 namespace {
 
 using reliability_detail::check_error_rate_pair;
-using reliability_detail::check_pin_weights;
-using reliability_detail::kCheckpointStride;
-using reliability_detail::with_ci;
+
+/// Two-sided 95% normal quantile (z such that P(|Z| <= z) = 0.95).
+constexpr double kZ95 = 1.959963984540054;
+
+/// Budget-poll stride inside the sampling loops and the distance levels.
+/// One draw is a handful of rng calls and bit probes, so polling every
+/// draw would dominate; every 64th draw keeps the overhead invisible while
+/// a deadline or iteration cap still interrupts a large `samples` request
+/// mid-loop.
+constexpr std::uint64_t kCheckpointStride = 64;
 
 exec::Status invalid(std::string message) {
   return exec::Status(exec::StatusCode::kInvalidArgument, std::move(message));
+}
+
+/// A SampledRate with the clamped normal-approximation 95% interval.
+SampledRate with_ci(double rate, double variance, std::uint64_t samples) {
+  SampledRate out;
+  out.rate = rate;
+  out.variance = variance;
+  const double half = kZ95 * std::sqrt(std::max(variance, 0.0));
+  out.ci_low = std::clamp(rate - half, 0.0, 1.0);
+  out.ci_high = std::clamp(rate + half, 0.0, 1.0);
+  out.samples = samples;
+  return out;
+}
+
+/// All n-bit masks with exactly k bits set (Gosper's hack).
+std::vector<std::uint32_t> k_subsets(unsigned n, unsigned k) {
+  std::vector<std::uint32_t> masks;
+  if (k == 0 || k > n) return masks;
+  std::uint32_t mask = (1u << k) - 1;
+  const std::uint32_t limit = 1u << n;
+  while (mask < limit) {
+    masks.push_back(mask);
+    const std::uint32_t c =
+        mask & static_cast<std::uint32_t>(-static_cast<std::int32_t>(mask));
+    const std::uint32_t r = mask + c;
+    mask = (((r ^ mask) >> 2) / c) | r;
+  }
+  return masks;
+}
+
+/// Throws std::invalid_argument ("<where>: ...") unless there is one
+/// finite, non-negative weight per pin with a positive sum; returns the sum.
+double check_pin_weights(std::span<const double> pin_weights, unsigned n,
+                         const char* where) {
+  if (pin_weights.size() != n)
+    throw std::invalid_argument(std::string(where) +
+                                ": weight count mismatch");
+  double total_weight = 0.0;
+  for (const double w : pin_weights) {
+    if (!std::isfinite(w))
+      throw std::invalid_argument(std::string(where) + ": non-finite weight");
+    if (w < 0.0)
+      throw std::invalid_argument(std::string(where) + ": negative weight");
+    total_weight += w;
+  }
+  if (total_weight <= 0.0)
+    throw std::invalid_argument(std::string(where) +
+                                ": weights sum to zero");
+  return total_weight;
+}
+
+/// Single-flip draws stratified by pin: pin j gets an equal share of
+/// `samples` (at least one) uniform source minterms, and a draw hits when
+/// it is a care vector whose implementation value flips with pin j. Calls
+/// stratum(j, p_j, draws_j) for each pin in order, where p_j is the hit
+/// fraction; returns the draws spent. The models differ only in how they
+/// weight the strata.
+template <typename Stratum>
+std::uint64_t draw_pin_strata(const TernaryTruthTable& implementation,
+                              const TernaryTruthTable& spec,
+                              std::uint64_t samples, Rng& rng,
+                              const Stratum& stratum) {
+  const unsigned n = spec.num_inputs();
+  std::uint64_t spent = 0;
+  for (unsigned j = 0; j < n; ++j) {
+    const std::uint64_t draws =
+        std::max<std::uint64_t>(1, samples / n + (j < samples % n ? 1 : 0));
+    std::uint64_t hits = 0;
+    for (std::uint64_t s = 0; s < draws; ++s) {
+      if ((spent + s) % kCheckpointStride == 0) exec::checkpoint();
+      const auto m = static_cast<std::uint32_t>(rng.below(spec.size()));
+      if (!spec.is_care(m)) continue;
+      if (implementation.is_on(m) != implementation.is_on(flip_bit(m, j)))
+        ++hits;
+    }
+    stratum(j, static_cast<double>(hits) / static_cast<double>(draws), draws);
+    spent += draws;
+  }
+  return spent;
 }
 
 bool parse_double_text(const std::string& text, double& out) {
@@ -130,20 +217,23 @@ class BitflipModel final : public FaultModel {
 
   double error_rate(const TernaryTruthTable& implementation,
                     const TernaryTruthTable& spec) const override {
-    // Delegates to the existing word-parallel kernels: k = 1 is the exact
-    // SIMD-dispatched path the default flow uses, so routing through the
-    // model is bit-identical to pre-refactor behavior.
-    if (model_spec().k() == 1)
-      return exact_error_rate(implementation, spec);
-    return exact_error_rate_kbit(implementation, spec, model_spec().k());
-  }
-
-  double error_rate_scalar(const TernaryTruthTable& implementation,
-                           const TernaryTruthTable& spec) const override {
-    if (model_spec().k() == 1)
-      return exact_error_rate_scalar(implementation, spec);
-    return exact_error_rate_kbit_scalar(implementation, spec,
-                                        model_spec().k());
+    // k = 1 is the exact SIMD-dispatched kernel of error_rate.hpp, the one
+    // the default flow and the ErrorRateTracker use.
+    const unsigned k = model_spec().k();
+    if (k == 1) return exact_error_rate(implementation, spec);
+    check_pair(implementation, spec);
+    // Word-parallel: per flip mask, the propagating care sources are the set
+    // bits of (on ^ xor_permute(on, mask)) & care — the k-bit generalization
+    // of the single-flip shift-XOR kernel.
+    const std::vector<std::uint32_t> masks = k_subsets(spec.num_inputs(), k);
+    const BitVec& on = implementation.on_bits();
+    const BitVec care = spec.care_bits();
+    std::uint64_t propagating = 0;
+    for (const std::uint32_t mask : masks)
+      propagating += popcount_xor_and(on, on.xor_permute(mask), care);
+    return static_cast<double>(propagating) /
+           (static_cast<double>(masks.size()) *
+            static_cast<double>(spec.size()));
   }
 
   std::vector<MintermEvents> dc_assignment_events(
@@ -180,8 +270,58 @@ class BitflipModel final : public FaultModel {
   SampledRate sampled_rate(const TernaryTruthTable& implementation,
                            const TernaryTruthTable& spec,
                            std::uint64_t samples, Rng& rng) const override {
-    return sampled_error_rate_ci(implementation, spec, model_spec().k(),
-                                 samples, rng);
+    check_pair(implementation, spec);
+    if (samples == 0) return SampledRate{};
+    const unsigned n = spec.num_inputs();
+    const unsigned k = model_spec().k();
+
+    if (k == 1) {
+      // Stratum j estimates p_j, the fraction of sources whose value flips
+      // with pin j; the exact rate is (1/n) * sum p_j, so the uniform-weight
+      // stratified estimator is unbiased and its variance is the weighted
+      // sum of the per-stratum binomial variances — never worse than
+      // unstratified draws, and much tighter when pin sensitivities differ.
+      double sum_p = 0.0;
+      double sum_var = 0.0;
+      const std::uint64_t spent = draw_pin_strata(
+          implementation, spec, samples, rng,
+          [&](unsigned, double p, std::uint64_t draws) {
+            sum_p += p;
+            sum_var += p * (1.0 - p) / static_cast<double>(draws);
+          });
+      const double inv_n = 1.0 / static_cast<double>(n);
+      return with_ci(sum_p * inv_n, sum_var * inv_n * inv_n, spent);
+    }
+
+    // k > 1: unstratified (source, uniform k-subset) draws — one binomial.
+    unsigned pins[32];
+    std::uint64_t hits = 0;
+    for (std::uint64_t s = 0; s < samples; ++s) {
+      if (s % kCheckpointStride == 0) exec::checkpoint();
+      const auto m = static_cast<std::uint32_t>(rng.below(spec.size()));
+      if (!spec.is_care(m)) continue;
+      // Uniform k-subset via partial Fisher-Yates over the pin indices.
+      for (unsigned j = 0; j < n; ++j) pins[j] = j;
+      std::uint32_t mask = 0;
+      for (unsigned j = 0; j < k; ++j) {
+        const auto pick = j + static_cast<unsigned>(rng.below(n - j));
+        std::swap(pins[j], pins[pick]);
+        mask |= 1u << pins[j];
+      }
+      if (implementation.is_on(m) != implementation.is_on(m ^ mask)) ++hits;
+    }
+    const double p = static_cast<double>(hits) / static_cast<double>(samples);
+    return with_ci(p, p * (1.0 - p) / static_cast<double>(samples), samples);
+  }
+
+ private:
+  /// The pair check plus k <= n (the message of FaultModelSpec::check_inputs).
+  void check_pair(const TernaryTruthTable& implementation,
+                  const TernaryTruthTable& spec) const {
+    check_error_rate_pair(implementation, spec, "bitflip");
+    if (exec::Status status = model_spec().check_inputs(spec.num_inputs());
+        !status.ok())
+      throw std::invalid_argument(status.message());
   }
 };
 
@@ -194,14 +334,22 @@ class BitflipWeightedModel final : public FaultModel {
 
   double error_rate(const TernaryTruthTable& implementation,
                     const TernaryTruthTable& spec) const override {
-    return exact_error_rate_weighted(implementation, spec,
-                                     model_spec().weights());
-  }
+    check_error_rate_pair(implementation, spec, "bitflip_weighted");
+    const unsigned n = spec.num_inputs();
+    const std::vector<double>& weights = model_spec().weights();
+    const double total_weight =
+        check_pin_weights(weights, n, "bitflip_weighted");
 
-  double error_rate_scalar(const TernaryTruthTable& implementation,
-                           const TernaryTruthTable& spec) const override {
-    return exact_error_rate_weighted_scalar(implementation, spec,
-                                            model_spec().weights());
+    // The weighted sum factors per pin: every propagating event of pin j
+    // carries the same weight, so one popcount per pin suffices.
+    const BitVec& on = implementation.on_bits();
+    const BitVec care = spec.care_bits();
+    double propagating = 0.0;
+    for (unsigned j = 0; j < n; ++j)
+      propagating += weights[j] *
+                     static_cast<double>(simd::popcount_shiftxor_and(
+                         on.data(), care.data(), on.num_words(), j));
+    return propagating / (total_weight * static_cast<double>(spec.size()));
   }
 
   std::vector<MintermEvents> dc_assignment_events(
@@ -233,29 +381,19 @@ class BitflipWeightedModel final : public FaultModel {
     const double total =
         check_pin_weights(model_spec().weights(), n, "bitflip_weighted");
     if (samples == 0) return SampledRate{};
-    // Stratified by pin like the uniform k = 1 estimator; the strata
-    // combine with the normalized weights instead of 1/n, so
-    // rate = sum (w_j / W) p_j and the variance weights square.
+    // Stratified by pin like bitflip(1); the strata combine with the
+    // normalized weights instead of 1/n, so rate = sum (w_j / W) p_j and
+    // the variance weights square.
     double rate = 0.0;
     double variance = 0.0;
-    std::uint64_t spent = 0;
-    for (unsigned j = 0; j < n; ++j) {
-      const std::uint64_t draws =
-          std::max<std::uint64_t>(1, samples / n + (j < samples % n ? 1 : 0));
-      std::uint64_t hits = 0;
-      for (std::uint64_t s = 0; s < draws; ++s) {
-        if ((spent + s) % kCheckpointStride == 0) exec::checkpoint();
-        const auto m = static_cast<std::uint32_t>(rng.below(spec.size()));
-        if (!spec.is_care(m)) continue;
-        if (implementation.is_on(m) != implementation.is_on(flip_bit(m, j)))
-          ++hits;
-      }
-      const double p = static_cast<double>(hits) / static_cast<double>(draws);
-      const double share = model_spec().weights()[j] / total;
-      rate += share * p;
-      variance += share * share * p * (1.0 - p) / static_cast<double>(draws);
-      spent += draws;
-    }
+    const std::uint64_t spent = draw_pin_strata(
+        implementation, spec, samples, rng,
+        [&](unsigned j, double p, std::uint64_t draws) {
+          const double share = model_spec().weights()[j] / total;
+          rate += share * p;
+          variance +=
+              share * share * p * (1.0 - p) / static_cast<double>(draws);
+        });
     return with_ci(rate, variance, spent);
   }
 };
@@ -276,8 +414,7 @@ class StuckAtModel final : public FaultModel {
     // probability is (propagating sources in the halfspace) / (care
     // vectors in the halfspace). Word-parallel: one shift-XOR propagation
     // mask per pin, split into the two halfspaces by a masked popcount.
-    // The combination order (pin ascending, bit-0 halfspace first) matches
-    // error_rate_scalar exactly, so the two are bit-identical.
+    // The combination order is pin ascending, bit-0 halfspace first.
     const BitVec& on = implementation.on_bits();
     const BitVec care = spec.care_bits();
     const std::uint64_t care_total = care.count();
@@ -295,32 +432,6 @@ class StuckAtModel final : public FaultModel {
                static_cast<double>(care_zero);
       if (care_one != 0)  // fault (j, stuck-at-0): sources have bit_j = 1
         sum += static_cast<double>(prop_one) / static_cast<double>(care_one);
-    }
-    return sum / (2.0 * static_cast<double>(n));
-  }
-
-  double error_rate_scalar(const TernaryTruthTable& implementation,
-                           const TernaryTruthTable& spec) const override {
-    check_error_rate_pair(implementation, spec, "stuckat");
-    const unsigned n = spec.num_inputs();
-    if (n == 0) return 0.0;
-    double sum = 0.0;
-    for (unsigned j = 0; j < n; ++j) {
-      std::uint64_t care_count[2] = {0, 0};
-      std::uint64_t prop_count[2] = {0, 0};
-      for (std::uint32_t m = 0; m < spec.size(); ++m) {
-        if (!spec.is_care(m)) continue;
-        const unsigned b = (m >> j) & 1u;
-        ++care_count[b];
-        if (implementation.is_on(m) != implementation.is_on(flip_bit(m, j)))
-          ++prop_count[b];
-      }
-      if (care_count[0] != 0)
-        sum += static_cast<double>(prop_count[0]) /
-               static_cast<double>(care_count[0]);
-      if (care_count[1] != 0)
-        sum += static_cast<double>(prop_count[1]) /
-               static_cast<double>(care_count[1]);
     }
     return sum / (2.0 * static_cast<double>(n));
   }
@@ -515,6 +626,20 @@ std::string FaultModelSpec::canonical() const {
       return "stuckat";
   }
   return "unknown";
+}
+
+exec::Status FaultModelSpec::check_inputs(unsigned num_inputs) const {
+  if (kind_ == FaultModelKind::kBitflip && k_ == 0)
+    return invalid("bitflip(0) flips no pin");
+  if (kind_ == FaultModelKind::kBitflip && k_ > num_inputs)
+    return invalid(canonical() + " needs at least " + std::to_string(k_) +
+                   " inputs, spec has " + std::to_string(num_inputs));
+  if (kind_ == FaultModelKind::kBitflipWeighted &&
+      weights_.size() != num_inputs)
+    return invalid("fault_model bitflip_weighted needs " +
+                   std::to_string(num_inputs) + " weights, got " +
+                   std::to_string(weights_.size()));
+  return {};
 }
 
 std::uint64_t FaultModelSpec::fingerprint() const {

@@ -3,17 +3,20 @@
 // The paper's error model — a single input-bit flip on a care minterm — is
 // one point in a family of fault scenarios. A FaultModel encapsulates one
 // scenario end to end: the exact error rate of an implementation against a
-// specification, a brute-force scalar reference for differential testing, a
-// sampled estimator with a 95% confidence interval, and the per-minterm
-// propagating-event masses that drive DC assignment.
+// specification, a sampled estimator with a 95% confidence interval, and the
+// per-minterm propagating-event masses that drive DC assignment. Each model
+// owns its kernels; the scalar references they are tested against live in
+// tests/oracles/error_rate.*.
 //
 // Concrete models:
 //  * bitflip(k)            — k simultaneous input-bit flips, uniform over
 //                            pins; k = 1 is the paper's default and keeps
 //                            the SIMD kernels and the incremental
 //                            ErrorRateTracker on their bit-identical paths.
-//  * bitflip_weighted(w..) — single flips with non-uniform per-pin weights
-//                            (exact_error_rate_weighted semantics).
+//  * bitflip_weighted(w..) — single flips with non-uniform per-pin weights:
+//                            each event (source, pin j) carries weight w_j
+//                            and the rate is the weighted fraction of
+//                            propagating events.
 //  * stuckat               — stuck-at-0/1 input-pin faults. A fault (j, v)
 //                            reads every input with bit j == !v as its pin-j
 //                            neighbor; its exposure probability is the
@@ -36,8 +39,8 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "exec/status.hpp"
-#include "reliability/sampling.hpp"
 #include "tt/incomplete_spec.hpp"
 #include "tt/neighbor_stats.hpp"
 #include "tt/ternary_function.hpp"
@@ -93,6 +96,11 @@ class FaultModelSpec {
   /// rendering is a fixed point (canonical forms re-render identically).
   std::string canonical() const;
 
+  /// kInvalidArgument unless the model fits a spec with `num_inputs`
+  /// inputs: bitflip(k) needs at least k inputs, bitflip_weighted one
+  /// weight per input. run_flow checks this before any pass runs.
+  exec::Status check_inputs(unsigned num_inputs) const;
+
   /// FNV-1a digest of the model identity, mixed into
   /// flow_options_fingerprint for non-default models so serve-cache and
   /// batch-journal keys never alias across models.
@@ -118,6 +126,17 @@ struct MintermEvents {
   double if_off = 0.0;  ///< event mass added if the DC joins the off-set
 };
 
+/// A sampled rate with its normal-approximation 95% confidence interval.
+struct SampledRate {
+  double rate = 0.0;      ///< point estimate
+  double variance = 0.0;  ///< estimator variance (for combining estimates)
+  double ci_low = 0.0;    ///< 95% CI lower bound, clamped to [0, 1]
+  double ci_high = 0.0;   ///< 95% CI upper bound, clamped to [0, 1]
+  std::uint64_t samples = 0;  ///< draws actually spent
+
+  double half_width() const { return (ci_high - ci_low) / 2.0; }
+};
+
 /// One fault scenario's complete analysis surface. Implementations must be
 /// deterministic: exact rates combine integer event counts in a fixed
 /// order, so results are bit-identical across SIMD backends and thread
@@ -133,11 +152,6 @@ class FaultModel {
   virtual double error_rate(const TernaryTruthTable& implementation,
                             const TernaryTruthTable& spec) const = 0;
 
-  /// Brute-force scalar reference (differential testing); bit-identical to
-  /// error_rate by construction.
-  virtual double error_rate_scalar(const TernaryTruthTable& implementation,
-                                   const TernaryTruthTable& spec) const = 0;
-
   /// Assignment events of each DC minterm in `dcs` (the caller's
   /// spec.dc_minterms()), in the same order. `neighbors` is the prebuilt
   /// table of the same function.
@@ -146,8 +160,11 @@ class FaultModel {
       const NeighborTable& neighbors) const = 0;
 
   /// Monte-Carlo estimate with a 95% CI (the `error_rate:sampled` pass).
-  /// Draw strategy is model-specific (stratified by pin for flips, by
-  /// fault halfspace for stuck-at).
+  /// DC sources count as non-propagating. Draw strategy is model-specific:
+  /// single flips (bitflip(1), bitflip_weighted) stratify by pin, each pin
+  /// getting an equal share of `samples` (at least one); bitflip(k > 1)
+  /// draws (source, uniform k-subset) events unstratified; stuck-at
+  /// stratifies by fault halfspace.
   virtual SampledRate sampled_rate(const TernaryTruthTable& implementation,
                                    const TernaryTruthTable& spec,
                                    std::uint64_t samples, Rng& rng) const = 0;

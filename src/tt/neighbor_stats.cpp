@@ -400,36 +400,6 @@ NeighborTable::NeighborTable(const TernaryTruthTable& f)
   }
 }
 
-NeighborTable::NeighborTable(const TernaryTruthTable& f, ScalarTag)
-    : num_inputs_(f.num_inputs()),
-      on_(new std::uint8_t[f.size()]()),
-      off_(new std::uint8_t[f.size()]()),
-      dc_(new std::uint8_t[f.size()]()) {
-  // One pass over all ordered neighbor pairs: for each minterm, classify it
-  // once and credit each of its n neighbors.
-  for (std::uint32_t m = 0; m < f.size(); ++m) {
-    const Phase p = f.phase(m);
-    for (unsigned j = 0; j < num_inputs_; ++j) {
-      const std::uint32_t nb = flip_bit(m, j);
-      switch (p) {
-        case Phase::kOne:
-          ++on_[nb];
-          break;
-        case Phase::kZero:
-          ++off_[nb];
-          break;
-        case Phase::kDc:
-          ++dc_[nb];
-          break;
-      }
-    }
-  }
-}
-
-NeighborTable NeighborTable::build_scalar(const TernaryTruthTable& f) {
-  return NeighborTable(f, ScalarTag{});
-}
-
 unsigned NeighborTable::same_phase_neighbors(const TernaryTruthTable& f,
                                              std::uint32_t minterm) const {
   switch (f.phase(minterm)) {

@@ -10,9 +10,9 @@
 // register-resident bit-sliced vertical counters (5 bit-planes hold counts
 // up to 31 > kMaxInputs = 20) using branchless Harley-Seal carry-save
 // blocks, then the planes are transposed into per-minterm count bytes via a
-// spread lookup table; off = n - on - dc by byte-parallel subtraction. A
-// direct one-bit-at-a-time construction is retained as build_scalar() — the
-// differential-testing reference for the kernel layer.
+// spread lookup table; off = n - on - dc by byte-parallel subtraction. The
+// one-bit-at-a-time counts it is tested against are the scalar reference in
+// tests/oracles/error_rate.*.
 #pragma once
 
 #include <cstdint>
@@ -33,10 +33,6 @@ class NeighborTable {
  public:
   explicit NeighborTable(const TernaryTruthTable& f);
 
-  /// Scalar reference construction (one neighbor lookup per (minterm, pin)
-  /// pair); bit-exact against the word-parallel constructor.
-  static NeighborTable build_scalar(const TernaryTruthTable& f);
-
   NeighborCounts at(std::uint32_t minterm) const {
     return {on_[minterm], off_[minterm], dc_[minterm]};
   }
@@ -49,15 +45,12 @@ class NeighborTable {
                                 std::uint32_t minterm) const;
 
  private:
-  struct ScalarTag {};
-  NeighborTable(const TernaryTruthTable& f, ScalarTag);
-
   unsigned num_inputs_;
   // Struct-of-arrays: one count byte per minterm per set, so the
   // word-parallel build can store 8 transposed count bytes with one write.
-  // Heap arrays are left uninitialized on allocation — the word-parallel
-  // constructor overwrites every byte, and zeroing three 2^n-byte arrays
-  // costs as much as the build itself at small n.
+  // Heap arrays are left uninitialized on allocation — the constructor
+  // overwrites every byte, and zeroing three 2^n-byte arrays costs as much
+  // as the build itself at small n.
   std::unique_ptr<std::uint8_t[]> on_;
   std::unique_ptr<std::uint8_t[]> off_;
   std::unique_ptr<std::uint8_t[]> dc_;

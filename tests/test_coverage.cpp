@@ -9,7 +9,7 @@
 #include "common/stats.hpp"
 #include "espresso/expand.hpp"
 #include "flow/synthesis_flow.hpp"
-#include "reliability/sampling.hpp"
+#include "reliability/fault_model.hpp"
 
 namespace rdc {
 namespace {
@@ -107,7 +107,9 @@ TEST(SamplingCoverage, FullWidthFlip) {
   for (std::uint32_t m = 0; m < 8; ++m)
     if (std::popcount(m) % 2) f.set_phase(m, Phase::kOne);
   // Flipping all 3 bits of a parity function always flips the output.
-  EXPECT_DOUBLE_EQ(exact_error_rate_kbit(f, f, 3), 1.0);
+  const auto model =
+      reliability::make_fault_model(reliability::FaultModelSpec::bitflip(3));
+  EXPECT_DOUBLE_EQ(model->error_rate(f, f), 1.0);
 }
 
 TEST(StatsCoverage, SummarizeSingleton) {

@@ -1,5 +1,6 @@
 // Differential tests for the SIMD dispatch layer (common/simd.hpp), the
-// incremental ErrorRateTracker and the CI-producing sampled estimator.
+// incremental ErrorRateTracker and bitflip(1)'s CI-producing sampled
+// estimator.
 //
 // Every backend the CPU supports is driven through simd::set_backend and
 // compared bit-for-bit against the scalar (portable word-parallel) kernels
@@ -16,15 +17,18 @@
 #include "common/bitvec.hpp"
 #include "common/rng.hpp"
 #include "common/simd.hpp"
+#include "oracles/error_rate.hpp"
 #include "reliability/error_rate.hpp"
 #include "reliability/error_tracker.hpp"
-#include "reliability/sampling.hpp"
+#include "reliability/fault_model.hpp"
 #include "tt/incomplete_spec.hpp"
 #include "tt/neighbor_stats.hpp"
 #include "tt/ternary_function.hpp"
 
 namespace rdc {
 namespace {
+
+using reliability::SampledRate;
 
 constexpr double kDcDensities[] = {0.0, 0.3, 0.6, 1.0};
 
@@ -165,17 +169,18 @@ TEST(SimdKernels, ShiftXorMatchesScalarAcrossBackends) {
 
 TEST(SimdKernels, NeighborTableMatchesScalarReferenceOnEveryBackend) {
   // NeighborTable's word-parallel constructor has its own AVX block paths;
-  // compare every backend against the one-bit-at-a-time reference build.
+  // compare every backend against the one-bit-at-a-time oracle counts.
   Rng rng(7003);
   for (unsigned n = 1; n <= 12; ++n) {
     for (const double density : kDcDensities) {
       const TernaryTruthTable f = random_ternary(n, density, rng);
-      const NeighborTable reference = NeighborTable::build_scalar(f);
+      const std::vector<NeighborCounts> reference =
+          oracle::neighbor_counts(f);
       for (const simd::Backend backend : supported_backends()) {
         BackendGuard guard(backend);
         const NeighborTable table(f);
         for (std::uint32_t m = 0; m < f.size(); ++m) {
-          const NeighborCounts want = reference.at(m);
+          const NeighborCounts want = reference[m];
           const NeighborCounts got = table.at(m);
           ASSERT_TRUE(want.on == got.on && want.off == got.off &&
                       want.dc == got.dc)
@@ -193,7 +198,7 @@ TEST(SimdKernels, ExactErrorRateIdenticalAcrossBackends) {
     for (const double density : kDcDensities) {
       const TernaryTruthTable spec = random_ternary(n, density, rng);
       const TernaryTruthTable impl = random_complete(n, rng);
-      const double reference = exact_error_rate_scalar(impl, spec);
+      const double reference = oracle::error_rate(impl, spec);
       for (const simd::Backend backend : supported_backends()) {
         BackendGuard guard(backend);
         // Bit-identical, not just close: every backend returns exact
@@ -305,13 +310,20 @@ TEST(ErrorRateTracker, ValidatesItsContract) {
 
 // --- sampled estimator with confidence intervals ---------------------------
 
+/// bitflip(1)'s estimate: draws stratified by pin.
+SampledRate sampled_ci(const auto& implementation, const auto& spec,
+                       std::uint64_t samples, Rng& rng) {
+  return reliability::make_fault_model(reliability::FaultModelSpec::bitflip(1))
+      ->sampled_rate(implementation, spec, samples, rng);
+}
+
 TEST(SampledCi, DeterministicForAFixedSeed) {
   Rng make(7201);
   const TernaryTruthTable spec = random_ternary(8, 0.4, make);
   const TernaryTruthTable impl = random_complete(8, make);
   Rng rng_a(42), rng_b(42);
-  const SampledRate a = sampled_error_rate_ci(impl, spec, 1, 5000, rng_a);
-  const SampledRate b = sampled_error_rate_ci(impl, spec, 1, 5000, rng_b);
+  const SampledRate a = sampled_ci(impl, spec, 5000, rng_a);
+  const SampledRate b = sampled_ci(impl, spec, 5000, rng_b);
   EXPECT_EQ(a.rate, b.rate);
   EXPECT_EQ(a.ci_low, b.ci_low);
   EXPECT_EQ(a.ci_high, b.ci_high);
@@ -323,7 +335,7 @@ TEST(SampledCi, IntervalIsOrderedAndClamped) {
   const TernaryTruthTable spec = random_ternary(6, 0.3, make);
   const TernaryTruthTable impl = random_complete(6, make);
   Rng rng(1);
-  const SampledRate r = sampled_error_rate_ci(impl, spec, 1, 2000, rng);
+  const SampledRate r = sampled_ci(impl, spec, 2000, rng);
   EXPECT_LE(0.0, r.ci_low);
   EXPECT_LE(r.ci_low, r.rate);
   EXPECT_LE(r.rate, r.ci_high);
@@ -342,7 +354,7 @@ TEST(SampledCi, ParityIsAPointEstimate) {
     parity.set_phase(m, bits % 2 ? Phase::kOne : Phase::kZero);
   }
   Rng rng(3);
-  const SampledRate r = sampled_error_rate_ci(parity, parity, 1, 1000, rng);
+  const SampledRate r = sampled_ci(parity, parity, 1000, rng);
   EXPECT_EQ(r.rate, 1.0);
   EXPECT_EQ(r.ci_low, 1.0);
   EXPECT_EQ(r.ci_high, 1.0);
@@ -361,7 +373,7 @@ TEST(SampledCi, CoversTheExactRateAtSmallN) {
     int covered = 0;
     for (std::uint64_t seed = 1; seed <= 100; ++seed) {
       Rng rng(seed);
-      const SampledRate r = sampled_error_rate_ci(impl, spec, 1, 4000, rng);
+      const SampledRate r = sampled_ci(impl, spec, 4000, rng);
       if (exact >= r.ci_low && exact <= r.ci_high) ++covered;
     }
     EXPECT_GE(covered, 85) << "n=" << n;
@@ -377,7 +389,7 @@ TEST(SampledCi, MultiOutputCombinesEstimates) {
   const double exact = exact_error_rate(impl, spec);
 
   Rng rng(11);
-  const SampledRate r = sampled_error_rate_ci(impl, spec, 1, 6000, rng);
+  const SampledRate r = sampled_ci(impl, spec, 6000, rng);
   // Draws are spent per output.
   EXPECT_GE(r.samples, 3u * 6000u);
   // The combined interval should be in the right neighborhood of the mean
@@ -392,10 +404,8 @@ TEST(SampledCi, TightensWithMoreSamples) {
   const TernaryTruthTable spec = random_ternary(10, 0.5, make);
   const TernaryTruthTable impl = random_complete(10, make);
   Rng rng_small(5), rng_big(5);
-  const SampledRate small =
-      sampled_error_rate_ci(impl, spec, 1, 500, rng_small);
-  const SampledRate big =
-      sampled_error_rate_ci(impl, spec, 1, 50000, rng_big);
+  const SampledRate small = sampled_ci(impl, spec, 500, rng_small);
+  const SampledRate big = sampled_ci(impl, spec, 50000, rng_big);
   EXPECT_LT(big.half_width(), small.half_width());
 }
 
