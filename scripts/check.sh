@@ -65,9 +65,10 @@ echo "== unit tests in one process =="
 ./build/tests/rdcsyn_tests --gtest_brief=1
 
 echo
-echo "== paper-harness goldens =="
-# The stdout of the deterministic table/figure harnesses must match
-# tests/golden/ byte for byte; a failure names the harness. A change meant
+echo "== paper-harness and rdcsyn_cli goldens =="
+# The stdout of the deterministic table/figure harnesses, and the cache
+# keys and flow reports rdcsyn_cli gives for examples/fixtures, must match
+# tests/golden/ byte for byte; a failure names the golden. A change meant
 # to move results regenerates them with scripts/update_goldens.sh.
 scripts/update_goldens.sh --check build
 
