@@ -31,7 +31,6 @@
 #include "reliability/assignment.hpp"
 #include "reliability/complexity.hpp"
 #include "reliability/error_rate.hpp"
-#include "reliability/error_tracker.hpp"
 #include "reliability/fault_model.hpp"
 #include "sat/equivalence.hpp"
 #include "sop/extract.hpp"
@@ -131,30 +130,6 @@ BENCHMARK(BM_DcEventsKbit)
     ->Args({18, 3})
     ->Unit(benchmark::kMillisecond);
 
-
-void BM_ErrorRateTracker(benchmark::State& state) {
-  // Steady-state incremental maintenance: a handful of flips per
-  // evaluation, the pattern assignment loops produce. Compare with
-  // BM_ExactErrorRate at the same n for the from-scratch cost.
-  const auto n = static_cast<unsigned>(state.range(0));
-  IncompleteSpec spec("bench", n, 1);
-  spec.output(0) = random_ternary(n, 0.6, 90);
-  IncompleteSpec impl("impl", n, 1);
-  impl.output(0) = spec.output(0).with_all_dc_assigned(Phase::kZero);
-  ErrorRateTracker tracker(spec);
-  tracker.update(impl);  // initial full sync paid outside the loop
-  Rng rng(17);
-  for (auto _ : state) {
-    for (int i = 0; i < 4; ++i) {
-      const auto m =
-          static_cast<std::uint32_t>(rng.below(impl.output(0).size()));
-      impl.output(0).set_phase(
-          m, impl.output(0).is_on(m) ? Phase::kZero : Phase::kOne);
-    }
-    benchmark::DoNotOptimize(tracker.update(impl));
-  }
-}
-BENCHMARK(BM_ErrorRateTracker)->Arg(8)->Arg(12)->Arg(16)->Arg(20);
 
 void BM_SampledErrorRate(benchmark::State& state) {
   // Stratified 95%-CI estimator at a fixed 1e5-draw budget: cost is

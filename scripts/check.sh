@@ -609,7 +609,7 @@ echo "== bench smoke: SIMD kernel snapshot validates =="
 # snapshot must be a structurally valid rdc.bench.report.v1 document that
 # records which backend produced it.
 ./build/bench/bench_micro \
-  --benchmark_filter='BM_(ExactErrorRate|ErrorRateTracker|SampledErrorRate)/16$' \
+  --benchmark_filter='BM_(ExactErrorRate|SampledErrorRate)/16$' \
   --benchmark_min_time=0.05 \
   --json "$smoke_dir/bench_simd.json" > /dev/null
 ./build/tools/rdc_json_check "$smoke_dir/bench_simd.json" \

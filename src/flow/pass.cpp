@@ -70,11 +70,6 @@ std::span<const NeighborTable> Design::spec_neighbors() {
   return spec_neighbors_;
 }
 
-ErrorRateTracker& Design::error_tracker() {
-  if (!error_tracker_.bound()) error_tracker_ = ErrorRateTracker(spec_);
-  return error_tracker_;
-}
-
 const reliability::FaultModel& Design::fault_model(
     const reliability::FaultModelSpec& model) {
   for (const auto& [spec, analyzer] : fault_models_)
@@ -502,12 +497,6 @@ class ErrorRatePass final : public Pass {
       design.estimator.ci_low = estimate.ci_low;
       design.estimator.ci_high = estimate.ci_high;
       design.estimator.samples = estimate.samples;
-    } else if (model.is_default()) {
-      // The tracker's update is bit-identical to exact_error_rate and
-      // throws the same invalid_argument when the working spec is not
-      // completely specified; on repeat evaluations it only pays for the
-      // minterms whose phase changed since the last one.
-      design.error_rate = design.error_tracker().update(design.working());
     } else {
       design.error_rate =
           design.fault_model(model).error_rate(design.working(), design.spec());

@@ -32,7 +32,6 @@
 #include "obs/report.hpp"
 #include "pla/cover.hpp"
 #include "reliability/assignment.hpp"
-#include "reliability/error_tracker.hpp"
 #include "reliability/fault_model.hpp"
 #include "sop/factor.hpp"
 #include "tt/incomplete_spec.hpp"
@@ -155,11 +154,6 @@ class Design {
   /// of them — re-running `assign:*` no longer rebuilds the tables.
   std::span<const NeighborTable> spec_neighbors();
 
-  /// Incremental error-rate tracker bound to spec_, created on first use.
-  /// Successive `error_rate` passes pay only for the minterms whose phase
-  /// changed since the previous evaluation (DESIGN.md §12).
-  ErrorRateTracker& error_tracker();
-
   /// Analyzer for `model`, built on first use and cached by spec value, so
   /// repeated passes under the same annotation share one instance.
   const reliability::FaultModel& fault_model(
@@ -180,7 +174,6 @@ class Design {
   unsigned valid_ = 0;
   std::vector<NeighborTable> spec_neighbors_;
   bool spec_neighbors_built_ = false;
-  ErrorRateTracker error_tracker_;  ///< unbound until first error_tracker()
   std::vector<std::pair<reliability::FaultModelSpec,
                         std::unique_ptr<reliability::FaultModel>>>
       fault_models_;

@@ -32,8 +32,12 @@ enum class Counter : unsigned {
   kDcIncrementalAssigned,   ///< DCs assigned by ranking_assign_incremental
   kDcLcfAssigned,           ///< DCs assigned by lcf_assign
   kDcConventionalAssigned,  ///< DCs assigned by conventional_assign
-  kErrorTrackerSyncs,       ///< ErrorRateTracker full per-output recomputes
-  kErrorTrackerFlips,       ///< ErrorRateTracker O(n) single-flip deltas
+  // The incremental error-rate tracker that counted full recomputes
+  // (syncs) and single-flip deltas (flips) is gone, so these two always
+  // read 0. They stay only because perfbench reads them, and go with the
+  // next change to perfbench.
+  kErrorTrackerSyncs,
+  kErrorTrackerFlips,
   kEspressoCalls,           ///< minimize_bounded() invocations
   kEspressoIterations,      ///< reduce/expand/irredundant loop iterations
   kAigAndsBuilt,            ///< AND nodes in flow-constructed AIGs

@@ -6,9 +6,9 @@
 #include <memory>
 #include <queue>
 
+#include "common/bits.hpp"
 #include "obs/counters.hpp"
 #include "reliability/complexity.hpp"
-#include "reliability/error_tracker.hpp"
 #include "tt/neighbor_stats.hpp"
 
 namespace rdc {
@@ -166,13 +166,20 @@ AssignmentResult ranking_assign_incremental(TernaryTruthTable& f,
     }
   };
 
-  NeighborhoodTracker tracker(f, neighbors);
+  // Per-minterm on/off neighbor counts, kept current as DCs get assigned.
+  std::vector<NeighborCounts> counts(f.size());
+  for (std::uint32_t m = 0; m < f.size(); ++m) counts[m] = neighbors.at(m);
+  // |on-neighbors - off-neighbors|, the Fig. 3 ranking weight.
+  auto weight = [&](std::uint32_t m) {
+    const NeighborCounts& c = counts[m];
+    return c.on > c.off ? unsigned{c.on} - c.off : unsigned{c.off} - c.on;
+  };
 
   std::priority_queue<Entry> heap;
   std::size_t ranked = 0;  // nonzero-weight DCs, the ranked-list length
   for (std::uint32_t m : f.dc_minterms())
-    if (tracker.majority_weight(m) != 0) {
-      heap.push({tracker.majority_weight(m), m});
+    if (weight(m) != 0) {
+      heap.push({weight(m), m});
       ++ranked;
     }
 
@@ -185,24 +192,25 @@ AssignmentResult ranking_assign_incremental(TernaryTruthTable& f,
     const Entry top = heap.top();
     heap.pop();
     if (!f.is_dc(top.minterm)) continue;  // already assigned
-    const unsigned w = tracker.majority_weight(top.minterm);
+    const unsigned w = weight(top.minterm);
     if (w == 0) continue;  // majority vanished; drop per Fig. 3's filter
     if (w != top.weight) {
       heap.push({w, top.minterm});  // stale entry: reinsert with fresh weight
       continue;
     }
-    const bool to_on = tracker.majority_on(top.minterm);
+    const bool to_on = counts[top.minterm].on > counts[top.minterm].off;
     f.set_phase(top.minterm, to_on ? Phase::kOne : Phase::kZero);
     ++assigned;
     ++result.assigned;
     if (to_on) ++result.assigned_on;
     // The assignment converts one DC neighbor of each adjacent minterm into
-    // an on/off neighbor; the tracker refreshes their counts and we requeue
-    // still-unassigned neighbors whose weight became non-zero.
-    tracker.assign(top.minterm, to_on, [&](std::uint32_t nbr) {
-      if (f.is_dc(nbr) && tracker.majority_weight(nbr) != 0)
-        heap.push({tracker.majority_weight(nbr), nbr});
-    });
+    // an on/off neighbor; requeue the still-unassigned neighbors whose
+    // weight became non-zero.
+    for (unsigned j = 0; j < f.num_inputs(); ++j) {
+      const std::uint32_t nbr = flip_bit(top.minterm, j);
+      ++(to_on ? counts[nbr].on : counts[nbr].off);
+      if (f.is_dc(nbr) && weight(nbr) != 0) heap.push({weight(nbr), nbr});
+    }
   }
   obs::count(obs::Counter::kDcIncrementalAssigned, result.assigned);
   return result;

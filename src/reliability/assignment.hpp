@@ -40,8 +40,8 @@ struct AssignmentResult {
 AssignmentResult ranking_assign(TernaryTruthTable& f, double fraction);
 
 /// Incremental variant (ablation B): neighbor counts are updated after every
-/// individual assignment (via NeighborhoodTracker), so earlier assignments
-/// can create or destroy majorities for later ones.
+/// individual assignment (only the n adjacent counts change), so earlier
+/// assignments can create or destroy majorities for later ones.
 AssignmentResult ranking_assign_incremental(TernaryTruthTable& f,
                                             double fraction);
 

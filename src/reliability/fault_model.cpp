@@ -217,8 +217,7 @@ class BitflipModel final : public FaultModel {
 
   double error_rate(const TernaryTruthTable& implementation,
                     const TernaryTruthTable& spec) const override {
-    // k = 1 is the exact SIMD-dispatched kernel of error_rate.hpp, the one
-    // the default flow and the ErrorRateTracker use.
+    // k = 1 is the exact SIMD-dispatched kernel of error_rate.hpp.
     const unsigned k = model_spec().k();
     if (k == 1) return exact_error_rate(implementation, spec);
     check_pair(implementation, spec);

@@ -10,9 +10,8 @@
 //
 // Concrete models:
 //  * bitflip(k)            — k simultaneous input-bit flips, uniform over
-//                            pins; k = 1 is the paper's default and keeps
-//                            the SIMD kernels and the incremental
-//                            ErrorRateTracker on their bit-identical paths.
+//                            pins; k = 1 is the paper's default, whose
+//                            exact rate is exact_error_rate's SIMD kernel.
 //  * bitflip_weighted(w..) — single flips with non-uniform per-pin weights:
 //                            each event (source, pin j) carries weight w_j
 //                            and the rate is the weighted fraction of
@@ -58,9 +57,8 @@ const char* fault_model_kind_name(FaultModelKind kind);
 
 /// Value-semantics description of a fault model. Default-constructed it is
 /// the paper's model, bitflip(1); is_default() gates the compatibility
-/// paths (old fingerprints, report labels) and the two algorithms only
-/// bitflip(1) has: the incremental ErrorRateTracker and incremental
-/// ranking.
+/// paths (old fingerprints, report labels) and the one algorithm only
+/// bitflip(1) has: incremental ranking (assign:ranking_inc).
 class FaultModelSpec {
  public:
   /// The paper's default: single-bit flips, uniform over pins.

@@ -907,9 +907,9 @@ TEST(PipelineSampled, PassBoundaryFaultFailsSampledPassCleanly) {
 }
 
 TEST(PipelineSampled, RepeatedExactErrorRateReconcilesIncrementally) {
-  // Re-running assign + downstream on one Design exercises the Design's
-  // ErrorRateTracker across different working implementations; each
-  // evaluation must equal a fresh Design's from-scratch rate.
+  // Re-running assign + downstream on one Design measures several working
+  // implementations in turn; each repeated error_rate pass must equal a
+  // fresh Design's rate.
   const IncompleteSpec spec = builtin_spec();
   flow::Design shared(spec);
   for (const char* fraction : {"0.25", "0.75", "0.25", "1"}) {
