@@ -22,10 +22,6 @@ Summary summarize(std::span<const double> values) {
   return s;
 }
 
-double normal_pdf(double x) {
-  return std::exp(-0.5 * x * x) / std::sqrt(2.0 * std::numbers::pi);
-}
-
 double normal_cdf(double x) {
   return 0.5 * std::erfc(-x / std::numbers::sqrt2);
 }

@@ -30,9 +30,6 @@ struct Summary {
 /// Computes min/max/mean of a sample; see Summary for the empty contract.
 Summary summarize(std::span<const double> values);
 
-/// Standard normal probability density function.
-double normal_pdf(double x);
-
 /// Standard normal cumulative distribution function.
 double normal_cdf(double x);
 

@@ -50,8 +50,6 @@ void reset_shutdown() {
   g_owned.store(false, std::memory_order_release);
 }
 
-void simulate_shutdown(int sig) { g_signal = sig; }
-
 }  // namespace testing
 
 }  // namespace rdc::exec

@@ -46,9 +46,6 @@ namespace testing {
 /// Clears the recorded signal and ownership (between tests).
 void reset_shutdown();
 
-/// Records `sig` as if the handler had run (no actual signal delivery).
-void simulate_shutdown(int sig);
-
 }  // namespace testing
 
 }  // namespace rdc::exec

@@ -113,14 +113,6 @@ void emit_event(const char* name, const Record& fields) {
 
 void emit_event(const char* name) { emit_event(name, Record()); }
 
-void set_events_path(const std::string& path) {
-  detail::init_events_enabled_from_env();  // pin the env decision first
-  Sink& s = sink();
-  std::lock_guard<std::mutex> lock(s.mutex);
-  install_path_locked(s, path);
-  update_enabled_locked(s);
-}
-
 void flush_events() {
   Sink& s = sink();
   std::lock_guard<std::mutex> lock(s.mutex);

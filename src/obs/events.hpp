@@ -57,10 +57,6 @@ inline bool events_enabled() {
 void emit_event(const char* name, const Record& fields);
 void emit_event(const char* name);
 
-/// Programmatic sink control (overrides the environment): an empty path
-/// disables, "-" selects stderr, anything else appends to that file.
-void set_events_path(const std::string& path);
-
 /// Flushes the file sink's buffered lines to the OS. Called before a
 /// shutdown-signal re-raise so the terminating record is on disk before
 /// the default disposition kills the process.

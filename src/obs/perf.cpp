@@ -157,12 +157,6 @@ int init_perf_state_from_env() {
 
 }  // namespace detail
 
-void set_perf_requested(bool requested) {
-  detail::init_perf_state_from_env();  // pin the env decision first
-  if (requested) g_perf_failed.store(false, std::memory_order_relaxed);
-  detail::g_perf_state.store(requested ? 1 : 0, std::memory_order_relaxed);
-}
-
 PerfCounts perf_read() {
   if (!perf_collecting()) return {};
 #if defined(__linux__)

@@ -68,8 +68,8 @@ struct PerfCounts {
 };
 
 namespace detail {
-/// -1 until first use; then 0 (off) or 1 (requested via RDC_PERF=1 or
-/// set_perf_requested). A process-wide failure latch can flip 1 back to 0.
+/// -1 until first use; then 0 (off) or 1 (requested via RDC_PERF=1). A
+/// process-wide failure latch can flip 1 back to 0.
 extern std::atomic<int> g_perf_state;
 int init_perf_state_from_env();
 }  // namespace detail
@@ -81,10 +81,6 @@ inline bool perf_collecting() {
   const int state = detail::g_perf_state.load(std::memory_order_relaxed);
   return (state >= 0 ? state : detail::init_perf_state_from_env()) != 0;
 }
-
-/// Programmatic override of RDC_PERF (tests, tools). Enabling does not
-/// guarantee availability — the first read still probes the syscall.
-void set_perf_requested(bool requested);
 
 /// Reads the calling thread's counter group, opening it on first use.
 /// Returns valid=false (and latches collection off process-wide on an

@@ -277,12 +277,4 @@ AssignmentResult lcf_assign(IncompleteSpec& spec, double threshold,
   });
 }
 
-void assign_from_implementation(TernaryTruthTable& f,
-                                const TernaryTruthTable& implementation) {
-  assert(implementation.fully_specified());
-  assert(implementation.num_inputs() == f.num_inputs());
-  for (std::uint32_t m : f.dc_minterms())
-    f.set_phase(m, implementation.is_on(m) ? Phase::kOne : Phase::kZero);
-}
-
 }  // namespace rdc

@@ -111,10 +111,4 @@ AssignmentResult lcf_assign(IncompleteSpec& spec, double threshold,
                             std::span<const NeighborTable> tables,
                             const reliability::FaultModel& model);
 
-/// Assigns every remaining DC of `f` to the phase indicated by a
-/// completely specified reference implementation (used to realize
-/// "conventional assignment" from a minimized cover).
-void assign_from_implementation(TernaryTruthTable& f,
-                                const TernaryTruthTable& implementation);
-
 }  // namespace rdc

@@ -505,21 +505,5 @@ TEST(WeightedErrorRate, RejectsInputCountMismatch) {
                std::invalid_argument);
 }
 
-TEST(AssignFromImplementation, CopiesOnlyDcs) {
-  TernaryTruthTable f(2);
-  f.set_phase(0, Phase::kOne);
-  f.set_phase(1, Phase::kDc);
-  f.set_phase(2, Phase::kDc);
-  TernaryTruthTable impl(2);
-  impl.set_phase(1, Phase::kOne);
-  impl.set_phase(3, Phase::kOne);
-  assign_from_implementation(f, impl);
-  EXPECT_TRUE(f.fully_specified());
-  EXPECT_TRUE(f.is_on(0));   // care kept
-  EXPECT_TRUE(f.is_on(1));   // from impl
-  EXPECT_TRUE(f.is_off(2));  // from impl
-  EXPECT_TRUE(f.is_off(3));  // care kept (off)
-}
-
 }  // namespace
 }  // namespace rdc
