@@ -6,11 +6,15 @@
 //              [--threshold T]
 //       Reliability-driven DC assignment; remaining DCs stay DCs so a
 //       downstream optimizer keeps its freedom. P is one of
-//       ranking | incremental | lcf (default ranking).
+//       ranking | incremental | lcf (default ranking); F is in [0, 1],
+//       T in (0, 1).
 //   rdcsyn_cli synth  <in.pla> [-o out] [--format verilog|blif|aiger]
 //              [--delay] [--resyn] [--policy P ...] [--pipeline "<spec>"]
+//              [--json out.json]
 //       Full flow: assignment, minimization, mapping; writes the mapped
-//       netlist (or the AIG for aiger) and prints the QoR report.
+//       netlist (or the AIG for aiger) and prints the QoR report. A flow
+//       that fails (e.g. an out-of-range --fraction) writes no file and
+//       exits 2 for invalid arguments, 1 otherwise.
 //       --pipeline replaces the canonical flow with an explicit pass
 //       spec, e.g. "assign:ranking(0.5) | espresso | factor | aig |
 //       map:power | analyze | error_rate".
@@ -116,10 +120,13 @@ struct Args {
 bool parse_args(int argc, char** argv, int first, Args& args) {
   for (int i = first; i < argc; ++i) {
     const std::string a = argv[i];
+    // The whole value must parse: "abc" or "0.5x" is a usage error.
     auto value = [&](double& slot) {
       if (i + 1 >= argc) return false;
-      slot = std::atof(argv[++i]);
-      return true;
+      const char* text = argv[++i];
+      char* end = nullptr;
+      slot = std::strtod(text, &end);
+      return end != text && *end == '\0';
     };
     if (a == "-o" && i + 1 < argc) {
       args.output = argv[++i];
@@ -183,6 +190,15 @@ int cmd_stats(const Args& args) {
 int cmd_assign(const Args& args) {
   if (args.output.empty()) {
     std::fprintf(stderr, "assign: -o <out.pla> is required\n");
+    return 2;
+  }
+  // Negated so that NaN is rejected too.
+  if (!(args.fraction >= 0.0 && args.fraction <= 1.0)) {
+    std::fprintf(stderr, "assign: --fraction must be in [0, 1]\n");
+    return 2;
+  }
+  if (!(args.threshold > 0.0 && args.threshold < 1.0)) {
+    std::fprintf(stderr, "assign: --threshold must be in (0, 1)\n");
     return 2;
   }
   IncompleteSpec spec = load_pla(args.input);
@@ -352,11 +368,19 @@ int cmd_synth(const Args& args) {
   }
 
   const FlowResult result = run_flow(spec, policy, options);
+  if (result.degradation == DegradationLevel::kPartial) {
+    std::fprintf(stderr, "error: %s\n", result.status.to_string().c_str());
+    return result.status.code() == exec::StatusCode::kInvalidArgument ? 2 : 1;
+  }
   std::printf(
       "%s: %zu gates, area %.1f um^2, delay %.0f ps, power %.2f uW, "
       "error rate %.4f\n",
       spec.name().c_str(), result.stats.gates, result.stats.area,
       result.stats.delay_ps, result.stats.power_uw, result.error_rate);
+  if (!args.json.empty()) {
+    if (!write_text_file(args.json, result.report.to_json())) return 1;
+    std::printf("wrote %s\n", args.json.c_str());
+  }
 
   if (!args.output.empty()) {
     std::ofstream out(args.output);

@@ -4,14 +4,17 @@
 # backend with RDC_SIMD=scalar), then the whole unit-test binary once in a
 # single process (ctest runs every test in its own process, which hides
 # state one test leaks into the next), a diff of the paper harnesses'
-# stdout against the goldens in tests/golden/, followed
+# stdout and the rdcsyn_cli fixture reports against the goldens in
+# tests/golden/, followed
 # by an ASan+UBSan build of the unit tests to catch memory and UB bugs the
 # release build hides (the word-parallel kernels and the thread pool are
 # exactly the kind of code sanitizers pay off on), a fuzz-corpus replay of
 # the fuzz targets (parsers + journal replayer), a pipeline smoke
 # (rdcsyn_cli --pipeline
 # with a nondefault spec plus a batch fan-out over the examples/ fixtures,
-# reports validated with rdc_json_check), and the §10 fault-injection
+# reports validated with rdc_json_check), an rdcsyn_cli smoke (malformed
+# or out-of-range assign flags exit 2, a failed synth writes no file and
+# exits 2 or 1, synth --json writes the report), and the §10 fault-injection
 # smoke: a
 # bench_table1 run over a circuit list containing a malformed BLIF and a
 # deadline-busting circuit, plus an RDC_FAULT espresso failure in
@@ -137,6 +140,45 @@ grep -q "at offset" "$smoke_dir/parse_err.txt" || {
   cat "$smoke_dir/parse_err.txt" >&2
   exit 1
 }
+
+echo
+echo "== rdcsyn_cli smoke: flag validation, failed flows, synth --json =="
+# Runs "$@" and fails the check unless it exits with status $1.
+expect_exit() {
+  local want="$1" code=0
+  shift
+  "$@" > /dev/null 2>&1 || code=$?
+  [[ "$code" == "$want" ]] || {
+    echo "rdcsyn_cli smoke: '$*' exited $code, want $want" >&2; exit 1
+  }
+}
+# assign: a value must parse whole and lie in range (fraction in [0, 1],
+# threshold in (0, 1)), else exit 2.
+for fraction in -0.5 nan 7 abc 0.5x; do
+  expect_exit 2 ./build/examples/rdcsyn_cli assign \
+    examples/fixtures/builtin.pla -o "$smoke_dir/assign.pla" \
+    --fraction "$fraction"
+done
+for threshold in 5 0 1 abc; do
+  expect_exit 2 ./build/examples/rdcsyn_cli assign \
+    examples/fixtures/builtin.pla -o "$smoke_dir/assign.pla" \
+    --policy lcf --threshold "$threshold"
+done
+# synth on the canonical flow: a failed flow writes no file and exits 2
+# for invalid arguments, 1 for any other failure.
+rm -f "$smoke_dir/synth_bad.v" "$smoke_dir/synth_bad_tb.v"
+expect_exit 2 ./build/examples/rdcsyn_cli synth examples/fixtures/builtin.pla \
+  --fraction -0.5 -o "$smoke_dir/synth_bad.v" --tb "$smoke_dir/synth_bad_tb.v"
+RDC_FAULT=pipeline.pass:1 expect_exit 1 ./build/examples/rdcsyn_cli synth \
+  examples/fixtures/builtin.pla -o "$smoke_dir/synth_bad.v"
+if [[ -e "$smoke_dir/synth_bad.v" || -e "$smoke_dir/synth_bad_tb.v" ]]; then
+  echo "rdcsyn_cli smoke: a failed synth wrote an output file" >&2; exit 1
+fi
+# synth --json writes the flow report.
+./build/examples/rdcsyn_cli synth examples/fixtures/builtin.pla \
+  --json "$smoke_dir/synth.json" > /dev/null
+./build/tools/rdc_json_check "$smoke_dir/synth.json" \
+  schema phases metrics metrics.error_rate metrics.gates metrics.area
 
 echo
 echo "== §16 cross-model smoke: fault models =="
