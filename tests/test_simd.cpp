@@ -3,9 +3,8 @@
 //
 // Every backend the CPU supports is driven through simd::set_backend and
 // compared bit-for-bit against the scalar (portable word-parallel) kernels
-// across n = 1..16 and DC densities 0 / 0.3 / 0.6 / 1.0 — the same matrix
-// the issue's acceptance criteria name. The stratified 95% CI is checked
-// against the exact rate at small n.
+// across n = 1..16 and DC densities 0 / 0.3 / 0.6 / 1.0. The stratified
+// 95% CI is checked against the exact rate at small n.
 #include <gtest/gtest.h>
 
 #include <cstdint>
