@@ -26,7 +26,8 @@ build_dir="${1:-$repo_root/build}"
 golden_dir="$repo_root/tests/golden"
 
 harnesses=(bench_table1 bench_table2 bench_table3 bench_fig4 bench_fig5
-           bench_fig6 bench_multibit bench_cross_model)
+           bench_fig6 bench_multibit bench_cross_model bench_ablation_ranking
+           bench_ablation_ties)
 cli="$build_dir/examples/rdcsyn_cli"
 
 for binary in "${harnesses[@]/#/$build_dir/bench/}" "$cli"; do

@@ -917,6 +917,56 @@ TEST(FlowFaultModel, KbitDecisionFingerprint) {
   EXPECT_EQ(hash, 0x189050f7e8749b1bull);
 }
 
+// The reliability sweep's steps for several models, all on ONE Design, so
+// every model's DC candidates are asked for again and again and the model
+// switches back and forth (bitflip(2) -> stuckat -> bitflip(2), and the
+// default before and after). Every step must decide exactly like a fresh
+// Design running that step alone, and FNV-1a over the working on/dc words
+// after every step pins the decisions themselves.
+TEST(FlowFaultModel, SweepReuseFingerprint) {
+  std::vector<std::string> steps;
+  for (const char* f : {"0.1", "0.2", "0.3", "0.4", "0.5", "0.6", "0.7",
+                        "0.8", "0.9", "1"})
+    steps.push_back(std::string("assign:ranking(") + f + ")");
+  for (const char* step :
+       {"assign:lcf(0.55)", "assign:ranking_inc(0.5)",
+        "assign:lcf(0.55,balanced)", "assign:ranking(0.35)", "assign:all"})
+    steps.push_back(step);
+  Rng rng(9017);
+  std::uint64_t hash = kFnv1aOffset;
+  for (unsigned n = 12; n <= 16; ++n) {
+    const IncompleteSpec spec =
+        generate_spec("reuse", options_for_target(n, 0.7, 0.55), rng);
+    std::string weighted = "@bitflip_weighted(";
+    for (unsigned j = 0; j < n; ++j)
+      weighted += (j == 0 ? "" : ",") + std::to_string(1 + j % 3);
+    weighted += ")";
+    flow::Design design(spec);
+    for (const std::string& model :
+         {std::string(), std::string("@bitflip(2)"), std::string("@stuckat"),
+          std::string("@bitflip(2)"), weighted, std::string()}) {
+      for (const std::string& step : steps) {
+        const std::string where = step + model + " n=" + std::to_string(n);
+        exec::Result<flow::Pipeline> pipeline =
+            flow::parse_pipeline(step + model);
+        ASSERT_TRUE(pipeline.ok()) << pipeline.status().message();
+        ASSERT_TRUE(pipeline->run(design).ok()) << where;
+        flow::Design fresh(spec);
+        ASSERT_TRUE(pipeline->run(fresh).ok()) << where;
+        ASSERT_EQ(design.working(), fresh.working()) << where;
+        expect_same_assignment(design.assignment, fresh.assignment, where);
+        for (unsigned o = 0; o < spec.num_outputs(); ++o) {
+          const TernaryTruthTable& f = design.working().output(o);
+          for (const BitVec* bits : {&f.on_bits(), &f.dc_bits()})
+            for (std::size_t w = 0; w < bits->num_words(); ++w)
+              hash = fnv1a_u64(bits->data()[w], hash);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(hash, 0x4409f0c60da885bfull);
+}
+
 TEST(FlowFaultModel, IncrementalRankingFallsBackToStaticRanking) {
   // Incremental maintenance exists for bitflip(1) only; under any other
   // model assign:ranking_inc must decide exactly like assign:ranking.
