@@ -78,6 +78,32 @@ const reliability::FaultModel& Design::fault_model(
   return *fault_models_.back().second;
 }
 
+exec::Result<std::span<DcCandidates>> Design::dc_candidates(
+    const reliability::FaultModelSpec& model,
+    std::vector<DcCandidates>& scratch) {
+  if (exec::Status status = model.check_inputs(spec_.num_inputs());
+      !status.ok())
+    return status;
+  if (candidates_kept_ && candidates_model_ == model)
+    return std::span<DcCandidates>(candidates_);
+  const bool keep = candidates_model_ == model;
+  if (!keep) {
+    candidates_model_ = model;
+    candidates_ = {};  // frees the previous model's lists
+    candidates_kept_ = false;
+  }
+  const reliability::FaultModel& analyzer = fault_model(model);
+  const std::span<const NeighborTable> tables = spec_neighbors();
+  std::vector<DcCandidates> lists;
+  lists.reserve(spec_.num_outputs());
+  for (unsigned o = 0; o < spec_.num_outputs(); ++o)
+    lists.push_back(rdc::dc_candidates(spec_.output(o), tables[o], analyzer));
+  std::vector<DcCandidates>& home = keep ? candidates_ : scratch;
+  home = std::move(lists);
+  candidates_kept_ = keep;
+  return std::span<DcCandidates>(home);
+}
+
 exec::Status Pass::set_fault_model(const reliability::FaultModelSpec&) {
   return exec::Status(exec::StatusCode::kInvalidArgument,
                       std::string("pass '") + name() +
@@ -179,43 +205,51 @@ class AssignPass final : public Pass {
     IncompleteSpec& working = design.working();
     AssignmentResult result;
     const char* policy = "";
+    // The reliability policies decide from the Design's candidate lists
+    // and NeighborTables: reset_working() just made working == spec, and
+    // all of them evaluate their metrics on the input specification, so
+    // both stay valid however often the pass re-runs.
+    std::vector<DcCandidates> scratch;
+    const auto candidates = [&] {
+      return design.dc_candidates(stamp_fault_model(design), scratch);
+    };
     switch (kind_) {
       case Kind::kConventional:
         // All DCs stay with the downstream minimizer (the baseline).
         policy = "conventional";
         break;
-      // The reliability policies hand in the Design's cached per-output
-      // NeighborTables: reset_working() just made working == spec, and all
-      // of them evaluate their metrics on the input specification, so the
-      // tables stay valid however often the pass re-runs.
       case Kind::kRanking:
-        result = ranking_assign(working, param_, design.spec_neighbors(),
-                                analyzer(design));
-        policy = "ranking_fraction";
+      case Kind::kAll: {
+        auto lists = candidates();
+        if (!lists.ok()) return lists.status();
+        result = ranking_assign(working, kind_ == Kind::kAll ? 1.0 : param_,
+                                *lists);
+        policy = kind_ == Kind::kAll ? "all_reliability" : "ranking_fraction";
         break;
+      }
       case Kind::kRankingInc: {
         // Incremental neighbor-count maintenance exists for bitflip(1)
         // only; any other model falls back to the static ranking (the same
         // decisions as assign:ranking under that model).
-        const reliability::FaultModel& model = analyzer(design);
-        result = model.model_spec().is_default()
-                     ? ranking_assign_incremental(working, param_,
-                                                  design.spec_neighbors())
-                     : ranking_assign(working, param_,
-                                      design.spec_neighbors(), model);
+        if (stamp_fault_model(design).is_default()) {
+          result = ranking_assign_incremental(working, param_,
+                                              design.spec_neighbors());
+        } else {
+          auto lists = candidates();
+          if (!lists.ok()) return lists.status();
+          result = ranking_assign(working, param_, *lists);
+        }
         policy = "ranking_incremental";
         break;
       }
-      case Kind::kLcf:
-        result = lcf_assign(working, param_, balanced_,
-                            design.spec_neighbors(), analyzer(design));
+      case Kind::kLcf: {
+        auto lists = candidates();
+        if (!lists.ok()) return lists.status();
+        result = lcf_assign(working, param_, balanced_, *lists,
+                            design.spec_neighbors());
         policy = "lcf_threshold";
         break;
-      case Kind::kAll:
-        result = ranking_assign(working, 1.0, design.spec_neighbors(),
-                                analyzer(design));
-        policy = "all_reliability";
-        break;
+      }
       case Kind::kZero:
         // Degradation-ladder fallback: every remaining DC to the paper's
         // power-friendly default phase, no ranking work at all. Leaves the
@@ -234,11 +268,6 @@ class AssignPass final : public Pass {
   }
 
  private:
-  /// The analyzer the reliability kinds decide through.
-  const reliability::FaultModel& analyzer(Design& design) const {
-    return design.fault_model(stamp_fault_model(design));
-  }
-
   Kind kind_;
   double param_;
   bool balanced_;

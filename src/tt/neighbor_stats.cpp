@@ -413,4 +413,16 @@ unsigned NeighborTable::same_phase_neighbors(const TernaryTruthTable& f,
   return 0;
 }
 
+void NeighborTable::same_phase_neighbors(const TernaryTruthTable& f,
+                                         std::span<std::uint8_t> out) const {
+  assert(out.size() == f.size());
+  const std::uint64_t* on = f.on_bits().data();
+  const std::uint64_t* dc = f.dc_bits().data();
+  for (std::uint32_t m = 0; m < f.size(); ++m) {
+    const bool is_on = (on[m >> 6] >> (m & 63)) & 1;
+    const bool is_dc = (dc[m >> 6] >> (m & 63)) & 1;
+    out[m] = is_on ? on_[m] : is_dc ? dc_[m] : off_[m];
+  }
+}
+
 }  // namespace rdc

@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 
 #include "tt/ternary_function.hpp"
 
@@ -43,6 +44,11 @@ class NeighborTable {
   /// (The summand of the complexity factor definition.)
   unsigned same_phase_neighbors(const TernaryTruthTable& f,
                                 std::uint32_t minterm) const;
+
+  /// The same count for every minterm, in minterm order
+  /// (out.size() == f.size()).
+  void same_phase_neighbors(const TernaryTruthTable& f,
+                            std::span<std::uint8_t> out) const;
 
  private:
   unsigned num_inputs_;
