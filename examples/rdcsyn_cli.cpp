@@ -249,7 +249,7 @@ int cmd_pipeline(const Args& args) {
   flow::Design design(spec, options);
   if (exec::Status status = pipeline->run(design); !status.ok()) {
     std::fprintf(stderr, "error: %s\n", status.to_string().c_str());
-    return 1;
+    return status.code() == exec::StatusCode::kInvalidArgument ? 2 : 1;
   }
   const std::string report = design.report.to_json();
   if (!args.json.empty()) {
@@ -440,6 +440,11 @@ int cmd_cec(const std::string& a_path, const std::string& b_path) {
 }
 
 int cmd_renode(const Args& args) {
+  // Negated so that NaN is rejected too.
+  if (!(args.threshold > 0.0 && args.threshold < 1.0)) {
+    std::fprintf(stderr, "renode: --threshold must be in (0, 1)\n");
+    return 2;
+  }
   IncompleteSpec spec = load_pla(args.input);
   conventional_assign(spec);
   Aig aig(spec.num_inputs());

@@ -13,8 +13,10 @@
 # (rdcsyn_cli --pipeline
 # with a nondefault spec plus a batch fan-out over the examples/ fixtures,
 # reports validated with rdc_json_check), an rdcsyn_cli smoke (malformed
-# or out-of-range assign flags exit 2, a failed synth writes no file and
-# exits 2 or 1, synth --json writes the report), and the §10 fault-injection
+# or out-of-range assign and renode flags exit 2, a fault model that does
+# not fit the spec fails a --pipeline with exit 2, a failed synth writes no
+# file and exits 2 or 1, synth --json writes the report), and the §10
+# fault-injection
 # smoke: a
 # bench_table1 run over a circuit list containing a malformed BLIF and a
 # deadline-busting circuit, plus an RDC_FAULT espresso failure in
@@ -164,6 +166,15 @@ for threshold in 5 0 1 abc; do
     examples/fixtures/builtin.pla -o "$smoke_dir/assign.pla" \
     --policy lcf --threshold "$threshold"
 done
+# renode: the same (0, 1) range for --threshold.
+for threshold in 5 -1 0 1 abc; do
+  expect_exit 2 ./build/examples/rdcsyn_cli renode \
+    examples/fixtures/builtin.pla --threshold "$threshold"
+done
+# An assign pass under a model wider than the spec (builtin.pla has 4
+# inputs) is an invalid argument on every pipeline, not a silent no-op.
+expect_exit 2 ./build/examples/rdcsyn_cli synth examples/fixtures/builtin.pla \
+  --pipeline "assign:ranking(0.5)@bitflip(9) | espresso | error_rate"
 # synth on the canonical flow: a failed flow writes no file and exits 2
 # for invalid arguments, 1 for any other failure.
 rm -f "$smoke_dir/synth_bad.v" "$smoke_dir/synth_bad_tb.v"

@@ -593,6 +593,29 @@ TEST(FlowValidation, OutOfRangeKnobsAreInvalidArgument) {
             StatusCode::kInvalidArgument);
 }
 
+TEST(FlowValidation, AssignPassRejectsAModelThatDoesNotFitTheSpec) {
+  // run_flow checks its options' model up front; a --pipeline carries the
+  // model on the pass, which must reject it the same way instead of
+  // assigning nothing. builtin.pla has 4 inputs.
+  const IncompleteSpec spec = builtin_spec();
+  for (const char* step :
+       {"assign:ranking(0.5)@bitflip(9)", "assign:ranking_inc(0.5)@bitflip(5)",
+        "assign:lcf(0.55)@bitflip(9)", "assign:all@bitflip(9)",
+        "assign:ranking(0.5)@bitflip_weighted(1,2)"}) {
+    flow::Pipeline pipeline =
+        parse_ok(std::string(step) + " | espresso | error_rate");
+    flow::Design design(spec);
+    const exec::Status status = pipeline.run(design);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << step;
+    EXPECT_FALSE(design.has_assignment) << step;
+  }
+  // k = n fits.
+  flow::Pipeline fits =
+      parse_ok("assign:ranking(0.5)@bitflip(4) | espresso | error_rate");
+  flow::Design design(spec);
+  EXPECT_TRUE(fits.run(design).ok());
+}
+
 TEST(FlowValidation, PoliciesIgnoreUnrelatedKnobs) {
   // A garbage lcf_threshold must not fail policies that never read it —
   // validation is per policy.
