@@ -4,9 +4,11 @@
 
 #include <bit>
 #include <cmath>
+#include <string>
 
 #include "common/rng.hpp"
 #include "oracles/error_rate.hpp"
+#include "oracles/ranking_incremental.hpp"
 #include "reliability/assignment.hpp"
 #include "reliability/complexity.hpp"
 #include "reliability/error_rate.hpp"
@@ -21,6 +23,23 @@ TernaryTruthTable random_ternary(unsigned n, Rng& rng) {
   for (std::uint32_t m = 0; m < f.size(); ++m)
     f.set_phase(m, static_cast<Phase>(rng.below(3)));
   return f;
+}
+
+/// Each minterm is DC with probability `dc_density`, else on or off.
+TernaryTruthTable random_ternary(unsigned n, double dc_density, Rng& rng) {
+  TernaryTruthTable f(n);
+  for (std::uint32_t m = 0; m < f.size(); ++m)
+    f.set_phase(m, rng.flip(dc_density)   ? Phase::kDc
+                   : rng.flip(0.5)        ? Phase::kOne
+                                          : Phase::kZero);
+  return f;
+}
+
+void expect_same_result(const AssignmentResult& a, const AssignmentResult& b,
+                        const std::string& where) {
+  EXPECT_EQ(a.dc_before, b.dc_before) << where;
+  EXPECT_EQ(a.assigned, b.assigned) << where;
+  EXPECT_EQ(a.assigned_on, b.assigned_on) << where;
 }
 
 TEST(Complexity, ConstantFunctionIsOne) {
@@ -192,6 +211,53 @@ TEST(RankingAssign, IncrementalRespectsUpdatedMajorities) {
   EXPECT_EQ(r.assigned, 2u);
   EXPECT_TRUE(f.is_on(0b01));
   EXPECT_TRUE(f.is_on(0b11));
+}
+
+TEST(RankingAssign, IncrementalMatchesLazyHeapOracle) {
+  // The weight buckets must pick the DCs the lazy heap pops, in the same
+  // order, so the same DCs end up assigned to the same phases.
+  Rng rng(77);
+  for (unsigned n = 1; n <= 12; ++n)
+    for (const double dc_density : {0.0, 0.3, 0.7, 1.0})
+      for (const double fraction : {0.0, 0.25, 0.5, 1.0}) {
+        const std::string where = "n=" + std::to_string(n) +
+                                  " dc=" + std::to_string(dc_density) +
+                                  " fraction=" + std::to_string(fraction);
+        TernaryTruthTable f = random_ternary(n, dc_density, rng);
+        TernaryTruthTable g = f;
+        const NeighborTable neighbors(f);
+        const AssignmentResult buckets =
+            ranking_assign_incremental(f, fraction, neighbors);
+        const AssignmentResult heap =
+            oracle::ranking_assign_incremental(g, fraction, neighbors);
+        expect_same_result(buckets, heap, where);
+        EXPECT_EQ(f.on_bits(), g.on_bits()) << where;
+        EXPECT_EQ(f.dc_bits(), g.dc_bits()) << where;
+      }
+}
+
+TEST(LcfAssign, GateMatchesLocalComplexityFactor) {
+  // lcf_assign sums a per-call array of same-phase counts; each decision
+  // must equal the literal Fig. 7 test on local_complexity_factor.
+  Rng rng(79);
+  for (unsigned n = 1; n <= 10; ++n)
+    for (const double dc_density : {0.3, 0.7})
+      for (const double threshold : {0.3, 0.45, 0.55, 0.65})
+        for (const bool balanced : {false, true}) {
+          const TernaryTruthTable spec = random_ternary(n, dc_density, rng);
+          const NeighborTable neighbors(spec);
+          TernaryTruthTable expected = spec;
+          for (const std::uint32_t m : spec.dc_minterms()) {
+            const NeighborCounts c = neighbors.at(m);
+            if ((c.on != c.off || balanced) &&
+                local_complexity_factor(spec, neighbors, m) < threshold)
+              expected.set_phase(m, c.on > c.off ? Phase::kOne : Phase::kZero);
+          }
+          TernaryTruthTable f = spec;
+          lcf_assign(f, threshold, balanced, neighbors);
+          EXPECT_EQ(f, expected) << "n=" << n << " threshold=" << threshold
+                                 << " balanced=" << balanced;
+        }
 }
 
 TEST(LcfAssign, ThresholdGates) {
