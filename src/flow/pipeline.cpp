@@ -70,6 +70,13 @@ exec::Status Pipeline::run(Design& design) const {
   // Harness-independent telemetry entry point: any pipeline run picks up
   // RDC_METRICS without the caller having to opt in.
   obs::metrics_init_from_env();
+  // A model that does not fit the spec fails the run before any pass does
+  // work, under the name of the pass that carries it.
+  for (const auto& pass : passes_)
+    if (const auto& model = pass->fault_model(); model.has_value())
+      if (exec::Status status = model->check_inputs(design.spec().num_inputs());
+          !status.ok())
+        return status.with_context(pass->name());
   const bool events = obs::events_enabled();
   const std::uint64_t run_start_ns = obs::trace_now_ns();
   if (events) {

@@ -96,7 +96,8 @@ class FaultModelSpec {
 
   /// kInvalidArgument unless the model fits a spec with `num_inputs`
   /// inputs: bitflip(k) needs at least k inputs, bitflip_weighted one
-  /// weight per input. run_flow checks this before any pass runs.
+  /// weight per input. run_flow checks its option, and Pipeline::run every
+  /// pass annotation, before any pass runs.
   exec::Status check_inputs(unsigned num_inputs) const;
 
   /// FNV-1a digest of the model identity, mixed into

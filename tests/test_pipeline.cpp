@@ -616,6 +616,25 @@ TEST(FlowValidation, AssignPassRejectsAModelThatDoesNotFitTheSpec) {
   EXPECT_TRUE(fits.run(design).ok());
 }
 
+TEST(FlowValidation, ModelThatDoesNotFitFailsBeforeAnyPassRuns) {
+  // The misfit model sits on the last pass; the passes before it must not
+  // run, so the Design holds no covers.
+  const IncompleteSpec spec = builtin_spec();
+  flow::Pipeline pipeline = parse_ok(
+      "espresso | factor | aig | map:power | analyze | "
+      "error_rate@bitflip(9)");
+  flow::Design design(spec);
+  const exec::Status status = pipeline.run(design);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.to_string().find("error_rate"), std::string::npos)
+      << status.to_string();
+  EXPECT_NE(status.message().find("bitflip(9) needs at least 9 inputs"),
+            std::string::npos)
+      << status.to_string();
+  EXPECT_FALSE(design.has(flow::Artifact::kCovers));
+  EXPECT_TRUE(design.report.phases.empty());
+}
+
 TEST(FlowValidation, PoliciesIgnoreUnrelatedKnobs) {
   // A garbage lcf_threshold must not fail policies that never read it —
   // validation is per policy.
