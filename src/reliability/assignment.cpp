@@ -86,8 +86,8 @@ AssignmentResult lcf_filter_and_assign(TernaryTruthTable& f, double threshold,
   const auto below = [&](std::uint32_t m) {
     unsigned t = 0;
     for (unsigned j = 0; j < n; ++j) t += same[flip_bit(m, j)];
-    // The division of local_complexity_factor, so the values match bit for
-    // bit.
+    // The division of the per-minterm definition (the test oracle
+    // oracle::local_complexity_factor), so the values match bit for bit.
     return static_cast<double>(t) / pairs < threshold;
   };
   for (const DcCandidate& c : candidates)

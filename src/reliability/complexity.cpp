@@ -52,22 +52,4 @@ double expected_complexity_factor(const IncompleteSpec& spec) {
   return sum / spec.num_outputs();
 }
 
-double local_complexity_factor(const TernaryTruthTable& f,
-                               const NeighborTable& neighbors,
-                               std::uint32_t minterm) {
-  const unsigned n = f.num_inputs();
-  std::uint64_t same = 0;
-  for (unsigned j = 0; j < n; ++j) {
-    const std::uint32_t nbr = flip_bit(minterm, j);
-    same += neighbors.same_phase_neighbors(f, nbr);
-  }
-  return static_cast<double>(same) / (static_cast<double>(n) * n);
-}
-
-double local_complexity_factor(const TernaryTruthTable& f,
-                               std::uint32_t minterm) {
-  const NeighborTable neighbors(f);
-  return local_complexity_factor(f, neighbors, minterm);
-}
-
 }  // namespace rdc

@@ -7,13 +7,14 @@
 //
 // The *local* complexity factor LC^f(x_i) restricts the count to pairs
 // (x_j, x_k) with x_j a neighbor of x_i and x_k a neighbor of x_j; it drives
-// the complexity-factor-based DC assignment of Section 4.
+// the complexity-factor-based DC assignment of Section 4, which computes it
+// in lcf_assign (reliability/assignment.hpp). Its per-minterm definition is
+// a test oracle (tests/oracles/local_complexity.hpp).
 #pragma once
 
 #include <cstdint>
 
 #include "tt/incomplete_spec.hpp"
-#include "tt/neighbor_stats.hpp"
 #include "tt/ternary_function.hpp"
 
 namespace rdc {
@@ -34,17 +35,5 @@ double complexity_factor(const IncompleteSpec& spec);
 /// function's signal probabilities: E[C^f] = f0^2 + f1^2 + fDC^2.
 double expected_complexity_factor(const TernaryTruthTable& f);
 double expected_complexity_factor(const IncompleteSpec& spec);
-
-/// Normalized local complexity factor LC^f(x_i) in [0, 1]:
-///   (1/n^2) |{(x_j, x_k) : D(x_i,x_j)=1, D(x_j,x_k)=1, f(x_j)=f(x_k)}|.
-/// Taken literally from the paper: x_k ranges over all n neighbors of x_j,
-/// including x_i itself.
-double local_complexity_factor(const TernaryTruthTable& f,
-                               const NeighborTable& neighbors,
-                               std::uint32_t minterm);
-
-/// Convenience overload building the neighbor table internally (O(n·2^n)).
-double local_complexity_factor(const TernaryTruthTable& f,
-                               std::uint32_t minterm);
 
 }  // namespace rdc

@@ -400,19 +400,6 @@ NeighborTable::NeighborTable(const TernaryTruthTable& f)
   }
 }
 
-unsigned NeighborTable::same_phase_neighbors(const TernaryTruthTable& f,
-                                             std::uint32_t minterm) const {
-  switch (f.phase(minterm)) {
-    case Phase::kOne:
-      return on_[minterm];
-    case Phase::kZero:
-      return off_[minterm];
-    case Phase::kDc:
-      return dc_[minterm];
-  }
-  return 0;
-}
-
 void NeighborTable::same_phase_neighbors(const TernaryTruthTable& f,
                                          std::span<std::uint8_t> out) const {
   assert(out.size() == f.size());

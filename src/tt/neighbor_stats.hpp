@@ -40,13 +40,9 @@ class NeighborTable {
 
   unsigned num_inputs() const { return num_inputs_; }
 
-  /// Number of neighbors of `minterm` that share its phase in `f`.
-  /// (The summand of the complexity factor definition.)
-  unsigned same_phase_neighbors(const TernaryTruthTable& f,
-                                std::uint32_t minterm) const;
-
-  /// The same count for every minterm, in minterm order
-  /// (out.size() == f.size()).
+  /// For every minterm, in minterm order, the number of its neighbors that
+  /// share its phase in `f` (the summand of the complexity factor
+  /// definition; out.size() == f.size()).
   void same_phase_neighbors(const TernaryTruthTable& f,
                             std::span<std::uint8_t> out) const;
 

@@ -10,6 +10,7 @@
 #include "espresso/espresso.hpp"
 #include "flow/synthesis_flow.hpp"
 #include "oracles/cube_calculus.hpp"
+#include "oracles/local_complexity.hpp"
 #include "reliability/assignment.hpp"
 #include "reliability/complexity.hpp"
 #include "reliability/error_rate.hpp"
@@ -87,7 +88,7 @@ TEST_P(FunctionProperty, ComplexityFactorInUnitInterval) {
   // each individually stays in [0, 1].
   const NeighborTable neighbors(f);
   for (std::uint32_t m = 0; m < std::min<std::uint32_t>(f.size(), 64); ++m) {
-    const double lcf = local_complexity_factor(f, neighbors, m);
+    const double lcf = oracle::local_complexity_factor(f, neighbors, m);
     EXPECT_GE(lcf, 0.0);
     EXPECT_LE(lcf, 1.0);
   }

@@ -8,6 +8,7 @@
 
 #include "common/rng.hpp"
 #include "oracles/error_rate.hpp"
+#include "oracles/local_complexity.hpp"
 #include "oracles/ranking_incremental.hpp"
 #include "reliability/assignment.hpp"
 #include "reliability/complexity.hpp"
@@ -76,7 +77,7 @@ TEST(Complexity, LocalFactorOnUniformFunction) {
   // LC^f = n * n / n^2 = 1 for every minterm.
   TernaryTruthTable f(4);
   for (std::uint32_t m = 0; m < 16; ++m)
-    EXPECT_DOUBLE_EQ(local_complexity_factor(f, m), 1.0);
+    EXPECT_DOUBLE_EQ(oracle::local_complexity_factor(f, m), 1.0);
 }
 
 TEST(Complexity, LocalFactorOnParity) {
@@ -84,7 +85,7 @@ TEST(Complexity, LocalFactorOnParity) {
   for (std::uint32_t m = 0; m < 16; ++m)
     if (std::popcount(m) % 2) f.set_phase(m, Phase::kOne);
   for (std::uint32_t m = 0; m < 16; ++m)
-    EXPECT_DOUBLE_EQ(local_complexity_factor(f, m), 0.0);
+    EXPECT_DOUBLE_EQ(oracle::local_complexity_factor(f, m), 0.0);
 }
 
 TEST(Complexity, LocalFactorAveragesOverNeighborhood) {
@@ -96,7 +97,7 @@ TEST(Complexity, LocalFactorAveragesOverNeighborhood) {
     if (m & 1) f.set_phase(m, Phase::kOne);
   // Neighbors of 000: 001 (on, same-phase nbrs = 2), 010 (off, 2), 100
   // (off, 2). LC = (2+2+2)/9.
-  EXPECT_DOUBLE_EQ(local_complexity_factor(f, 0), 6.0 / 9.0);
+  EXPECT_DOUBLE_EQ(oracle::local_complexity_factor(f, 0), 6.0 / 9.0);
 }
 
 TEST(Complexity, SpecMeanAcrossOutputs) {
@@ -250,7 +251,7 @@ TEST(LcfAssign, GateMatchesLocalComplexityFactor) {
           for (const std::uint32_t m : spec.dc_minterms()) {
             const NeighborCounts c = neighbors.at(m);
             if ((c.on != c.off || balanced) &&
-                local_complexity_factor(spec, neighbors, m) < threshold)
+                oracle::local_complexity_factor(spec, neighbors, m) < threshold)
               expected.set_phase(m, c.on > c.off ? Phase::kOne : Phase::kZero);
           }
           TernaryTruthTable f = spec;

@@ -7,6 +7,7 @@
 
 #include "common/rng.hpp"
 #include "oracles/error_rate.hpp"
+#include "oracles/local_complexity.hpp"
 #include "tt/incomplete_spec.hpp"
 #include "tt/neighbor_stats.hpp"
 #include "tt/ternary_function.hpp"
@@ -129,8 +130,12 @@ TEST(NeighborTable, SamePhaseNeighbors) {
   f.set_phase(2, Phase::kZero);
   f.set_phase(3, Phase::kDc);
   const NeighborTable table(f);
-  EXPECT_EQ(table.same_phase_neighbors(f, 0), 1u);  // neighbor 1 is on
-  EXPECT_EQ(table.same_phase_neighbors(f, 3), 0u);
+  EXPECT_EQ(oracle::same_phase_neighbors(table, f, 0), 1u);  // 1 is on
+  EXPECT_EQ(oracle::same_phase_neighbors(table, f, 3), 0u);
+  std::vector<std::uint8_t> all(f.size());
+  table.same_phase_neighbors(f, all);
+  for (std::uint32_t m = 0; m < f.size(); ++m)
+    EXPECT_EQ(all[m], oracle::same_phase_neighbors(table, f, m)) << m;
 }
 
 TEST(IncompleteSpec, Construction) {
