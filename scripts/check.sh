@@ -4,8 +4,8 @@
 # backend with RDC_SIMD=scalar), then the whole unit-test binary once in a
 # single process (ctest runs every test in its own process, which hides
 # state one test leaks into the next), a diff of the paper harnesses'
-# stdout and the rdcsyn_cli fixture reports against the goldens in
-# tests/golden/, followed
+# stdout, the rdcsyn_cli fixture reports and the canonical-flow reports of
+# the Table-1 circuits against the goldens in tests/golden/, followed
 # by an ASan+UBSan build of the unit tests to catch memory and UB bugs the
 # release build hides (the word-parallel kernels and the thread pool are
 # exactly the kind of code sanitizers pay off on), a fuzz-corpus replay of
@@ -71,8 +71,9 @@ echo "== unit tests in one process =="
 
 echo
 echo "== paper-harness and rdcsyn_cli goldens =="
-# The stdout of the deterministic table/figure harnesses, and the cache
-# keys and flow reports rdcsyn_cli gives for examples/fixtures, must match
+# The stdout of the deterministic table/figure harnesses, the cache keys
+# and flow reports rdcsyn_cli gives for examples/fixtures, and its
+# canonical-flow report of every Table-1 circuit must match
 # tests/golden/ byte for byte; a failure names the golden. A change meant
 # to move results regenerates them with scripts/update_goldens.sh.
 scripts/update_goldens.sh --check build
