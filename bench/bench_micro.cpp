@@ -23,11 +23,11 @@
 #include "oracles/error_rate.hpp"
 
 #include "aig/balance.hpp"
-#include "bdd/bdd_ops.hpp"
 #include "common/rng.hpp"
 #include "espresso/espresso.hpp"
 #include "flow/synthesis_flow.hpp"
 #include "mapper/tree_map.hpp"
+#include "oracles/bdd_ops.hpp"
 #include "reliability/assignment.hpp"
 #include "reliability/complexity.hpp"
 #include "reliability/error_rate.hpp"
@@ -192,8 +192,8 @@ void BM_BddFromTruthTable(benchmark::State& state) {
   const auto n = static_cast<unsigned>(state.range(0));
   const TernaryTruthTable f = random_ternary(n, 0.6, 82);
   for (auto _ : state) {
-    BddManager mgr(n);
-    benchmark::DoNotOptimize(to_symbolic(mgr, f));
+    oracle::BddManager mgr(n);
+    benchmark::DoNotOptimize(oracle::to_symbolic(mgr, f));
   }
 }
 BENCHMARK(BM_BddFromTruthTable)->Arg(8)->Arg(10)->Arg(12);
@@ -201,9 +201,10 @@ BENCHMARK(BM_BddFromTruthTable)->Arg(8)->Arg(10)->Arg(12);
 void BM_SymbolicBorders(benchmark::State& state) {
   const auto n = static_cast<unsigned>(state.range(0));
   const TernaryTruthTable f = random_ternary(n, 0.6, 83);
-  BddManager mgr(n);
-  const SymbolicSpec sym = to_symbolic(mgr, f);
-  for (auto _ : state) benchmark::DoNotOptimize(symbolic_borders(mgr, sym));
+  oracle::BddManager mgr(n);
+  const oracle::SymbolicSpec sym = oracle::to_symbolic(mgr, f);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(oracle::symbolic_borders(mgr, sym));
 }
 BENCHMARK(BM_SymbolicBorders)->Arg(8)->Arg(10)->Arg(12);
 

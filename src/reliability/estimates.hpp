@@ -48,10 +48,8 @@ EstimatedBounds signal_probability_bounds(const IncompleteSpec& spec);
 EstimatedBounds border_bounds(const IncompleteSpec& spec);
 
 /// Count-based entry points: the same estimators fed from aggregate
-/// statistics instead of a truth table. This is the scalable path — signal
-/// probabilities and border counts are computable symbolically (BDD
-/// sat-counts, see bdd/bdd_ops.hpp) for functions far beyond the 20-input
-/// truth-table limit.
+/// statistics (signal probabilities, border counts) instead of a truth
+/// table. The truth-table overloads above forward to these.
 EstimatedBounds signal_probability_bounds_from_stats(unsigned num_inputs,
                                                      double f0, double f1,
                                                      double fdc);

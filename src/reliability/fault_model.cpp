@@ -697,16 +697,6 @@ std::unique_ptr<FaultModel> make_fault_model(const FaultModelSpec& spec) {
   return std::make_unique<BitflipModel>(FaultModelSpec{});
 }
 
-const char* fault_detectability_name(FaultDetectability detectability) {
-  switch (detectability) {
-    case FaultDetectability::kDetectable: return "detectable";
-    case FaultDetectability::kAssignmentDependent:
-      return "assignment_dependent";
-    case FaultDetectability::kUntestable: return "untestable";
-  }
-  return "unknown";
-}
-
 DetectabilityReport classify_stuckat_faults(const TernaryTruthTable& spec) {
   DetectabilityReport report;
   const unsigned n = spec.num_inputs();

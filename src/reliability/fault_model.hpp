@@ -202,8 +202,6 @@ enum class FaultDetectability : std::uint8_t {
   kUntestable = 2,
 };
 
-const char* fault_detectability_name(FaultDetectability detectability);
-
 /// One classified stuck-at fault.
 struct StuckAtFault {
   unsigned pin = 0;

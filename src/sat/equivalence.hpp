@@ -2,8 +2,7 @@
 //
 // The exhaustive simulators top out at 20 inputs; the SAT path proves
 // equivalence (or produces a counterexample vector) independent of input
-// count, which is how the flow's output-preserving passes are verified at
-// scale.
+// count. `rdcsyn_cli cec` is its caller; no flow pass runs it.
 #pragma once
 
 #include <cstdint>

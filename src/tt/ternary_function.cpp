@@ -22,8 +22,7 @@ TernaryTruthTable::TernaryTruthTable(unsigned num_inputs)
     : num_inputs_(num_inputs) {
   if (num_inputs > kMaxInputs) {
     throw std::invalid_argument(
-        "TernaryTruthTable supports at most 20 inputs; use the BDD "
-        "representation for larger functions");
+        "TernaryTruthTable supports at most 20 inputs");
   }
   on_ = BitVec(size());
   dc_ = BitVec(size());
@@ -42,24 +41,6 @@ std::vector<std::uint32_t> TernaryTruthTable::dc_minterms() const {
     result.push_back(static_cast<std::uint32_t>(m));
   });
   return result;
-}
-
-unsigned TernaryTruthTable::on_neighbors(std::uint32_t m) const {
-  unsigned count = 0;
-  for (unsigned j = 0; j < num_inputs_; ++j)
-    count += on_.get(flip_bit(m, j)) ? 1u : 0u;
-  return count;
-}
-
-unsigned TernaryTruthTable::dc_neighbors(std::uint32_t m) const {
-  unsigned count = 0;
-  for (unsigned j = 0; j < num_inputs_; ++j)
-    count += dc_.get(flip_bit(m, j)) ? 1u : 0u;
-  return count;
-}
-
-unsigned TernaryTruthTable::off_neighbors(std::uint32_t m) const {
-  return num_inputs_ - on_neighbors(m) - dc_neighbors(m);
 }
 
 TernaryTruthTable TernaryTruthTable::with_all_dc_assigned(Phase p) const {

@@ -83,12 +83,6 @@ class TernaryTruthTable {
   /// All minterms currently in the DC-set, in increasing index order.
   std::vector<std::uint32_t> dc_minterms() const;
 
-  /// Number of on-set (off-set / DC-set) minterms at Hamming distance 1
-  /// from `m`. O(n).
-  unsigned on_neighbors(std::uint32_t m) const;
-  unsigned off_neighbors(std::uint32_t m) const;
-  unsigned dc_neighbors(std::uint32_t m) const;
-
   /// True iff the function has an empty DC-set.
   bool fully_specified() const { return dc_count() == 0; }
 

@@ -2,14 +2,14 @@
 // explicit truth tables.
 #include <gtest/gtest.h>
 
-#include "bdd/bdd.hpp"
-#include "bdd/bdd_ops.hpp"
 #include "common/rng.hpp"
+#include "oracles/bdd.hpp"
+#include "oracles/bdd_ops.hpp"
 #include "reliability/complexity.hpp"
 #include "reliability/error_rate.hpp"
 #include "reliability/estimates.hpp"
 
-namespace rdc {
+namespace rdc::oracle {
 namespace {
 
 TernaryTruthTable random_ternary(unsigned n, Rng& rng) {
@@ -149,4 +149,4 @@ TEST(Bdd, RejectsBadVarCount) {
 }
 
 }  // namespace
-}  // namespace rdc
+}  // namespace rdc::oracle

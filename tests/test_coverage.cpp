@@ -4,19 +4,19 @@
 
 #include <bit>
 
-#include "bdd/bdd.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "espresso/expand.hpp"
 #include "flow/synthesis_flow.hpp"
+#include "oracles/bdd.hpp"
 #include "reliability/fault_model.hpp"
 
 namespace rdc {
 namespace {
 
 TEST(BddCoverage, XorChainSatCount) {
-  BddManager mgr(6);
-  BddEdge f = mgr.zero();
+  oracle::BddManager mgr(6);
+  oracle::BddEdge f = mgr.zero();
   for (unsigned v = 0; v < 6; ++v) f = mgr.bdd_xor(f, mgr.var(v));
   // Parity: exactly half the assignments satisfy.
   EXPECT_DOUBLE_EQ(mgr.sat_count(f), 32.0);
@@ -25,20 +25,21 @@ TEST(BddCoverage, XorChainSatCount) {
 }
 
 TEST(BddCoverage, RestrictIsMemoizedConsistently) {
-  BddManager mgr(4);
-  const BddEdge f = mgr.bdd_or(mgr.bdd_and(mgr.var(0), mgr.var(2)),
-                               mgr.bdd_and(mgr.var(1), mgr.var(3)));
-  const BddEdge once = mgr.restrict_var(f, 2, true);
-  const BddEdge twice = mgr.restrict_var(f, 2, true);
+  oracle::BddManager mgr(4);
+  const oracle::BddEdge f =
+      mgr.bdd_or(mgr.bdd_and(mgr.var(0), mgr.var(2)),
+                 mgr.bdd_and(mgr.var(1), mgr.var(3)));
+  const oracle::BddEdge once = mgr.restrict_var(f, 2, true);
+  const oracle::BddEdge twice = mgr.restrict_var(f, 2, true);
   EXPECT_EQ(once, twice);
   // Restricting an absent variable is the identity.
-  const BddEdge g = mgr.bdd_and(mgr.var(0), mgr.var(1));
+  const oracle::BddEdge g = mgr.bdd_and(mgr.var(0), mgr.var(1));
   EXPECT_EQ(mgr.restrict_var(g, 3, false), g);
 }
 
 TEST(BddCoverage, EvaluateComplementedEdges) {
-  BddManager mgr(3);
-  const BddEdge f = mgr.bdd_and(mgr.var(0), !mgr.var(2));
+  oracle::BddManager mgr(3);
+  const oracle::BddEdge f = mgr.bdd_and(mgr.var(0), !mgr.var(2));
   for (std::uint32_t m = 0; m < 8; ++m) {
     EXPECT_EQ(mgr.evaluate(f, m), ((m & 1) != 0) && ((m & 4) == 0));
     EXPECT_EQ(mgr.evaluate(!f, m), !mgr.evaluate(f, m));

@@ -25,6 +25,7 @@
 #include "reliability/error_rate.hpp"
 #include "sop/factor.hpp"
 #include "synthetic/generator.hpp"
+#include "tt/neighbor_stats.hpp"
 
 namespace rdc {
 namespace {
@@ -38,7 +39,7 @@ TEST(EdgeCases, OneInputFunction) {
   f.set_phase(0, Phase::kOne);
   f.set_phase(1, Phase::kDc);
   EXPECT_EQ(f.size(), 2u);
-  EXPECT_EQ(f.on_neighbors(1), 1u);
+  EXPECT_EQ(NeighborTable(f).at(1).on, 1u);
   const ErrorBounds bounds = exact_error_bounds(f);
   EXPECT_EQ(bounds.base_error, 0u);
   // The DC's single neighbor is on: assigning to on masks the error
@@ -56,7 +57,7 @@ TEST(EdgeCases, TwentyInputTruthTableSmoke) {
   f.set_phase((1u << 20) - 1, Phase::kDc);
   EXPECT_EQ(f.on_count(), 1u);
   EXPECT_EQ(f.dc_count(), 1u);
-  EXPECT_EQ(f.on_neighbors(1), 1u);
+  EXPECT_EQ(NeighborTable(f).at(1).on, 1u);
 }
 
 TEST(EdgeCases, AllDcFunctionThroughFlow) {

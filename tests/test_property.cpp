@@ -5,10 +5,10 @@
 
 #include <tuple>
 
-#include "bdd/bdd_ops.hpp"
 #include "common/rng.hpp"
 #include "espresso/espresso.hpp"
 #include "flow/synthesis_flow.hpp"
+#include "oracles/bdd_ops.hpp"
 #include "oracles/cube_calculus.hpp"
 #include "oracles/local_complexity.hpp"
 #include "reliability/assignment.hpp"
@@ -127,12 +127,12 @@ TEST_P(FunctionProperty, LcfThresholdMonotone) {
 TEST_P(FunctionProperty, SymbolicMetricsAgree) {
   const TernaryTruthTable f = make_function();
   if (f.num_inputs() > 10) GTEST_SKIP();
-  BddManager mgr(f.num_inputs());
-  const SymbolicSpec sym = to_symbolic(mgr, f);
-  EXPECT_NEAR(symbolic_complexity_factor(mgr, sym), complexity_factor(f),
-              1e-9);
+  oracle::BddManager mgr(f.num_inputs());
+  const oracle::SymbolicSpec sym = oracle::to_symbolic(mgr, f);
+  EXPECT_NEAR(oracle::symbolic_complexity_factor(mgr, sym),
+              complexity_factor(f), 1e-9);
   const BorderCounts tt_borders = count_borders(f);
-  const BorderCounts bdd_borders = symbolic_borders(mgr, sym);
+  const BorderCounts bdd_borders = oracle::symbolic_borders(mgr, sym);
   EXPECT_EQ(tt_borders.b0, bdd_borders.b0);
   EXPECT_EQ(tt_borders.b1, bdd_borders.b1);
   EXPECT_EQ(tt_borders.bdc, bdd_borders.bdc);

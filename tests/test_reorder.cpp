@@ -3,11 +3,11 @@
 
 #include <numeric>
 
-#include "bdd/bdd.hpp"
-#include "bdd/reorder.hpp"
 #include "common/rng.hpp"
+#include "oracles/bdd.hpp"
+#include "oracles/reorder.hpp"
 
-namespace rdc {
+namespace rdc::oracle {
 namespace {
 
 TernaryTruthTable random_complete(unsigned n, Rng& rng) {
@@ -114,4 +114,4 @@ TEST(Reorder, GreedyIsNoWorse) {
 }
 
 }  // namespace
-}  // namespace rdc
+}  // namespace rdc::oracle

@@ -76,14 +76,15 @@ TEST(TernaryTruthTable, NeighborCounts) {
   f.set_phase(0b01, Phase::kZero);
   f.set_phase(0b10, Phase::kDc);
   f.set_phase(0b11, Phase::kOne);
+  const NeighborTable table(f);
   // Neighbors of 10 are 11 (on) and 00 (on).
-  EXPECT_EQ(f.on_neighbors(0b10), 2u);
-  EXPECT_EQ(f.off_neighbors(0b10), 0u);
-  EXPECT_EQ(f.dc_neighbors(0b10), 0u);
+  EXPECT_EQ(table.at(0b10).on, 2u);
+  EXPECT_EQ(table.at(0b10).off, 0u);
+  EXPECT_EQ(table.at(0b10).dc, 0u);
   // Neighbors of 00 are 01 (off) and 10 (DC).
-  EXPECT_EQ(f.on_neighbors(0b00), 0u);
-  EXPECT_EQ(f.off_neighbors(0b00), 1u);
-  EXPECT_EQ(f.dc_neighbors(0b00), 1u);
+  EXPECT_EQ(table.at(0b00).on, 0u);
+  EXPECT_EQ(table.at(0b00).off, 1u);
+  EXPECT_EQ(table.at(0b00).dc, 1u);
 }
 
 TEST(TernaryTruthTable, WithAllDcAssigned) {
@@ -116,10 +117,11 @@ TEST(NeighborTable, MatchesDirectCounts) {
   for (std::uint32_t m = 0; m < f.size(); ++m)
     f.set_phase(m, static_cast<Phase>(rng.below(3)));
   const NeighborTable table(f);
+  const std::vector<NeighborCounts> direct = oracle::neighbor_counts(f);
   for (std::uint32_t m = 0; m < f.size(); ++m) {
-    EXPECT_EQ(table.at(m).on, f.on_neighbors(m));
-    EXPECT_EQ(table.at(m).off, f.off_neighbors(m));
-    EXPECT_EQ(table.at(m).dc, f.dc_neighbors(m));
+    EXPECT_EQ(table.at(m).on, direct[m].on);
+    EXPECT_EQ(table.at(m).off, direct[m].off);
+    EXPECT_EQ(table.at(m).dc, direct[m].dc);
   }
 }
 
