@@ -30,7 +30,7 @@ golden_dir="$repo_root/tests/golden"
 
 harnesses=(bench_table1 bench_table2 bench_table3 bench_fig4 bench_fig5
            bench_fig6 bench_multibit bench_cross_model bench_ablation_ranking
-           bench_ablation_ties)
+           bench_ablation_ties bench_nodal bench_second_opinion)
 cli="$build_dir/examples/rdcsyn_cli"
 export_suite="$build_dir/examples/export_suite"
 
