@@ -10,7 +10,6 @@
 #include "aig/aig.hpp"
 #include "bench_util.hpp"
 #include "common/rng.hpp"
-#include "decomp/odc.hpp"
 #include "decomp/renode.hpp"
 #include "espresso/espresso.hpp"
 #include "sop/factor.hpp"
@@ -89,7 +88,7 @@ int main(int argc, char** argv) {
       "all primary outputs exactly (verified by the test suite).");
 
   // Second table: the full SDC ∪ ODC variant (one node per pass; see
-  // decomp/odc.hpp) on the smaller circuits.
+  // decomp/renode.hpp) on the smaller circuits.
   std::printf("\nWith observability DCs (iterative, budget 24 rewrites):\n");
   std::printf("%-8s %7s %7s | %6s %7s %7s | %8s %8s\n", "Name", "ANDs",
               "ANDs'", "rewr", "SDCs", "ODCs", "mask0", "mask1");
@@ -99,9 +98,7 @@ int main(int argc, char** argv) {
     const exec::Status status = bench::run_guarded(options_cli, [&] {
       const IncompleteSpec spec = make_benchmark(name);
       const Aig original = build_network(spec);
-      OdcRenodeOptions options;
-      options.max_rewrites = 24;
-      const OdcRenodeResult result = renode_with_odcs(original, options);
+      const OdcRenodeResult result = renode_with_odcs(original, {}, 24);
       Rng rng0(1234);
       Rng rng1(1234);
       const double mask_before = internal_error_rate(original, kSamples, rng0);

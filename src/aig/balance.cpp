@@ -34,12 +34,12 @@ class Balancer {
 
   /// Collects the leaves of the maximal AND-tree rooted at `node`
   /// (descending only through non-complemented AND edges).
-  void collect_leaves(std::uint32_t node, std::vector<std::uint32_t>& leaves) {
+  void collect_supergate(std::uint32_t node, std::vector<std::uint32_t>& leaves) {
     for (const std::uint32_t fanin :
          {src_.fanin0(node), src_.fanin1(node)}) {
       const std::uint32_t child = aiglit::node_of(fanin);
       if (!aiglit::is_complemented(fanin) && src_.is_and(child)) {
-        collect_leaves(child, leaves);
+        collect_supergate(child, leaves);
       } else {
         leaves.push_back(fanin);
       }
@@ -55,7 +55,7 @@ class Balancer {
       return complemented ? aiglit::negate(it->second) : it->second;
 
     std::vector<std::uint32_t> leaves;
-    collect_leaves(node, leaves);
+    collect_supergate(node, leaves);
 
     // Balance each leaf, then combine lowest-level pairs first.
     using Entry = std::pair<unsigned, std::uint32_t>;  // (level, dst lit)

@@ -4,7 +4,6 @@
 
 #include "aig/simulate.hpp"
 #include "common/rng.hpp"
-#include "decomp/odc.hpp"
 #include "decomp/renode.hpp"
 #include "espresso/espresso.hpp"
 #include "sop/factor.hpp"
@@ -83,9 +82,7 @@ TEST(OdcRenode, PreservesOutputsOnRandomNetworks) {
   Rng rng(281);
   for (int trial = 0; trial < 6; ++trial) {
     const Aig aig = random_multi_output_aig(6, 3, rng);
-    OdcRenodeOptions options;
-    options.max_rewrites = 16;
-    const OdcRenodeResult result = renode_with_odcs(aig, options);
+    const OdcRenodeResult result = renode_with_odcs(aig, {}, 16);
     expect_equivalent(aig, result.network);
   }
 }
@@ -109,9 +106,7 @@ TEST(OdcRenode, FindsObservabilityDcs) {
 TEST(OdcRenode, RespectsRewriteBudget) {
   Rng rng(283);
   const Aig aig = random_multi_output_aig(6, 3, rng);
-  OdcRenodeOptions options;
-  options.max_rewrites = 1;
-  const OdcRenodeResult result = renode_with_odcs(aig, options);
+  const OdcRenodeResult result = renode_with_odcs(aig, {}, 1);
   EXPECT_LE(result.rewrites, 1u);
   expect_equivalent(aig, result.network);
 }
@@ -119,10 +114,9 @@ TEST(OdcRenode, RespectsRewriteBudget) {
 TEST(OdcRenode, WithoutReliabilityPassStillSound) {
   Rng rng(293);
   const Aig aig = random_multi_output_aig(7, 2, rng);
-  OdcRenodeOptions options;
+  RenodeOptions options;
   options.reliability_assign = false;
-  options.max_rewrites = 8;
-  const OdcRenodeResult result = renode_with_odcs(aig, options);
+  const OdcRenodeResult result = renode_with_odcs(aig, options, 8);
   EXPECT_EQ(result.dcs_assigned, 0u);
   expect_equivalent(aig, result.network);
 }
