@@ -74,7 +74,11 @@ void check_interfaces(const Aig& a, const Aig& b) {
 
 EquivalenceResult check_equivalence(const Aig& a, const Aig& b) {
   check_interfaces(a, b);
-  if (a.outputs().empty()) return {true, 0, 0};
+  if (a.outputs().empty()) {
+    EquivalenceResult result;
+    result.equivalent = true;
+    return result;
+  }
   return run_miter(a, b, 0,
                    static_cast<unsigned>(a.outputs().size()) - 1);
 }
