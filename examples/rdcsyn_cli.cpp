@@ -309,6 +309,13 @@ int cmd_batch(const Args& args) {
     std::fprintf(stderr, "batch: --pipeline \"<spec>\" is required\n");
     return 2;
   }
+  if (args.delay) {
+    // The pipeline names its mapper; a flow-level objective reaches no pass.
+    std::fprintf(stderr,
+                 "batch: --delay has no effect; name \"balance | map:delay\" "
+                 "in --pipeline instead\n");
+    return 2;
+  }
   exec::Result<flow::Pipeline> pipeline = flow::parse_pipeline(args.pipeline);
   if (!pipeline.ok()) {
     std::fprintf(stderr, "error: %s\n", pipeline.status().to_string().c_str());
@@ -319,8 +326,6 @@ int cmd_batch(const Args& args) {
   for (const std::string& path : args.inputs) specs.push_back(load_pla(path));
 
   flow::SupervisedBatchOptions options;
-  options.batch.flow.objective =
-      args.delay ? OptimizeFor::kDelay : OptimizeFor::kPower;
   options.retry.max_attempts = args.retries;
   options.max_parallel = static_cast<int>(ThreadPool::global_size());
   obs::metrics_init_from_env();
