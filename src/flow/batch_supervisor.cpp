@@ -1,6 +1,5 @@
 #include "flow/batch_supervisor.hpp"
 
-#include <cctype>
 #include <optional>
 #include <sstream>
 #include <unordered_map>
@@ -16,133 +15,24 @@
 namespace rdc::flow {
 namespace {
 
-// --- flat JSON object scanner --------------------------------------------
-//
-// Splits one compact JSON object into (key, raw value text) pairs without
-// interpreting the values — the identity transform that lets a journaled
-// row re-enter a report with every number spelling intact. Only flat
-// objects with scalar values are produced by the row writer, but the
-// scanner tolerates nested values (balanced scan) for robustness.
-
-void skip_ws(std::string_view text, std::size_t& at) {
-  while (at < text.size() &&
-         std::isspace(static_cast<unsigned char>(text[at])) != 0)
-    ++at;
-}
-
-/// Consumes a JSON string starting at the opening quote; false on
-/// malformed input. `decoded` (when non-null) receives the unescaped text.
-bool scan_string(std::string_view text, std::size_t& at,
-                 std::string* decoded) {
-  if (at >= text.size() || text[at] != '"') return false;
-  ++at;
-  while (at < text.size()) {
-    const char c = text[at];
-    if (c == '"') {
-      ++at;
-      return true;
+/// Rebuilds a row that serialize_row wrote (worker payload or journal
+/// record) so that re-serializing it reproduces the original bytes:
+/// numbers go back in their source spelling, strings are re-quoted by
+/// JsonWriter. nullopt unless `text` is one JSON object of scalar values.
+std::optional<obs::Record> parse_row(std::string_view text) {
+  const std::optional<obs::JsonValue> doc = obs::parse_json(text);
+  if (!doc || !doc->is_object()) return std::nullopt;
+  obs::Record row;
+  for (const auto& [key, value] : doc->object) {
+    switch (value.kind) {
+      case obs::JsonValue::Kind::kString: row.set(key, value.string); break;
+      case obs::JsonValue::Kind::kNumber: row.set_raw(key, value.string); break;
+      case obs::JsonValue::Kind::kBool: row.set(key, value.boolean); break;
+      case obs::JsonValue::Kind::kNull: row.set_raw(key, "null"); break;
+      default: return std::nullopt;
     }
-    if (c == '\\') {
-      if (at + 1 >= text.size()) return false;
-      const char esc = text[at + 1];
-      if (decoded != nullptr) {
-        switch (esc) {
-          case '"': decoded->push_back('"'); break;
-          case '\\': decoded->push_back('\\'); break;
-          case '/': decoded->push_back('/'); break;
-          case 'b': decoded->push_back('\b'); break;
-          case 'f': decoded->push_back('\f'); break;
-          case 'n': decoded->push_back('\n'); break;
-          case 'r': decoded->push_back('\r'); break;
-          case 't': decoded->push_back('\t'); break;
-          case 'u': break;  // keys we emit are ASCII; drop the escape
-          default: return false;
-        }
-      }
-      at += 2;
-      if (esc == 'u') {
-        if (at + 4 > text.size()) return false;
-        at += 4;
-      }
-      continue;
-    }
-    if (decoded != nullptr) decoded->push_back(c);
-    ++at;
   }
-  return false;
-}
-
-/// Consumes one JSON value (any kind), returning its exact source text.
-bool scan_value(std::string_view text, std::size_t& at, std::string& raw) {
-  const std::size_t begin = at;
-  if (at >= text.size()) return false;
-  const char first = text[at];
-  if (first == '"') {
-    if (!scan_string(text, at, nullptr)) return false;
-  } else if (first == '{' || first == '[') {
-    int depth = 0;
-    while (at < text.size()) {
-      const char c = text[at];
-      if (c == '"') {
-        if (!scan_string(text, at, nullptr)) return false;
-        continue;
-      }
-      if (c == '{' || c == '[') ++depth;
-      if (c == '}' || c == ']') --depth;
-      ++at;
-      if (depth == 0) break;
-    }
-    if (depth != 0) return false;
-  } else {
-    // Number / true / false / null: runs until a structural character.
-    while (at < text.size() && text[at] != ',' && text[at] != '}' &&
-           text[at] != ']' &&
-           std::isspace(static_cast<unsigned char>(text[at])) == 0)
-      ++at;
-    if (at == begin) return false;
-  }
-  raw.assign(text.substr(begin, at - begin));
-  return true;
-}
-
-bool scan_flat_object(
-    std::string_view text,
-    std::vector<std::pair<std::string, std::string>>& fields) {
-  fields.clear();
-  std::size_t at = 0;
-  skip_ws(text, at);
-  if (at >= text.size() || text[at] != '{') return false;
-  ++at;
-  skip_ws(text, at);
-  if (at < text.size() && text[at] == '}') {
-    ++at;
-    skip_ws(text, at);
-    return at == text.size();
-  }
-  while (true) {
-    skip_ws(text, at);
-    std::string key;
-    if (!scan_string(text, at, &key)) return false;
-    skip_ws(text, at);
-    if (at >= text.size() || text[at] != ':') return false;
-    ++at;
-    skip_ws(text, at);
-    std::string raw;
-    if (!scan_value(text, at, raw)) return false;
-    fields.emplace_back(std::move(key), std::move(raw));
-    skip_ws(text, at);
-    if (at >= text.size()) return false;
-    if (text[at] == ',') {
-      ++at;
-      continue;
-    }
-    if (text[at] == '}') {
-      ++at;
-      skip_ws(text, at);
-      return at == text.size();
-    }
-    return false;
-  }
+  return row;
 }
 
 std::string serialize_row(const obs::Record& row) {
@@ -336,15 +226,12 @@ exec::Result<SupervisedBatchResult> run_pipeline_batch_supervised(
   const auto on_done = [&](const exec::JobOutcome& outcome) {
     const std::size_t i = spec_of_job[outcome.index];
     Slot& slot = slots[i];
-    // Rebuild the worker's row through the raw-field scanner and stamp the
-    // attempt count; a crash/timeout (no payload) synthesizes the error
-    // row the worker never got to write.
-    obs::Record row;
-    std::vector<std::pair<std::string, std::string>> fields;
-    if (!outcome.payload.empty() &&
-        scan_flat_object(outcome.payload, fields)) {
-      for (auto& [key, raw] : fields) row.set_raw(key, std::move(raw));
-    } else {
+    // Rebuild the worker's row and stamp the attempt count; a
+    // crash/timeout (no payload) synthesizes the error row the worker
+    // never got to write.
+    std::optional<obs::Record> rebuilt = parse_row(outcome.payload);
+    obs::Record row = rebuilt ? std::move(*rebuilt) : obs::Record();
+    if (!rebuilt) {
       row.set("name", specs[i].name());
       row.set("status", exec::status_code_name(outcome.status.code()));
       exec::Status annotated = outcome.status;
@@ -378,9 +265,8 @@ exec::Result<SupervisedBatchResult> run_pipeline_batch_supervised(
     const Slot& slot = slots[i];
     if (!slot.done) continue;  // interrupted before a terminal outcome
     obs::Record& row = result.report.add_row();
-    std::vector<std::pair<std::string, std::string>> fields;
-    if (scan_flat_object(slot.row_text, fields)) {
-      for (auto& [key, raw] : fields) row.set_raw(key, std::move(raw));
+    if (std::optional<obs::Record> rebuilt = parse_row(slot.row_text)) {
+      row = std::move(*rebuilt);
       if (!slot.ok) ++result.failures;
     } else {
       row.set("name", specs[i].name());

@@ -360,6 +360,7 @@ class Parser {
                                            text_.data() + pos_, out.number);
     if (ec != std::errc() || end != text_.data() + pos_)
       return fail("invalid number");
+    out.string.assign(text_.substr(start, pos_ - start));
     return true;
   }
 

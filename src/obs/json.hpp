@@ -87,6 +87,8 @@ struct JsonValue {
   Kind kind = Kind::kNull;
   bool boolean = false;
   double number = 0.0;
+  /// A string's decoded text; for a number, its source spelling, so a
+  /// parsed number can be re-emitted byte for byte (JsonWriter::raw).
   std::string string;
   std::vector<JsonValue> array;
   std::vector<std::pair<std::string, JsonValue>> object;
