@@ -75,9 +75,10 @@ class Record {
 };
 
 /// What one run_flow call did: wall time per pipeline phase plus the
-/// deterministic result metrics. Timings are measured unconditionally
-/// (a handful of steady_clock reads per flow); span emission inside
-/// PhaseScope still follows the RDC_TRACE gate.
+/// deterministic result metrics. `Pipeline::run` times every pass
+/// unconditionally (a handful of steady_clock reads per flow) and merges
+/// adjacent passes of one phase family into one row; its per-pass spans
+/// follow the RDC_TRACE gate.
 struct FlowReport {
   struct Phase {
     const char* name = nullptr;
@@ -96,31 +97,6 @@ struct FlowReport {
   PerfCounts perf_total() const;
   const Phase* find_phase(std::string_view name) const;
   std::string to_json() const;
-};
-
-/// Times one flow phase into a FlowReport and opens an RDC_SPAN of the
-/// same name for the trace. `name` must be a string literal.
-class PhaseScope {
- public:
-  PhaseScope(FlowReport& report, const char* name)
-      : report_(report), name_(name), span_(name), start_ns_(trace_now_ns()) {
-    if (perf_collecting()) perf_begin_ = perf_read();
-  }
-  ~PhaseScope() {
-    PerfCounts perf;
-    if (perf_begin_.valid) perf = perf_delta(perf_begin_, perf_read());
-    report_.phases.push_back(
-        {name_, static_cast<double>(trace_now_ns() - start_ns_) / 1e6, perf});
-  }
-  PhaseScope(const PhaseScope&) = delete;
-  PhaseScope& operator=(const PhaseScope&) = delete;
-
- private:
-  FlowReport& report_;
-  const char* name_;
-  Span span_;
-  std::uint64_t start_ns_;
-  PerfCounts perf_begin_;
 };
 
 /// One self-describing benchmark report: metadata (suite, git revision,
