@@ -17,7 +17,8 @@
 //       exits 2 for invalid arguments, 1 otherwise.
 //       --pipeline replaces the canonical flow with an explicit pass
 //       spec, e.g. "assign:ranking(0.5) | espresso | factor | aig |
-//       map:power | analyze | error_rate".
+//       map:power | analyze | error_rate"; it refuses --delay and
+//       --resyn (exit 2), whose passes the spec names instead.
 //   rdcsyn_cli batch  <a.pla> <b.pla> ... --pipeline "<spec>"
 //              [--json report.json] [--retries N]
 //       Runs the pipeline over every circuit on the rdc_batch engine —
@@ -85,7 +86,7 @@ int usage() {
       "      espresso | factor | aig | map:power | analyze | error_rate\".\n"
       "  rdcsyn_cli cachekey <in.pla> --pipeline \"<spec>\"\n"
       "      Prints the serve result-cache key (hex) for the spec bytes +\n"
-      "      canonical pipeline + default flow options; pipelines with\n"
+      "      canonical pipeline of an unbudgeted request; pipelines with\n"
       "      different @model annotations yield different keys.\n"
       "  rdcsyn_cli renode <in.pla> [--threshold T]\n"
       "      Section-4 extension: conventional synthesis, then nodal\n"
@@ -233,20 +234,29 @@ bool write_text_file(const std::string& path, const std::string& text) {
 /// `synth --pipeline "<spec>"`: run an explicit pass sequence instead of
 /// the canonical flow and print the flow report JSON.
 int cmd_pipeline(const Args& args) {
+  // The pipeline names its mapper and restructuring passes; a flow-level
+  // flag would reach no pass, so it is refused rather than ignored.
+  if (args.delay) {
+    std::fprintf(stderr,
+                 "synth: --delay has no effect with --pipeline; name "
+                 "\"balance | map:delay\" in the pipeline instead\n");
+    return 2;
+  }
+  if (args.resyn) {
+    std::fprintf(stderr,
+                 "synth: --resyn has no effect with --pipeline; name "
+                 "\"resyn\" in the pipeline instead\n");
+    return 2;
+  }
   exec::Result<flow::Pipeline> pipeline = flow::parse_pipeline(args.pipeline);
   if (!pipeline.ok()) {
     std::fprintf(stderr, "error: %s\n", pipeline.status().to_string().c_str());
     return 2;
   }
   const IncompleteSpec spec = load_pla(args.input);
-  FlowOptions options;
-  options.objective = args.delay ? OptimizeFor::kDelay : OptimizeFor::kPower;
   CellLibrary custom_lib = CellLibrary::generic70();
-  if (!args.liberty.empty()) {
-    custom_lib = load_liberty(args.liberty);
-    options.library = &custom_lib;
-  }
-  flow::Design design(spec, options);
+  if (!args.liberty.empty()) custom_lib = load_liberty(args.liberty);
+  flow::Design design(spec, args.liberty.empty() ? nullptr : &custom_lib);
   if (exec::Status status = pipeline->run(design); !status.ok()) {
     std::fprintf(stderr, "error: %s\n", status.to_string().c_str());
     return status.code() == exec::StatusCode::kInvalidArgument ? 2 : 1;
@@ -277,7 +287,7 @@ int cmd_pipeline(const Args& args) {
 }
 
 /// `cachekey <in.pla> --pipeline "<spec>"`: the serve result-cache key for
-/// (spec bytes, canonical pipeline, default flow-options fingerprint) —
+/// (spec bytes, canonical pipeline, unbudgeted budget fingerprint) —
 /// exactly what rdcsynd computes for a request, so CI can assert that two
 /// differently-annotated pipelines never share a cache entry.
 int cmd_cachekey(const Args& args) {
@@ -299,7 +309,7 @@ int cmd_cachekey(const Args& args) {
   bytes << in.rdbuf();
   const std::uint64_t key = serve::result_cache_key(
       bytes.str(), pipeline->to_string(),
-      flow::flow_options_fingerprint(FlowOptions{}, exec::BudgetLimits{}));
+      flow::budget_fingerprint(exec::BudgetLimits{}));
   std::printf("%016llx\n", static_cast<unsigned long long>(key));
   return 0;
 }

@@ -13,7 +13,8 @@
 # (rdcsyn_cli --pipeline
 # with a nondefault spec plus a batch fan-out over the examples/ fixtures,
 # reports validated with rdc_json_check), an rdcsyn_cli smoke (malformed
-# or out-of-range assign and renode flags and batch --delay exit 2, a
+# or out-of-range assign and renode flags, batch --delay and synth
+# --pipeline with --delay or --resyn exit 2, a
 # fault model that does not fit the spec fails a --pipeline with exit 2,
 # a failed synth writes no
 # file and exits 2 or 1, synth --json writes the report), and the §10
@@ -173,10 +174,15 @@ for threshold in 5 -1 0 1 abc; do
   expect_exit 2 ./build/examples/rdcsyn_cli renode \
     examples/fixtures/builtin.pla --threshold "$threshold"
 done
-# batch runs a pipeline, whose map pass names its objective; --delay would
-# reach no pass, so it is refused rather than ignored.
+# batch and synth --pipeline run a pipeline, which names its mapper and
+# restructuring passes; --delay and --resyn would reach no pass, so they
+# are refused rather than ignored.
 expect_exit 2 ./build/examples/rdcsyn_cli batch examples/fixtures/builtin.pla \
   --pipeline "assign:zero | espresso" --delay
+expect_exit 2 ./build/examples/rdcsyn_cli synth examples/fixtures/builtin.pla \
+  --pipeline "assign:zero | espresso" --delay
+expect_exit 2 ./build/examples/rdcsyn_cli synth examples/fixtures/builtin.pla \
+  --pipeline "assign:zero | espresso" --resyn
 # An assign pass under a model wider than the spec (builtin.pla has 4
 # inputs) is an invalid argument on every pipeline, not a silent no-op.
 expect_exit 2 ./build/examples/rdcsyn_cli synth examples/fixtures/builtin.pla \

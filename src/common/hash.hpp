@@ -1,6 +1,6 @@
 // 64-bit FNV-1a: the one hash behind every stable key and seed — serve
-// cache keys, batch job keys, fault-model and flow-option fingerprints,
-// RDC_FAULT p-draws, retry jitter, per-benchmark seeds. Values are persisted
+// cache keys, batch job keys, budget fingerprints, RDC_FAULT p-draws,
+// retry jitter, per-benchmark seeds. Values are persisted
 // (journals, warm caches) and compared across runs, so the byte sequence
 // each caller feeds in is part of its format.
 #pragma once

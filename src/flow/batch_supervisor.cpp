@@ -43,25 +43,14 @@ std::string serialize_row(const obs::Record& row) {
 
 }  // namespace
 
-std::uint64_t flow_options_fingerprint(const FlowOptions& options,
-                                       const exec::BudgetLimits& budget) {
-  std::uint64_t hash =
-      fnv1a_u64(static_cast<std::uint64_t>(options.objective));
-  hash = fnv1a_double(options.ranking_fraction, hash);
-  hash = fnv1a_double(options.lcf_threshold, hash);
-  hash = fnv1a_u64(options.lcf_assign_balanced ? 1 : 0, hash);
-  hash = fnv1a_u64(options.resyn_recipe ? 1 : 0, hash);
-  hash = fnv1a_u64(options.use_extraction ? 1 : 0, hash);
-  hash = fnv1a_u64(options.sample_seed, hash);
-  hash = fnv1a_double(budget.deadline_ms, hash);
+std::uint64_t budget_fingerprint(const exec::BudgetLimits& budget) {
+  // The FNV-1a state after the flow-option fields the fingerprint once
+  // mixed first, at their defaults: starting from it keeps every cache key
+  // and batch journal written before those fields left the key valid.
+  constexpr std::uint64_t kSeed = 0xc29ec1926c602e71ull;
+  std::uint64_t hash = fnv1a_double(budget.deadline_ms, kSeed);
   hash = fnv1a_u64(budget.max_checkpoints, hash);
-  hash = fnv1a_u64(budget.max_rss_bytes, hash);
-  // Mixed only for non-default models: every fingerprint computed before
-  // fault models existed stays byte-for-byte valid (warm serve caches,
-  // resumable journals), while distinct models can never alias.
-  if (!options.fault_model.is_default())
-    hash = fnv1a_u64(options.fault_model.fingerprint(), hash);
-  return hash;
+  return fnv1a_u64(budget.max_rss_bytes, hash);
 }
 
 std::uint64_t batch_job_key(const IncompleteSpec& spec,
@@ -72,8 +61,7 @@ std::uint64_t batch_job_key(const IncompleteSpec& spec,
   std::uint64_t hash = fnv1a(pla.str());
   hash = fnv1a(spec.name(), hash);
   hash = fnv1a(pipeline_spec, hash);
-  hash = fnv1a_u64(flow_options_fingerprint(options.flow, options.budget),
-                   hash);
+  hash = fnv1a_u64(budget_fingerprint(options.budget), hash);
   if (salt != 0) hash = fnv1a_u64(salt, hash);
   return hash;
 }
@@ -174,7 +162,7 @@ exec::Result<SupervisedBatchResult> run_pipeline_batch_supervised(
     // construction — the worker owns its row so a frame-returned failure
     // still carries the full circuit-annotated error text.
     job.run = [&pipeline, &spec, &options, budgeted](std::string& payload) {
-      Design design(spec, options.batch.flow);
+      Design design(spec);
       exec::ExecBudget budget(options.batch.budget);
       std::optional<exec::BudgetScope> scope;
       if (budgeted) scope.emplace(&budget);

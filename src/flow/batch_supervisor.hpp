@@ -6,9 +6,9 @@
 // benchmark harness all run batches through this one engine; its only
 // retry loop is exec::run_supervised's.
 //
-// Identity: every (circuit, pipeline, options) job gets a stable 64-bit
+// Identity: every (circuit, pipeline, budget) job gets a stable 64-bit
 // key hashed from the spec's serialized .pla bytes, its name, the
-// canonical pipeline spec, and flow_options_fingerprint(). The key seeds
+// canonical pipeline spec, and budget_fingerprint(). The key seeds
 // both the journal (resume matching) and the RDC_FAULT p-draws (fault
 // reproducibility), which is what makes an interrupted-and-resumed batch
 // byte-identical to an uninterrupted one.
@@ -32,24 +32,21 @@
 
 namespace rdc::flow {
 
-/// What every circuit of a batch shares.
+/// What every circuit of a batch shares besides the pipeline.
 struct BatchOptions {
-  FlowOptions flow;  ///< per-circuit options (budget field is ignored)
   /// Per-circuit budget limits; all-zero means unbudgeted. Each circuit
   /// gets its own ExecBudget so one runaway circuit cannot starve the rest.
   exec::BudgetLimits budget;
   std::string suite = "pipeline_batch";  ///< RunReport suite name
 };
 
-/// Deterministic fingerprint of every result-affecting knob in
-/// (FlowOptions, BudgetLimits). The cell library pointer is not
-/// hashed — callers mixing libraries in one journal must use distinct
-/// journal paths.
-std::uint64_t flow_options_fingerprint(const FlowOptions& options,
-                                       const exec::BudgetLimits& budget);
+/// Deterministic fingerprint of the per-job budget limits, the one knob
+/// besides the pipeline spec that can change a job's outcome. The
+/// pipeline names everything else, the fault model included.
+std::uint64_t budget_fingerprint(const exec::BudgetLimits& budget);
 
 /// Stable job key: hash(spec .pla bytes, spec name, pipeline spec,
-/// options fingerprint, salt). `salt` disambiguates repeated identical
+/// budget fingerprint, salt). `salt` disambiguates repeated identical
 /// specs within one batch (occurrence index).
 std::uint64_t batch_job_key(const IncompleteSpec& spec,
                             std::string_view pipeline_spec,
@@ -57,7 +54,7 @@ std::uint64_t batch_job_key(const IncompleteSpec& spec,
                             std::uint64_t salt = 0);
 
 struct SupervisedBatchOptions {
-  BatchOptions batch;          ///< flow options / per-job budget / suite
+  BatchOptions batch;          ///< per-job budget / suite
   exec::RetryPolicy retry;     ///< transient-failure retry policy
   exec::WorkerLimits limits;   ///< hard per-attempt wall/RSS caps
   int max_parallel = 1;        ///< concurrently forked workers

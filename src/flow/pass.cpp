@@ -31,21 +31,20 @@ const char* artifact_name(Artifact artifact) {
   return "unknown";
 }
 
-Design::Design(IncompleteSpec spec, FlowOptions options)
+Design::Design(IncompleteSpec spec, const CellLibrary* library)
     : spec_(std::move(spec)),
-      options_(options),
+      library_(library),
       working_(spec_),
       aig_(spec_.num_inputs()),
       netlist_(spec_.num_inputs()) {
   // The working copy of the spec is a legitimate starting artifact: a
   // pipeline may begin at `espresso` with whatever assignment the input
-  // already carries (that is what synthesize() does).
+  // already carries.
   valid_ = bit(Artifact::kAssigned);
 }
 
 const CellLibrary& Design::library() const {
-  return options_.library != nullptr ? *options_.library
-                                     : CellLibrary::generic70();
+  return library_ != nullptr ? *library_ : CellLibrary::generic70();
 }
 
 void Design::produced(Artifact artifact) {
@@ -110,13 +109,18 @@ exec::Status Pass::set_fault_model(const reliability::FaultModelSpec&) {
                           "' does not accept a fault model annotation");
 }
 
+std::string model_annotation(const reliability::FaultModelSpec& model) {
+  std::string annotation = "@";
+  annotation.append(model.canonical());
+  return annotation;
+}
+
 const reliability::FaultModelSpec& Pass::stamp_fault_model(
     Design& design) const {
-  const reliability::FaultModelSpec& model =
-      fault_model_ ? *fault_model_ : design.options().fault_model;
-  if (fault_model_.has_value() || !model.is_default())
-    design.fault_model_label = model.canonical();
-  return model;
+  static const reliability::FaultModelSpec kPaperModel;
+  if (!fault_model_.has_value()) return kPaperModel;
+  design.fault_model_label = fault_model_->canonical();
+  return *fault_model_;
 }
 
 exec::Status Design::require(Artifact artifact, const char* who) const {
@@ -478,6 +482,9 @@ class AnalyzePass final : public Pass {
   }
 };
 
+/// Seed of every `error_rate:sampled` run's Rng.
+constexpr std::uint64_t kSampleSeed = 0x9e3779b97f4a7c15ull;
+
 /// Default Monte-Carlo budget when sampling (the `error_rate:sampled(1e6)`
 /// canonical default).
 constexpr std::uint64_t kDefaultErrorRateSamples = 1000000;
@@ -515,9 +522,9 @@ class ErrorRatePass final : public Pass {
     const reliability::FaultModelSpec& model = stamp_fault_model(design);
     design.estimator = {};
     if (samples_) {
-      // Seeded from FlowOptions::sample_seed so the report is
-      // byte-deterministic for a fixed (spec, pipeline, seed).
-      Rng rng(design.options().sample_seed);
+      // A fixed seed: the report is byte-deterministic for a fixed
+      // (spec, pipeline) at any thread count.
+      Rng rng(kSampleSeed);
       const reliability::SampledRate estimate =
           design.fault_model(model).sampled_rate(
               design.working(), design.spec(), *samples_, rng);

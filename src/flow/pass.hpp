@@ -27,7 +27,8 @@
 #include "aig/aig.hpp"
 #include "espresso/espresso.hpp"
 #include "exec/status.hpp"
-#include "flow/synthesis_flow.hpp"
+#include "mapper/cell_library.hpp"
+#include "mapper/netlist.hpp"
 #include "mapper/power.hpp"
 #include "obs/report.hpp"
 #include "pla/cover.hpp"
@@ -67,15 +68,17 @@ const char* artifact_name(Artifact artifact);
 class Design {
  public:
   /// Empty design (0-input spec); useful as a container element.
-  Design() : Design(IncompleteSpec("", 0, 0), FlowOptions{}) {}
-  explicit Design(IncompleteSpec spec, FlowOptions options = {});
+  Design() : Design(IncompleteSpec("", 0, 0)) {}
+  /// `library` (not owned) is the target cell library; null selects the
+  /// built-in generic70. Everything else a run does is named by its
+  /// pipeline spec.
+  explicit Design(IncompleteSpec spec, const CellLibrary* library = nullptr);
 
   /// The original, immutable specification (error rates are measured
   /// against this).
   const IncompleteSpec& spec() const { return spec_; }
-  const FlowOptions& options() const { return options_; }
 
-  /// Target cell library (options().library or the built-in generic70).
+  /// Target cell library (the constructor's, or the built-in generic70).
   const CellLibrary& library() const;
 
   // --- artifacts ---------------------------------------------------------
@@ -116,8 +119,8 @@ class Design {
   /// for the report's "fault_model" metric, stamped by
   /// Pass::stamp_fault_model. Every model decides through the same code;
   /// the label is the only trace of the choice on the pure default path
-  /// (no annotation, default options model), where it stays empty so
-  /// pre-§16 reports stay byte-identical.
+  /// (no `@model` annotation), where it stays empty so pre-§16 reports
+  /// stay byte-identical.
   std::string fault_model_label;
 
   /// Effort dial for the `espresso` pass; run_flow's degradation ladder
@@ -181,7 +184,7 @@ class Design {
   }
 
   IncompleteSpec spec_;
-  FlowOptions options_;
+  const CellLibrary* library_;
   IncompleteSpec working_;
   std::vector<Cover> covers_;
   std::vector<FactorTree> factors_;
@@ -199,6 +202,10 @@ class Design {
   std::vector<DcCandidates> candidates_;
   bool candidates_kept_ = false;
 };
+
+/// The pipeline grammar's annotation for `model`: "@" plus its canonical
+/// form ("@bitflip(2)").
+std::string model_annotation(const reliability::FaultModelSpec& model);
 
 /// One composable unit of flow work.
 ///
@@ -250,12 +257,12 @@ class Pass {
 
   /// Canonical "@model" suffix for spec() ("" when unannotated).
   std::string model_suffix() const {
-    return fault_model_ ? "@" + fault_model_->canonical() : std::string();
+    return fault_model_ ? model_annotation(*fault_model_) : std::string();
   }
 
   /// The model this pass analyzes against: the annotation when present,
-  /// the Design-wide option otherwise. Stamps Design::fault_model_label
-  /// with it unless the run is on the pure default path.
+  /// the paper's bitflip(1) otherwise. Stamps Design::fault_model_label
+  /// with an annotated model.
   const reliability::FaultModelSpec& stamp_fault_model(Design& design) const;
 
  private:

@@ -4,7 +4,6 @@
 #include <cstring>
 #include <utility>
 
-#include "common/format.hpp"
 #include "exec/budget.hpp"
 #include "exec/fault.hpp"
 #include "obs/events.hpp"
@@ -184,6 +183,39 @@ exec::Result<Pipeline> parse_pipeline(std::string_view spec) {
       ++at;
   };
 
+  // Reads an optional "(arg, arg, ...)" list after the name of its owner,
+  // a pass or a fault model (`kind`), into `args`.
+  const auto read_args = [&](const char* kind, const std::string& owner,
+                             std::vector<std::string>& args) -> exec::Status {
+    skip_ws();
+    if (at == spec.size() || spec[at] != '(') return {};
+    const std::size_t open_at = at;
+    ++at;
+    while (true) {
+      skip_ws();
+      const std::size_t arg_begin = at;
+      while (at < spec.size() && spec[at] != ',' && spec[at] != ')' &&
+             spec[at] != '|' && spec[at] != '(')
+        ++at;
+      if (at == spec.size() || spec[at] == '|' || spec[at] == '(')
+        return parse_error("unclosed '('", open_at);
+      std::string arg(spec.substr(arg_begin, at - arg_begin));
+      while (!arg.empty() &&
+             std::isspace(static_cast<unsigned char>(arg.back())) != 0)
+        arg.pop_back();
+      if (arg.empty())
+        return parse_error(std::string("empty argument for ") + kind + " '" +
+                               owner + "'",
+                           arg_begin);
+      args.push_back(std::move(arg));
+      if (spec[at] == ')') {
+        ++at;
+        return {};
+      }
+      ++at;  // ','
+    }
+  };
+
   skip_ws();
   if (at == spec.size()) return parse_error("empty pipeline", at);
   while (true) {
@@ -200,33 +232,8 @@ exec::Result<Pipeline> parse_pipeline(std::string_view spec) {
 
     // optional (arg, arg, ...)
     std::vector<std::string> args;
-    skip_ws();
-    if (at < spec.size() && spec[at] == '(') {
-      const std::size_t open_at = at;
-      ++at;
-      while (true) {
-        skip_ws();
-        const std::size_t arg_begin = at;
-        while (at < spec.size() && spec[at] != ',' && spec[at] != ')' &&
-               spec[at] != '|' && spec[at] != '(')
-          ++at;
-        if (at == spec.size() || spec[at] == '|' || spec[at] == '(')
-          return parse_error("unclosed '('", open_at);
-        std::string arg(spec.substr(arg_begin, at - arg_begin));
-        while (!arg.empty() &&
-               std::isspace(static_cast<unsigned char>(arg.back())) != 0)
-          arg.pop_back();
-        if (arg.empty())
-          return parse_error("empty argument for pass '" + name + "'",
-                             arg_begin);
-        args.push_back(std::move(arg));
-        if (spec[at] == ')') {
-          ++at;
-          break;
-        }
-        ++at;  // ','
-      }
-    }
+    if (exec::Status status = read_args("pass", name, args); !status.ok())
+      return status;
 
     std::unique_ptr<Pass> pass;
     if (exec::Status status = make_pass(name, args, pass); !status.ok())
@@ -246,34 +253,10 @@ exec::Result<Pipeline> parse_pipeline(std::string_view spec) {
       const std::string model_name(
           spec.substr(model_begin, at - model_begin));
       std::vector<std::string> model_args;
-      skip_ws();
-      if (at < spec.size() && spec[at] == '(') {
-        const std::size_t open_at = at;
-        ++at;
-        while (true) {
-          skip_ws();
-          const std::size_t arg_begin = at;
-          while (at < spec.size() && spec[at] != ',' && spec[at] != ')' &&
-                 spec[at] != '|' && spec[at] != '(')
-            ++at;
-          if (at == spec.size() || spec[at] == '|' || spec[at] == '(')
-            return parse_error("unclosed '('", open_at);
-          std::string arg(spec.substr(arg_begin, at - arg_begin));
-          while (!arg.empty() &&
-                 std::isspace(static_cast<unsigned char>(arg.back())) != 0)
-            arg.pop_back();
-          if (arg.empty())
-            return parse_error(
-                "empty argument for fault model '" + model_name + "'",
-                arg_begin);
-          model_args.push_back(std::move(arg));
-          if (spec[at] == ')') {
-            ++at;
-            break;
-          }
-          ++at;  // ','
-        }
-      }
+      if (exec::Status status =
+              read_args("fault model", model_name, model_args);
+          !status.ok())
+        return status;
       reliability::FaultModelSpec model;
       if (exec::Status status =
               reliability::FaultModelSpec::parse(model_name, model_args,
@@ -296,69 +279,6 @@ exec::Result<Pipeline> parse_pipeline(std::string_view spec) {
     if (at == spec.size()) return parse_error("trailing '|'", at - 1);
   }
   return pipeline;
-}
-
-// --- canonical flow specs -------------------------------------------------
-
-std::string canonical_flow_spec(DcPolicy policy, const FlowOptions& options) {
-  // A non-default fault model becomes an explicit annotation on the passes
-  // that consult it — the reliability assignment (conventional rejects
-  // annotations and consults no model) and the trailing error_rate — so
-  // the canonical spec alone reproduces the run, and serve-cache keys
-  // (keyed on the canonical pipeline) separate per model.
-  const std::string model_suffix =
-      options.fault_model.is_default()
-          ? std::string()
-          : "@" + options.fault_model.canonical();
-  std::string spec;
-  switch (policy) {
-    case DcPolicy::kConventional:
-      spec = "assign:conventional";
-      break;
-    case DcPolicy::kRankingFraction:
-      spec = "assign:ranking(" + format_double(options.ranking_fraction) +
-             ")" + model_suffix;
-      break;
-    case DcPolicy::kRankingIncremental:
-      spec = "assign:ranking_inc(" + format_double(options.ranking_fraction) +
-             ")" + model_suffix;
-      break;
-    case DcPolicy::kLcfThreshold:
-      spec = "assign:lcf(" + format_double(options.lcf_threshold) +
-             (options.lcf_assign_balanced ? ",balanced)" : ")") + model_suffix;
-      break;
-    case DcPolicy::kAllReliability:
-      spec = "assign:all" + model_suffix;
-      break;
-  }
-  spec += " | espresso | ";
-  spec += options.use_extraction ? "extract" : "factor | aig";
-  if (options.resyn_recipe) spec += " | resyn";
-  if (options.objective == OptimizeFor::kDelay) spec += " | balance";
-  spec += options.objective == OptimizeFor::kDelay ? " | map:delay"
-                                                   : " | map:power";
-  spec += " | analyze | error_rate";
-  spec += model_suffix;
-  return spec;
-}
-
-std::string conventional_fallback_spec(const FlowOptions& options) {
-  // No minimization at all: raw minterm covers, plain factoring (no
-  // resyn/extraction) so the rung's cost stays proportional to the spec.
-  std::string spec = "assign:zero | covers:minterm | factor | aig";
-  if (options.objective == OptimizeFor::kDelay) spec += " | balance";
-  spec += options.objective == OptimizeFor::kDelay ? " | map:delay"
-                                                   : " | map:power";
-  spec += " | analyze | error_rate";
-  return spec;
-}
-
-FlowResult take_flow_result(Design&& design) {
-  FlowResult result{std::move(design.working()), std::move(design.netlist()),
-                    design.stats,               design.error_rate,
-                    design.assignment,          std::move(design.report),
-                    {},                         DegradationLevel::kNone};
-  return result;
 }
 
 }  // namespace rdc::flow

@@ -12,8 +12,8 @@
 // `parse_pipeline` turns a spec string — `pass ('|' pass)*` with optional
 // `(arg,...)` lists, e.g. "assign:ranking(0.5) | espresso | factor | aig |
 // map:power" — into a Pipeline, with offset-annotated errors and no partial
-// pipelines. run_flow's rungs are themselves canonical spec strings
-// (`canonical_flow_spec` / `conventional_fallback_spec`).
+// pipelines. run_flow's rungs are themselves spec strings
+// (`canonical_flow_spec`, flow/synthesis_flow.hpp).
 #pragma once
 
 #include <cstddef>
@@ -70,17 +70,5 @@ class Pipeline {
 /// the byte offset of the problem ("pipeline spec: unknown pass 'x' at
 /// offset 7"); on error no partial pipeline is returned.
 exec::Result<Pipeline> parse_pipeline(std::string_view spec);
-
-/// The canonical spec string run_flow executes for `policy`/`options` —
-/// its rung-0 pipeline, parameters rendered with format_double.
-std::string canonical_flow_spec(DcPolicy policy, const FlowOptions& options);
-
-/// The ladder's last functional rung as a spec: no minimization (raw
-/// minterm covers), remaining DCs forced to 0.
-std::string conventional_fallback_spec(const FlowOptions& options);
-
-/// Moves a successfully run Design's artifacts into a FlowResult
-/// (status OK, degradation kNone; run_flow's ladder overwrites those).
-FlowResult take_flow_result(Design&& design);
 
 }  // namespace rdc::flow

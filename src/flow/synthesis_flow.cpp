@@ -1,10 +1,10 @@
 #include "flow/synthesis_flow.hpp"
 
 #include <optional>
-#include <stdexcept>
 #include <string>
 #include <utility>
 
+#include "common/format.hpp"
 #include "exec/fault.hpp"
 #include "flow/pipeline.hpp"
 #include "obs/events.hpp"
@@ -24,74 +24,45 @@ const char* policy_name(DcPolicy policy) {
   return "unknown";
 }
 
-/// Up-front FlowOptions validation, per policy: only the knobs the policy
-/// actually reads are checked, so e.g. a garbage lcf_threshold cannot fail
-/// a conventional run. The negated comparisons are deliberate — they also
-/// reject NaN.
-exec::Status validate_options(DcPolicy policy, const FlowOptions& options,
-                              unsigned num_inputs) {
-  // A model that does not fit the spec's width (bitflip(k) with k > n, a
-  // weight count other than n) would otherwise surface only after every
-  // ladder rung had run assign and map and then thrown in error_rate.
-  if (exec::Status status = options.fault_model.check_inputs(num_inputs);
-      !status.ok())
-    return status;
-  switch (policy) {
-    case DcPolicy::kRankingFraction:
-    case DcPolicy::kRankingIncremental:
-      if (!(options.ranking_fraction >= 0.0 &&
-            options.ranking_fraction <= 1.0))
-        return exec::Status(
-            exec::StatusCode::kInvalidArgument,
-            "ranking_fraction must be in [0, 1], got " +
-                std::to_string(options.ranking_fraction));
-      break;
-    case DcPolicy::kLcfThreshold:
-      if (!(options.lcf_threshold > 0.0 && options.lcf_threshold < 1.0))
-        return exec::Status(exec::StatusCode::kInvalidArgument,
-                            "lcf_threshold must be in (0, 1), got " +
-                                std::to_string(options.lcf_threshold));
-      break;
-    case DcPolicy::kConventional:
-    case DcPolicy::kAllReliability:
-      break;
-  }
-  return {};
+/// The model annotation canonical specs put on their model-reading
+/// passes ("" for the paper's model, so its specs stay unannotated).
+std::string model_suffix(const FlowOptions& options) {
+  return options.fault_model.is_default()
+             ? std::string()
+             : flow::model_annotation(options.fault_model);
 }
 
-/// Parses and runs a canonical spec over `design`; throws StatusError on
-/// any failure so the callers' exception→Status boundaries see a typed
-/// error. Canonical specs always parse — a parse failure here is a bug.
-void run_canonical(const std::string& spec_string, flow::Design& design) {
-  exec::Result<flow::Pipeline> pipeline = flow::parse_pipeline(spec_string);
-  if (!pipeline.ok()) throw exec::StatusError(pipeline.status());
-  if (exec::Status status = pipeline->run(design); !status.ok())
-    throw exec::StatusError(std::move(status));
+std::string map_suffix(const FlowOptions& options) {
+  return options.objective == OptimizeFor::kDelay ? " | balance | map:delay"
+                                                  : " | map:power";
 }
 
-/// One full run of the flow's pipeline at a given ESPRESSO effort. Throws
-/// on budget trips / injected faults; the ladder in run_flow catches.
-FlowResult run_rung(const IncompleteSpec& spec, DcPolicy policy,
+/// The ladder's last functional rung as a spec: no minimization (raw
+/// minterm covers), remaining DCs forced to 0, plain factoring (no
+/// resyn/extraction) so the rung's cost stays proportional to the spec.
+std::string conventional_fallback_spec(const FlowOptions& options) {
+  return "assign:zero | covers:minterm | factor | aig" + map_suffix(options) +
+         " | analyze | error_rate" + model_suffix(options);
+}
+
+/// Moves a successfully run Design's artifacts into a FlowResult (status
+/// OK, degradation kNone; the ladder overwrites the latter).
+FlowResult take_flow_result(flow::Design&& design) {
+  return FlowResult{std::move(design.working()), std::move(design.netlist()),
+                    design.stats,               design.error_rate,
+                    design.assignment,          std::move(design.report),
+                    {},                         DegradationLevel::kNone};
+}
+
+/// One rung: `pipeline` over a fresh Design of `spec`. Throws StatusError
+/// on failure so the ladder's exec::capture sees a typed error.
+FlowResult run_rung(const flow::Pipeline& pipeline, const IncompleteSpec& spec,
                     const FlowOptions& options, bool heuristic) {
-  flow::Design design(spec, options);
+  flow::Design design(spec, options.library);
   if (heuristic) design.espresso.max_iterations = 0;
-  run_canonical(flow::canonical_flow_spec(policy, options), design);
-  return flow::take_flow_result(std::move(design));
-}
-
-/// The ladder's last functional rung: no minimization at all. Remaining
-/// DCs are forced to 0 (the paper's power-friendly default phase), covers
-/// are raw minterm lists, and the whole rung runs with the budget MASKED so
-/// it terminates even after a deadline has expired.
-FlowResult run_conventional_fallback(const IncompleteSpec& spec,
-                                     const FlowOptions& options) {
-  exec::BudgetScope mask(nullptr);
-  exec::fault_point(exec::FaultSite::kFlowConventional);
-  flow::Design design(spec, options);
-  run_canonical(flow::conventional_fallback_spec(options), design);
-  FlowResult result = flow::take_flow_result(std::move(design));
-  result.degradation = DegradationLevel::kConventional;
-  return result;
+  if (exec::Status status = pipeline.run(design); !status.ok())
+    throw exec::StatusError(std::move(status));
+  return take_flow_result(std::move(design));
 }
 
 /// Stamps the §10 report-schema additions onto a finished result.
@@ -134,59 +105,41 @@ const char* degradation_level_name(DegradationLevel level) {
   return "unknown";
 }
 
-Netlist synthesize(const IncompleteSpec& assigned, OptimizeFor objective) {
-  RDC_SPAN("flow.synthesize");
-  for (const auto& f : assigned.outputs())
-    if (!f.fully_specified())
-      throw std::invalid_argument("synthesize: spec must be fully assigned");
-  // The lower half of the flow as a pipeline spec. On a fully assigned spec
-  // the espresso pass is pure minimization (no DCs left to assign).
-  flow::Design design(assigned);
-  run_canonical(objective == OptimizeFor::kDelay
-                    ? "espresso | factor | aig | balance | map:delay"
-                    : "espresso | factor | aig | map:power",
-                design);
-  return std::move(design.netlist());
-}
-
 FlowResult run_flow(const IncompleteSpec& spec, DcPolicy policy,
                     const FlowOptions& options) {
   RDC_SPAN("flow.run");
-  // Reject out-of-range policy knobs before any work happens; a typo'd
-  // fraction is a caller bug, not something to degrade around.
-  if (exec::Status invalid =
-          validate_options(policy, options, spec.num_inputs());
-      !invalid.ok()) {
-    FlowResult partial = make_partial(spec);
-    partial.status = std::move(invalid.with_context("flow"));
-    finalize(partial, spec, policy, DegradationLevel::kPartial,
-             partial.status);
-    return partial;
-  }
-
   // Install the caller-provided budget (if any) for the whole flow; the
   // thread pool re-installs it on every worker of the fan-out.
   std::optional<exec::BudgetScope> scope;
   if (options.budget != nullptr) scope.emplace(options.budget);
 
-  // Rung 0: the full-quality flow with exact-effort ESPRESSO.
-  exec::Result<FlowResult> exact = exec::capture([&] {
-    exec::fault_point(exec::FaultSite::kFlowExact);
-    return run_rung(spec, policy, options, /*heuristic=*/false);
-  });
-  if (exact.ok()) {
-    finalize(*exact, spec, policy, DegradationLevel::kNone, exec::Status());
-    return std::move(*exact);
+  // Rungs 0 and 1 run one parsed pipeline. A policy knob out of range
+  // fails here: the assign pass range-checks its argument.
+  const exec::Result<flow::Pipeline> pipeline =
+      flow::parse_pipeline(flow::canonical_flow_spec(policy, options));
+  exec::Status reason = pipeline.status();
+  if (pipeline.ok()) {
+    // Rung 0: the full-quality flow with exact-effort ESPRESSO.
+    exec::Result<FlowResult> exact = exec::capture([&] {
+      exec::fault_point(exec::FaultSite::kFlowExact);
+      return run_rung(*pipeline, spec, options, /*heuristic=*/false);
+    });
+    if (exact.ok()) {
+      finalize(*exact, spec, policy, DegradationLevel::kNone, exec::Status());
+      return std::move(*exact);
+    }
+    reason = exact.status();
   }
-  exec::Status reason = exact.status();
 
-  // A cancellation is a request to stop, not to try harder with less
-  // effort; skip straight to the partial result.
-  if (reason.code() != exec::StatusCode::kCancelled) {
+  // A cancellation is a request to stop, and an invalid argument (a knob
+  // out of range, a model that does not fit the spec) a caller bug; neither
+  // is worth retrying with less effort, so both skip to the partial result.
+  if (reason.code() != exec::StatusCode::kCancelled &&
+      reason.code() != exec::StatusCode::kInvalidArgument) {
     // Rung 1: heuristic ESPRESSO — single expand+irredundant pass.
     exec::Result<FlowResult> heuristic = exec::capture([&] {
       exec::fault_point(exec::FaultSite::kFlowHeuristic);
-      return run_rung(spec, policy, options, /*heuristic=*/true);
+      return run_rung(*pipeline, spec, options, /*heuristic=*/true);
     });
     if (heuristic.ok()) {
       finalize(*heuristic, spec, policy, DegradationLevel::kHeuristic,
@@ -194,9 +147,17 @@ FlowResult run_flow(const IncompleteSpec& spec, DcPolicy policy,
       return std::move(*heuristic);
     }
 
-    // Rung 2: conventional-only assignment, budget masked.
-    exec::Result<FlowResult> fallback = exec::capture(
-        [&] { return run_conventional_fallback(spec, options); });
+    // Rung 2: conventional-only assignment, with the budget MASKED so it
+    // terminates even after a deadline has expired.
+    exec::Result<FlowResult> fallback = exec::capture([&] {
+      exec::BudgetScope mask(nullptr);
+      exec::fault_point(exec::FaultSite::kFlowConventional);
+      exec::Result<flow::Pipeline> fallback_pipeline =
+          flow::parse_pipeline(conventional_fallback_spec(options));
+      if (!fallback_pipeline.ok())
+        throw exec::StatusError(fallback_pipeline.status());
+      return run_rung(*fallback_pipeline, spec, options, /*heuristic=*/false);
+    });
     if (fallback.ok()) {
       finalize(*fallback, spec, policy, DegradationLevel::kConventional,
                reason);
@@ -214,4 +175,43 @@ FlowResult run_flow(const IncompleteSpec& spec, DcPolicy policy,
   return partial;
 }
 
+namespace flow {
+
+std::string canonical_flow_spec(DcPolicy policy, const FlowOptions& options) {
+  // The model annotation goes on the passes that consult a model — the
+  // reliability assignment (conventional consults none) and error_rate —
+  // so the spec alone reproduces the run, and serve-cache keys (keyed on
+  // the canonical pipeline) separate per model.
+  const std::string suffix = model_suffix(options);
+  std::string spec;
+  switch (policy) {
+    case DcPolicy::kConventional:
+      spec = "assign:conventional";
+      break;
+    case DcPolicy::kRankingFraction:
+      spec = "assign:ranking(" + format_double(options.ranking_fraction) +
+             ")" + suffix;
+      break;
+    case DcPolicy::kRankingIncremental:
+      spec = "assign:ranking_inc(" + format_double(options.ranking_fraction) +
+             ")" + suffix;
+      break;
+    case DcPolicy::kLcfThreshold:
+      spec = "assign:lcf(" + format_double(options.lcf_threshold) +
+             (options.lcf_assign_balanced ? ",balanced)" : ")") + suffix;
+      break;
+    case DcPolicy::kAllReliability:
+      spec = "assign:all" + suffix;
+      break;
+  }
+  spec += " | espresso | ";
+  spec += options.use_extraction ? "extract" : "factor | aig";
+  if (options.resyn_recipe) spec += " | resyn";
+  spec += map_suffix(options);
+  spec += " | analyze | error_rate";
+  spec += suffix;
+  return spec;
+}
+
+}  // namespace flow
 }  // namespace rdc

@@ -77,15 +77,11 @@ struct FlowOptions {
   /// makes the flow descend the degradation ladder instead of throwing.
   /// Null inherits whatever budget the calling thread already has.
   exec::ExecBudget* budget = nullptr;
-  /// Seed for the `error_rate:sampled` pass's Rng. Every sampled pass run
-  /// re-seeds from this value, so sampled reports are byte-deterministic
-  /// for a fixed (spec, pipeline, seed) triple regardless of thread count.
-  std::uint64_t sample_seed = 0x9e3779b97f4a7c15ull;
   /// Fault scenario the reliability passes optimize and analyze against
   /// (DESIGN.md §16). The default, bitflip(1), is the paper's model: its
-  /// decisions, fingerprints and report bytes are exactly those of the
-  /// pre-FaultModel flow. A per-pass `@model` annotation in a pipeline
-  /// spec overrides this per pass.
+  /// decisions and report bytes are exactly those of the pre-FaultModel
+  /// flow. Any other model becomes an `@model` annotation on the
+  /// canonical spec's assign and error_rate passes.
   reliability::FaultModelSpec fault_model;
 };
 
@@ -108,20 +104,25 @@ struct FlowResult {
   DegradationLevel degradation = DegradationLevel::kNone;
 };
 
-/// Runs the full flow on a specification. No-throw by design: budget trips,
+/// Runs the full flow on a specification: the pipeline
+/// `flow::canonical_flow_spec(policy, options)` on a flow::Design of
+/// `spec`, inside a degradation ladder. No-throw by design: budget trips,
 /// injected faults and internal errors make it descend the ladder
 /// documented on DegradationLevel; the worst case is a kPartial result
-/// whose FlowResult::status carries the terminal failure. Options are
-/// validated up front per policy (ranking_fraction in [0, 1],
-/// lcf_threshold in (0, 1)); an out-of-range knob returns a kPartial
-/// result with kInvalidArgument without running anything.
-///
-/// Internally this parses and runs the canonical pipeline spec for the
-/// policy (flow/pipeline.hpp); `flow::canonical_flow_spec` exposes it.
+/// whose FlowResult::status carries the terminal failure. An invalid
+/// argument goes straight to kPartial. That includes a knob the policy
+/// reads out of range (ranking_fraction outside [0, 1], lcf_threshold
+/// outside (0, 1), NaN included) and a fault model that does not fit the
+/// spec, both rejected before any pass runs.
 FlowResult run_flow(const IncompleteSpec& spec, DcPolicy policy,
                     const FlowOptions& options = {});
 
-/// Lower half of the flow only: factor + AIG + map a fully assigned spec.
-Netlist synthesize(const IncompleteSpec& assigned, OptimizeFor objective);
+namespace flow {
 
+/// The pipeline spec run_flow runs for `policy`/`options` on its first
+/// rung, parameters rendered with format_double. A non-default fault
+/// model annotates the reliability assignment and the error_rate pass.
+std::string canonical_flow_spec(DcPolicy policy, const FlowOptions& options);
+
+}  // namespace flow
 }  // namespace rdc

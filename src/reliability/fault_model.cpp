@@ -10,7 +10,6 @@
 #include "common/bits.hpp"
 #include "common/bitvec.hpp"
 #include "common/format.hpp"
-#include "common/hash.hpp"
 #include "common/simd.hpp"
 #include "exec/budget.hpp"
 #include "reliability/error_rate.hpp"
@@ -639,14 +638,6 @@ exec::Status FaultModelSpec::check_inputs(unsigned num_inputs) const {
                    std::to_string(num_inputs) + " weights, got " +
                    std::to_string(weights_.size()));
   return {};
-}
-
-std::uint64_t FaultModelSpec::fingerprint() const {
-  std::uint64_t hash = fnv1a_u64(static_cast<std::uint64_t>(kind_));
-  hash = fnv1a_u64(k_, hash);
-  hash = fnv1a_u64(weights_.size(), hash);
-  for (const double w : weights_) hash = fnv1a_double(w, hash);
-  return hash;
 }
 
 std::vector<std::string> fault_model_names() {

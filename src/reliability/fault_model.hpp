@@ -27,8 +27,8 @@
 //                            care sets (i.e. whenever DCs matter at all).
 //
 // A FaultModelSpec is the value-semantics description (parsed from the
-// pipeline grammar's `@model` suffix, fingerprinted into cache/journal
-// keys); make_fault_model() turns it into the analyzer.
+// pipeline grammar's `@model` suffix, whose canonical text keys caches and
+// journals); make_fault_model() turns it into the analyzer.
 #pragma once
 
 #include <cstdint>
@@ -57,8 +57,8 @@ const char* fault_model_kind_name(FaultModelKind kind);
 
 /// Value-semantics description of a fault model. Default-constructed it is
 /// the paper's model, bitflip(1); is_default() gates the compatibility
-/// paths (old fingerprints, report labels) and the one algorithm only
-/// bitflip(1) has: incremental ranking (assign:ranking_inc).
+/// paths (unannotated canonical specs, report labels) and the one
+/// algorithm only bitflip(1) has: incremental ranking (assign:ranking_inc).
 class FaultModelSpec {
  public:
   /// The paper's default: single-bit flips, uniform over pins.
@@ -83,8 +83,8 @@ class FaultModelSpec {
   const std::vector<double>& weights() const { return weights_; }
 
   /// True iff this is the paper's model, bitflip(1). The default model
-  /// keeps pre-refactor behavior byte-for-byte: old fingerprints, golden
-  /// reports without a "fault_model" key.
+  /// keeps pre-refactor behavior byte-for-byte: unannotated canonical
+  /// specs (so old cache keys), golden reports without a "fault_model" key.
   bool is_default() const {
     return kind_ == FaultModelKind::kBitflip && k_ == 1;
   }
@@ -99,11 +99,6 @@ class FaultModelSpec {
   /// weight per input. run_flow checks its option, and Pipeline::run every
   /// pass annotation, before any pass runs.
   exec::Status check_inputs(unsigned num_inputs) const;
-
-  /// FNV-1a digest of the model identity, mixed into
-  /// flow_options_fingerprint for non-default models so serve-cache and
-  /// batch-journal keys never alias across models.
-  std::uint64_t fingerprint() const;
 
   bool operator==(const FaultModelSpec& other) const = default;
 

@@ -38,7 +38,6 @@
 #include <string>
 
 #include "exec/status.hpp"
-#include "flow/synthesis_flow.hpp"
 #include "serve/cache.hpp"
 #include "serve/protocol.hpp"
 
@@ -62,9 +61,6 @@ struct ServerOptions {
   double drain_deadline_ms = 5000.0;
   std::uint64_t cache_max_bytes = std::uint64_t{64} << 20;
   std::size_t max_frame_bytes = kMaxBodyBytes;
-  /// Base flow options applied to every request; part of the cache key
-  /// via flow_options_fingerprint.
-  FlowOptions flow;
 };
 
 struct ServeStats {

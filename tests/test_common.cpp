@@ -20,7 +20,6 @@
 #include "exec/supervisor.hpp"
 #include "flow/batch_supervisor.hpp"
 #include "pla/pla_io.hpp"
-#include "reliability/fault_model.hpp"
 #include "serve/cache.hpp"
 
 namespace rdc {
@@ -455,8 +454,6 @@ TEST(StableHash, PinsPersistedValues) {
   EXPECT_EQ(flow::batch_job_key(spec, "assign:zero | espresso",
                                 flow::BatchOptions{}),
             0xbf04505c673dbb69ull);
-  EXPECT_EQ(reliability::FaultModelSpec::stuckat().fingerprint(),
-            0x80237c8667fadf86ull);
   exec::RetryPolicy retry;
   retry.base_backoff_ms = 100;
   EXPECT_EQ(exec::retry_backoff_ms(retry, 0x1234, 2), 258.32431214301727);

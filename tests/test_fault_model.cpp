@@ -1,11 +1,11 @@
 // Tests for the pluggable fault-model layer (DESIGN.md §16): spec parsing
-// and canonical round trips, the flow_options_fingerprint compatibility
-// contract (default model = pre-§16 bytes), each concrete model checked
+// and canonical round trips, the cache-key compatibility contract
+// (budget_fingerprint = the pre-§16 bytes), each concrete model checked
 // exactly against its scalar oracle (tests/oracles/error_rate.*) and pinned
 // bit for bit by a rate fingerprint, the stuck-at detectability classifier
 // (inadmissible class), pipeline '@model' annotations with byte-offset
-// errors, and the report/fingerprint stamping that keeps cache keys from
-// aliasing.
+// errors, and the report stamping and annotations that keep cache keys
+// from aliasing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -35,6 +35,7 @@
 #include "reliability/assignment.hpp"
 #include "reliability/error_rate.hpp"
 #include "reliability/fault_model.hpp"
+#include "serve/cache.hpp"
 #include "synthetic/generator.hpp"
 #include "tt/incomplete_spec.hpp"
 #include "tt/neighbor_stats.hpp"
@@ -150,6 +151,9 @@ TEST(FaultModelSpec, RegistryNames) {
 }
 
 TEST(FaultModelSpec, FingerprintsSeparateModels) {
+  // A model's identity in cache and journal keys is its canonical text,
+  // the `@model` annotation of the canonical pipeline: distinct models
+  // never share it, and one model always renders it the same way.
   const FaultModelSpec specs[] = {
       FaultModelSpec(),
       FaultModelSpec::bitflip(2),
@@ -160,20 +164,20 @@ TEST(FaultModelSpec, FingerprintsSeparateModels) {
   };
   for (std::size_t i = 0; i < std::size(specs); ++i)
     for (std::size_t j = i + 1; j < std::size(specs); ++j)
-      EXPECT_NE(specs[i].fingerprint(), specs[j].fingerprint())
-          << specs[i].canonical() << " vs " << specs[j].canonical();
-  EXPECT_EQ(FaultModelSpec::stuckat().fingerprint(),
-            FaultModelSpec::stuckat().fingerprint());
-  EXPECT_EQ(FaultModelSpec::bitflip(1).fingerprint(),
-            FaultModelSpec().fingerprint());
+      EXPECT_NE(specs[i].canonical(), specs[j].canonical());
+  EXPECT_EQ(FaultModelSpec::stuckat().canonical(),
+            FaultModelSpec::stuckat().canonical());
+  EXPECT_EQ(FaultModelSpec::bitflip(1).canonical(),
+            FaultModelSpec().canonical());
 }
 
-// --- flow_options_fingerprint compatibility -------------------------------
+// --- cache-key compatibility ----------------------------------------------
 
-// The pre-§16 fingerprint, replicated field by field. If a knob is ever
-// added to FlowOptions without updating this mirror the test fails loudly,
-// which is exactly the review prompt we want: old fingerprints key warm
-// serve caches and resumable journals, so changing them silently is a bug.
+// The fingerprint cache and journal keys were built on before the budget
+// limits became its only input, replicated field by field. At default
+// flow options it must equal budget_fingerprint for every budget: old
+// fingerprints key warm serve caches and resumable journals, so changing
+// them silently is a bug.
 std::uint64_t legacy_fingerprint(const FlowOptions& options,
                                  const exec::BudgetLimits& budget) {
   const auto fnv1a = [](const void* data, std::size_t size,
@@ -200,7 +204,7 @@ std::uint64_t legacy_fingerprint(const FlowOptions& options,
   hash = mix_u64(hash, options.lcf_assign_balanced ? 1 : 0);
   hash = mix_u64(hash, options.resyn_recipe ? 1 : 0);
   hash = mix_u64(hash, options.use_extraction ? 1 : 0);
-  hash = mix_u64(hash, options.sample_seed);
+  hash = mix_u64(hash, 0x9e3779b97f4a7c15ull);  // the sampled-pass seed
   hash = mix_double(hash, budget.deadline_ms);
   hash = mix_u64(hash, budget.max_checkpoints);
   hash = mix_u64(hash, budget.max_rss_bytes);
@@ -208,45 +212,43 @@ std::uint64_t legacy_fingerprint(const FlowOptions& options,
 }
 
 TEST(FlowFingerprint, DefaultModelPreservesPreRefactorBytes) {
-  FlowOptions options;
+  const FlowOptions defaults;
   exec::BudgetLimits budget;
-  EXPECT_EQ(flow::flow_options_fingerprint(options, budget),
-            legacy_fingerprint(options, budget));
-
-  options.objective = OptimizeFor::kDelay;
-  options.ranking_fraction = 0.75;
-  options.lcf_threshold = 0.6;
-  options.lcf_assign_balanced = true;
-  options.resyn_recipe = true;
-  options.use_extraction = true;
-  options.sample_seed = 42;
+  EXPECT_EQ(flow::budget_fingerprint(budget),
+            legacy_fingerprint(defaults, budget));
   budget.deadline_ms = 1500.0;
+  EXPECT_EQ(flow::budget_fingerprint(budget),
+            legacy_fingerprint(defaults, budget));
   budget.max_checkpoints = 1000;
+  EXPECT_EQ(flow::budget_fingerprint(budget),
+            legacy_fingerprint(defaults, budget));
   budget.max_rss_bytes = 1 << 20;
-  EXPECT_EQ(flow::flow_options_fingerprint(options, budget),
-            legacy_fingerprint(options, budget));
-
-  // An explicit bitflip(1) is still the default model — same bytes.
-  options.fault_model = FaultModelSpec::bitflip(1);
-  EXPECT_EQ(flow::flow_options_fingerprint(options, budget),
-            legacy_fingerprint(options, budget));
+  EXPECT_EQ(flow::budget_fingerprint(budget),
+            legacy_fingerprint(defaults, budget));
 }
 
 TEST(FlowFingerprint, NonDefaultModelsNeverAlias) {
+  // A model reaches the serve-cache key through the canonical pipeline's
+  // annotations; the default model's key is that of an unannotated spec.
+  const std::string pla = ".i 4\n.o 1\n0000 1\n.e\n";
+  const std::uint64_t budget = flow::budget_fingerprint({});
   FlowOptions options;
-  exec::BudgetLimits budget;
-  const std::uint64_t base = flow::flow_options_fingerprint(options, budget);
-
-  std::vector<std::uint64_t> prints{base};
+  std::vector<std::uint64_t> keys;
   for (const FaultModelSpec& model :
-       {FaultModelSpec::bitflip(2), FaultModelSpec::stuckat(),
+       {FaultModelSpec(), FaultModelSpec::bitflip(2), FaultModelSpec::stuckat(),
         FaultModelSpec::bitflip_weighted({1.0, 0.5, 0.25, 0.125})}) {
     options.fault_model = model;
-    prints.push_back(flow::flow_options_fingerprint(options, budget));
+    keys.push_back(serve::result_cache_key(
+        pla, flow::canonical_flow_spec(DcPolicy::kRankingFraction, options),
+        budget));
   }
-  for (std::size_t i = 0; i < prints.size(); ++i)
-    for (std::size_t j = i + 1; j < prints.size(); ++j)
-      EXPECT_NE(prints[i], prints[j]) << i << " vs " << j;
+  EXPECT_EQ(keys[0], serve::result_cache_key(
+                         pla, "assign:ranking(0.5) | espresso | factor | aig "
+                              "| map:power | analyze | error_rate",
+                         budget));
+  for (std::size_t i = 0; i < keys.size(); ++i)
+    for (std::size_t j = i + 1; j < keys.size(); ++j)
+      EXPECT_NE(keys[i], keys[j]) << i << " vs " << j;
 }
 
 // --- bitflip model vs the scalar oracles ---------------------------------

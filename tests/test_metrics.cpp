@@ -258,7 +258,7 @@ TEST(Events, PipelineEmitsLifecycleEvents) {
 
   auto pipeline = flow::parse_pipeline("assign:zero | espresso");
   ASSERT_TRUE(pipeline.ok()) << pipeline.status().to_string();
-  flow::Design design(spec, FlowOptions{});
+  flow::Design design(spec);
   ASSERT_TRUE(pipeline->run(design).ok());
 
   std::vector<std::string> events;

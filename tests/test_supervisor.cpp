@@ -444,9 +444,6 @@ TEST(SupervisedBatch, JobKeysAreStableAndSalted) {
   EXPECT_NE(flow::batch_job_key(spec, "espresso", options, 1), key);
   EXPECT_NE(flow::batch_job_key(spec, "espresso | factor", options), key);
   flow::BatchOptions other = options;
-  other.flow.ranking_fraction = 0.25;
-  EXPECT_NE(flow::batch_job_key(spec, "espresso", other), key);
-  other = options;
   other.budget.deadline_ms = 1000.0;
   EXPECT_NE(flow::batch_job_key(spec, "espresso", other), key);
 }

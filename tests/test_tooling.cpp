@@ -1,8 +1,6 @@
-// Tests for the auxiliary tooling: DIMACS I/O, testbench generation, and
-// parser robustness against malformed inputs.
+// Tests for the auxiliary tooling: testbench generation and parser
+// robustness against malformed inputs.
 #include <gtest/gtest.h>
-
-#include <sstream>
 
 #include "common/rng.hpp"
 #include "espresso/espresso.hpp"
@@ -12,46 +10,10 @@
 #include "mapper/liberty.hpp"
 #include "mapper/tree_map.hpp"
 #include "pla/pla_io.hpp"
-#include "sat/dimacs.hpp"
 #include "sop/factor.hpp"
 
 namespace rdc {
 namespace {
-
-TEST(Dimacs, ParseAndSolve) {
-  // (x1 | !x2) & (x2) & (!x1 | x3)
-  const std::string text =
-      "c comment\np cnf 3 3\n1 -2 0\n2 0\n-1 3 0\n";
-  const sat::Cnf cnf = sat::parse_dimacs_string(text);
-  EXPECT_EQ(cnf.num_vars, 3u);
-  ASSERT_EQ(cnf.clauses.size(), 3u);
-  sat::Solver solver;
-  add_to_solver(cnf, solver);
-  ASSERT_EQ(solver.solve(), sat::SolveResult::kSat);
-  EXPECT_TRUE(solver.model_value(1));  // x2 forced
-}
-
-TEST(Dimacs, RoundTrip) {
-  sat::Cnf cnf;
-  cnf.num_vars = 4;
-  cnf.clauses = {{sat::Lit(0, false), sat::Lit(3, true)},
-                 {sat::Lit(1, true)},
-                 {sat::Lit(2, false), sat::Lit(1, false), sat::Lit(0, true)}};
-  std::ostringstream out;
-  write_dimacs(cnf, out);
-  const sat::Cnf parsed = sat::parse_dimacs_string(out.str());
-  EXPECT_EQ(parsed.num_vars, cnf.num_vars);
-  ASSERT_EQ(parsed.clauses.size(), cnf.clauses.size());
-  for (std::size_t i = 0; i < cnf.clauses.size(); ++i)
-    EXPECT_EQ(parsed.clauses[i], cnf.clauses[i]);
-}
-
-TEST(Dimacs, Errors) {
-  EXPECT_THROW(sat::parse_dimacs_string("1 2 0\n"), std::runtime_error);
-  EXPECT_THROW(sat::parse_dimacs_string("p cnf 2 1\n5 0\n"), std::runtime_error);
-  EXPECT_THROW(sat::parse_dimacs_string("p cnf 2 1\n1 2\n"), std::runtime_error);
-  EXPECT_THROW(sat::parse_dimacs_string("p sat 2 1\n1 0\n"), std::runtime_error);
-}
 
 TEST(Testbench, ContainsAllExhaustiveChecks) {
   Rng rng(951);
@@ -107,7 +69,6 @@ TEST(Robustness, ParsersRejectGarbage) {
     EXPECT_ANY_THROW(parse_aiger_string(text)) << text;
     EXPECT_ANY_THROW(parse_liberty_string(text)) << text;
     EXPECT_ANY_THROW(parse_blif_string(text)) << text;
-    EXPECT_ANY_THROW(sat::parse_dimacs_string(text)) << text;
   }
 }
 
