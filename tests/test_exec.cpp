@@ -388,12 +388,11 @@ TEST(ExecFlow, AllRungsFailingYieldsPartial) {
 
 TEST(ExecFlow, CancelledBudgetSkipsStraightToPartial) {
   // Cancellation means "stop", not "try cheaper": no rung may run.
+  // run_flow runs under the budget its caller installed.
   exec::ExecBudget budget;
   budget.request_cancel();
-  FlowOptions options;
-  options.budget = &budget;
-  const FlowResult result =
-      run_flow(small_spec(), DcPolicy::kLcfThreshold, options);
+  exec::BudgetScope scope(&budget);
+  const FlowResult result = run_flow(small_spec(), DcPolicy::kLcfThreshold);
   EXPECT_EQ(result.status.code(), exec::StatusCode::kCancelled);
   EXPECT_EQ(result.degradation, DegradationLevel::kPartial);
 }
@@ -404,10 +403,8 @@ TEST(ExecFlow, ExpiredDeadlineStillProducesNetlistAndValidReport) {
   // FlowReport must be valid JSON carrying the §10 schema additions.
   exec::ExecBudget budget = exec::ExecBudget::with_deadline_ms(0.001);
   std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  FlowOptions options;
-  options.budget = &budget;
-  const FlowResult result =
-      run_flow(small_spec(), DcPolicy::kLcfThreshold, options);
+  exec::BudgetScope scope(&budget);
+  const FlowResult result = run_flow(small_spec(), DcPolicy::kLcfThreshold);
 
   EXPECT_TRUE(result.status.ok());
   EXPECT_EQ(result.degradation, DegradationLevel::kConventional);
