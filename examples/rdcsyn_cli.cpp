@@ -19,14 +19,10 @@
 //       spec, e.g. "assign:ranking(0.5) | espresso | factor | aig |
 //       map:power | analyze | error_rate"; it refuses --delay and
 //       --resyn (exit 2), whose passes the spec names instead.
-//   rdcsyn_cli batch  <a.pla> <b.pla> ... --pipeline "<spec>"
-//              [--json report.json] [--retries N]
-//       Runs the pipeline over every circuit on the rdc_batch engine —
-//       one forked worker per circuit, RDC_THREADS at a time — and emits
-//       an aggregated JSON report.
+//
+// A pipeline over many circuits runs on tools/rdc_batch.
 //
 // Without arguments, prints usage and a tiny demo.
-#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -53,11 +49,9 @@
 #include "espresso/espresso.hpp"
 #include "aig/aig.hpp"
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "decomp/renode.hpp"
 #include "io/blif_reader.hpp"
 #include "io/testbench.hpp"
-#include "obs/metrics.hpp"
 #include "sat/equivalence.hpp"
 
 namespace {
@@ -75,15 +69,6 @@ int usage() {
       "                    [--delay] [--resyn] [--lib file.lib] [--tb tb.v]\n"
       "                    [--policy ...] [--pipeline \"<spec>\"] [--json "
       "out.json]\n"
-      "  rdcsyn_cli batch  <a.pla> <b.pla> ... --pipeline \"<spec>\"\n"
-      "                    [--json report.json] [--retries N]\n"
-      "      Runs the pipeline over every circuit on the rdc_batch engine:\n"
-      "      each circuit in its own worker process, RDC_THREADS workers at\n"
-      "      a time. Failures and crashes become error rows, not aborts;\n"
-      "      every row records its \"attempts\". --retries N gives each\n"
-      "      circuit up to N attempts (transient failures only, jittered\n"
-      "      backoff). Pipeline specs look like \"assign:ranking(0.5) |\n"
-      "      espresso | factor | aig | map:power | analyze | error_rate\".\n"
       "  rdcsyn_cli cachekey <in.pla> --pipeline \"<spec>\"\n"
       "      Prints the serve result-cache key (hex) for the spec bytes +\n"
       "      canonical pipeline of an unbudgeted request; pipelines with\n"
@@ -96,14 +81,12 @@ int usage() {
       "      SAT-based combinational equivalence check.\n"
       "\n"
       "exit codes: 0 success; 1 hard error (I/O, unexpected exception);\n"
-      "  2 usage / invalid arguments; 3 batch completed but some rows\n"
-      "  failed (the report was still written).\n");
+      "  2 usage / invalid arguments.\n");
   return 2;
 }
 
 struct Args {
   std::string input;
-  std::vector<std::string> inputs;  ///< every positional file (batch)
   std::string output;
   std::string policy = "ranking";
   std::string format = "verilog";
@@ -113,7 +96,6 @@ struct Args {
   std::string json;      ///< report JSON destination (--json)
   double fraction = 0.5;
   double threshold = 0.55;
-  int retries = 1;  ///< total attempts per circuit (batch), like rdc_batch
   bool delay = false;
   bool resyn = false;
 };
@@ -143,14 +125,6 @@ bool parse_args(int argc, char** argv, int first, Args& args) {
       args.pipeline = argv[++i];
     } else if (a == "--json" && i + 1 < argc) {
       args.json = argv[++i];
-    } else if (a == "--retries" && i + 1 < argc) {
-      // The whole value must parse: "2x" is a usage error, not a 2.
-      const char* text = argv[++i];
-      char* end = nullptr;
-      const long retries = std::strtol(text, &end, 10);
-      if (end == text || *end != '\0' || retries < 1 || retries > INT_MAX)
-        return false;
-      args.retries = static_cast<int>(retries);
     } else if (a == "--fraction") {
       if (!value(args.fraction)) return false;
     } else if (a == "--threshold") {
@@ -161,7 +135,6 @@ bool parse_args(int argc, char** argv, int first, Args& args) {
       args.resyn = true;
     } else if (a[0] != '-') {
       if (args.input.empty()) args.input = a;
-      args.inputs.push_back(a);
     } else {
       std::fprintf(stderr, "unknown argument: %s\n", a.c_str());
       return false;
@@ -314,51 +287,6 @@ int cmd_cachekey(const Args& args) {
   return 0;
 }
 
-int cmd_batch(const Args& args) {
-  if (args.pipeline.empty()) {
-    std::fprintf(stderr, "batch: --pipeline \"<spec>\" is required\n");
-    return 2;
-  }
-  if (args.delay) {
-    // The pipeline names its mapper; a flow-level objective reaches no pass.
-    std::fprintf(stderr,
-                 "batch: --delay has no effect; name \"balance | map:delay\" "
-                 "in --pipeline instead\n");
-    return 2;
-  }
-  exec::Result<flow::Pipeline> pipeline = flow::parse_pipeline(args.pipeline);
-  if (!pipeline.ok()) {
-    std::fprintf(stderr, "error: %s\n", pipeline.status().to_string().c_str());
-    return 2;
-  }
-  std::vector<IncompleteSpec> specs;
-  specs.reserve(args.inputs.size());
-  for (const std::string& path : args.inputs) specs.push_back(load_pla(path));
-
-  flow::SupervisedBatchOptions options;
-  options.retry.max_attempts = args.retries;
-  options.max_parallel = static_cast<int>(ThreadPool::global_size());
-  obs::metrics_init_from_env();
-  auto batch =
-      flow::run_pipeline_batch_supervised(args.pipeline, specs, options);
-  if (!batch.ok()) {
-    std::fprintf(stderr, "error: %s\n", batch.status().to_string().c_str());
-    return 1;
-  }
-  const std::string report = batch->report.to_json();
-  if (!args.json.empty()) {
-    if (!write_text_file(args.json, report)) return 1;
-    std::printf("wrote %s (%zu circuits, %zu failures)\n", args.json.c_str(),
-                specs.size(), batch->failures);
-  } else {
-    std::printf("%s\n", report.c_str());
-  }
-  // Exit 3 (not the generic 1): the batch itself completed and the report
-  // was written, but some rows failed — scripts can distinguish "partial
-  // results available" from a hard error.
-  return batch->failures == 0 ? 0 : 3;
-}
-
 int cmd_synth(const Args& args) {
   if (!args.pipeline.empty()) return cmd_pipeline(args);
   const IncompleteSpec spec = load_pla(args.input);
@@ -504,7 +432,6 @@ int main(int argc, char** argv) {
     if (command == "stats") return cmd_stats(args);
     if (command == "assign") return cmd_assign(args);
     if (command == "synth") return cmd_synth(args);
-    if (command == "batch") return cmd_batch(args);
     if (command == "cachekey") return cmd_cachekey(args);
     if (command == "renode") return cmd_renode(args);
   } catch (const std::exception& e) {

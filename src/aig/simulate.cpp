@@ -1,6 +1,5 @@
 #include "aig/simulate.hpp"
 
-#include <bit>
 #include <stdexcept>
 
 #include "common/bits.hpp"
@@ -48,25 +47,12 @@ bool AigSimulator::literal_value(std::uint32_t lit,
   return v != aiglit::is_complemented(lit);
 }
 
-double AigSimulator::signal_probability(std::uint32_t lit) const {
-  const SimWords t = literal_table(lit);
-  std::uint64_t ones = 0;
-  for (std::uint64_t w : t) ones += std::popcount(w);
-  return static_cast<double>(ones) / num_vectors_;
-}
-
 TernaryTruthTable AigSimulator::output_table(unsigned o) const {
   const std::uint32_t lit = aig_.outputs().at(o);
   TernaryTruthTable tt(aig_.num_inputs());
   for (std::uint32_t m = 0; m < num_vectors_; ++m)
     if (literal_value(lit, m)) tt.set_phase(m, Phase::kOne);
   return tt;
-}
-
-bool aig_output_equals(const Aig& aig, unsigned o,
-                       const TernaryTruthTable& expected) {
-  const AigSimulator sim(aig);
-  return sim.output_table(o) == expected;
 }
 
 }  // namespace rdc

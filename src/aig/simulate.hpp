@@ -26,9 +26,6 @@ class AigSimulator {
   /// Value of a literal on one input vector.
   bool literal_value(std::uint32_t lit, std::uint32_t minterm) const;
 
-  /// Fraction of input vectors on which the literal is 1.
-  double signal_probability(std::uint32_t lit) const;
-
   /// Truth table of output `o` as a completely specified ternary table.
   TernaryTruthTable output_table(unsigned o) const;
 
@@ -40,10 +37,5 @@ class AigSimulator {
   std::size_t words_;
   std::vector<SimWords> tables_;  // per node, positive polarity
 };
-
-/// Convenience: does output `o` of the AIG implement exactly `expected`
-/// (which must be completely specified)?
-bool aig_output_equals(const Aig& aig, unsigned o,
-                       const TernaryTruthTable& expected);
 
 }  // namespace rdc

@@ -91,30 +91,6 @@ BitVec BitVec::xor_permute(std::uint32_t mask) const {
   return result;
 }
 
-BitVec bv_and(const BitVec& a, const BitVec& b) {
-  BitVec r = a;
-  r &= b;
-  return r;
-}
-
-BitVec bv_or(const BitVec& a, const BitVec& b) {
-  BitVec r = a;
-  r |= b;
-  return r;
-}
-
-BitVec bv_xor(const BitVec& a, const BitVec& b) {
-  BitVec r = a;
-  r ^= b;
-  return r;
-}
-
-BitVec bv_andnot(const BitVec& a, const BitVec& b) {
-  BitVec r = a;
-  r.and_not(b);
-  return r;
-}
-
 std::uint64_t popcount_and(const BitVec& a, const BitVec& b) {
   assert(a.size() == b.size());
   return simd::popcount_and(a.data(), b.data(), a.num_words());

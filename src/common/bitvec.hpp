@@ -135,12 +135,6 @@ inline std::uint64_t word_neighbor_shift(std::uint64_t word, unsigned j) {
   return ((word >> s) & mask) | ((word & mask) << s);
 }
 
-/// Out-of-place set algebra (allocating convenience forms).
-BitVec bv_and(const BitVec& a, const BitVec& b);
-BitVec bv_or(const BitVec& a, const BitVec& b);
-BitVec bv_xor(const BitVec& a, const BitVec& b);
-BitVec bv_andnot(const BitVec& a, const BitVec& b);
-
 /// popcount(a & b) without materializing the intersection.
 std::uint64_t popcount_and(const BitVec& a, const BitVec& b);
 /// popcount((a ^ b) & c) without temporaries — the inner loop of the

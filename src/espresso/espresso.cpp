@@ -111,10 +111,4 @@ void conventional_assign(IncompleteSpec& spec) {
   for (auto& f : spec.outputs()) conventional_assign(f);
 }
 
-bool cover_is_valid_for(const Cover& cover, const TernaryTruthTable& f) {
-  const BitVec covered = cover.minterm_bits();
-  return bv_andnot(f.on_bits(), covered).count() == 0 &&
-         popcount_and(covered, f.off_bits()) == 0;
-}
-
 }  // namespace rdc

@@ -64,8 +64,4 @@ Cover conventional_assign(TernaryTruthTable& f,
 /// Applies conventional assignment to every output.
 void conventional_assign(IncompleteSpec& spec);
 
-/// Debug/test helper: checks that `cover` covers every ON minterm of `f`
-/// and no OFF minterm. `cover` must have the width of `f`.
-bool cover_is_valid_for(const Cover& cover, const TernaryTruthTable& f);
-
 }  // namespace rdc

@@ -11,6 +11,7 @@
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "decomp/renode.hpp"
+#include "espresso/espresso.hpp"
 #include "mapper/tree_map.hpp"
 #include "obs/counters.hpp"
 #include "reliability/fault_model.hpp"
@@ -281,7 +282,7 @@ class AssignPass final : public Pass {
 
 class EspressoPass final : public Pass {
  public:
-  /// `max_iterations` < 0 inherits Design::espresso (the ladder's dial).
+  /// `max_iterations` < 0 is the bare `espresso`: EspressoOptions{}.
   explicit EspressoPass(int max_iterations) : max_iterations_(max_iterations) {}
 
   const char* name() const override { return "espresso"; }
@@ -295,7 +296,7 @@ class EspressoPass final : public Pass {
   exec::Status run(Design& design) override {
     if (exec::Status s = design.require(Artifact::kAssigned, name()); !s.ok())
       return s;
-    EspressoOptions options = design.espresso;
+    EspressoOptions options;
     if (max_iterations_ >= 0)
       options.max_iterations = static_cast<unsigned>(max_iterations_);
     IncompleteSpec& working = design.working();

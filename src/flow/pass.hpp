@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "aig/aig.hpp"
-#include "espresso/espresso.hpp"
 #include "exec/status.hpp"
 #include "mapper/cell_library.hpp"
 #include "mapper/netlist.hpp"
@@ -122,10 +121,6 @@ class Design {
   /// (no `@model` annotation), where it stays empty so pre-§16 reports
   /// stay byte-identical.
   std::string fault_model_label;
-
-  /// Effort dial for the `espresso` pass; run_flow's degradation ladder
-  /// lowers it (max_iterations = 0) on its heuristic rung.
-  EspressoOptions espresso;
 
   /// Phase wall-times (written by the Pipeline harness) plus result
   /// metrics (written by passes and the end-of-run stamp).

@@ -12,13 +12,11 @@
 #include <cstdint>
 #include <string>
 
-#include "exec/budget.hpp"
 #include "exec/status.hpp"
 #include "mapper/power.hpp"
 #include "mapper/tree_map.hpp"
 #include "obs/report.hpp"
 #include "reliability/assignment.hpp"
-#include "reliability/fault_model.hpp"
 #include "tt/incomplete_spec.hpp"
 
 namespace rdc {
@@ -40,7 +38,8 @@ enum class DcPolicy {
 /// How far run_flow had to descend its graceful-degradation ladder
 /// (DESIGN.md §10). Each level trades result quality for completion:
 ///   kNone          — full flow with exact-effort ESPRESSO
-///   kHeuristic     — single-pass ESPRESSO (max_iterations = 0)
+///   kHeuristic     — single-pass ESPRESSO: the canonical spec with
+///                    `espresso(0)` in place of `espresso`
 ///   kConventional  — no minimization: remaining DCs forced to 0, minterm
 ///                    covers, synthesized with the budget masked so this
 ///                    rung always completes
@@ -72,17 +71,6 @@ struct FlowOptions {
   /// Share common kernels across outputs before factoring (GKX-lite);
   /// functionally neutral, typically saves area on multi-output specs.
   bool use_extraction = false;
-  /// Deadline/cancellation budget for this flow (not owned). Installed for
-  /// the duration of run_flow and propagated to its worker threads; a trip
-  /// makes the flow descend the degradation ladder instead of throwing.
-  /// Null inherits whatever budget the calling thread already has.
-  exec::ExecBudget* budget = nullptr;
-  /// Fault scenario the reliability passes optimize and analyze against
-  /// (DESIGN.md §16). The default, bitflip(1), is the paper's model: its
-  /// decisions and report bytes are exactly those of the pre-FaultModel
-  /// flow. Any other model becomes an `@model` annotation on the
-  /// canonical spec's assign and error_rate passes.
-  reliability::FaultModelSpec fault_model;
 };
 
 struct FlowResult {
@@ -106,22 +94,24 @@ struct FlowResult {
 
 /// Runs the full flow on a specification: the pipeline
 /// `flow::canonical_flow_spec(policy, options)` on a flow::Design of
-/// `spec`, inside a degradation ladder. No-throw by design: budget trips,
-/// injected faults and internal errors make it descend the ladder
-/// documented on DegradationLevel; the worst case is a kPartial result
-/// whose FlowResult::status carries the terminal failure. An invalid
-/// argument goes straight to kPartial. That includes a knob the policy
-/// reads out of range (ranking_fraction outside [0, 1], lcf_threshold
-/// outside (0, 1), NaN included) and a fault model that does not fit the
-/// spec, both rejected before any pass runs.
+/// `spec`, inside a degradation ladder, under the calling thread's exec
+/// budget (exec::BudgetScope), which the thread pool hands on to the
+/// flow's workers. No-throw by design: budget trips, injected faults and
+/// internal errors make it descend the ladder documented on
+/// DegradationLevel; the worst case is a kPartial result whose
+/// FlowResult::status carries the terminal failure. A cancellation and an
+/// invalid argument go straight to kPartial; the latter includes a knob
+/// the policy reads out of range (ranking_fraction outside [0, 1],
+/// lcf_threshold outside (0, 1), NaN included), rejected before any pass
+/// runs. The flow analyzes under the paper's fault model; a pipeline
+/// names any other with `@model` annotations (DESIGN.md §16).
 FlowResult run_flow(const IncompleteSpec& spec, DcPolicy policy,
                     const FlowOptions& options = {});
 
 namespace flow {
 
 /// The pipeline spec run_flow runs for `policy`/`options` on its first
-/// rung, parameters rendered with format_double. A non-default fault
-/// model annotates the reliability assignment and the error_rate pass.
+/// rung, parameters rendered with format_double.
 std::string canonical_flow_spec(DcPolicy policy, const FlowOptions& options);
 
 }  // namespace flow

@@ -26,12 +26,6 @@ void write_aiger(const Aig& aig, std::ostream& out) {
   }
 }
 
-std::string to_aiger(const Aig& aig) {
-  std::ostringstream out;
-  write_aiger(aig, out);
-  return out.str();
-}
-
 namespace {
 
 /// All header counts and literals are parsed through this checked reader:

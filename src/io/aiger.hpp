@@ -15,9 +15,6 @@ namespace rdc {
 /// Writes the AIG in ascii AIGER format.
 void write_aiger(const Aig& aig, std::ostream& out);
 
-/// Convenience: returns the aag text.
-std::string to_aiger(const Aig& aig);
-
 /// Parses an ascii AIGER document (combinational: no latches). Throws
 /// std::runtime_error on malformed input.
 Aig parse_aiger(std::istream& in);

@@ -43,8 +43,4 @@ CellLibrary parse_liberty(std::istream& in);
 CellLibrary parse_liberty_string(const std::string& text);
 CellLibrary load_liberty(const std::filesystem::path& path);
 
-/// Writes the library in the same subset (round-trips with parse_liberty).
-void write_liberty(const CellLibrary& lib, const std::string& name,
-                   std::ostream& out);
-
 }  // namespace rdc

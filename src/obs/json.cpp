@@ -145,12 +145,6 @@ JsonWriter& JsonWriter::value(std::int64_t v) {
   return *this;
 }
 
-JsonWriter& JsonWriter::null() {
-  prepare_for_value();
-  out_ += "null";
-  return *this;
-}
-
 JsonWriter& JsonWriter::raw(std::string_view json) {
   prepare_for_value();
   out_ += json;

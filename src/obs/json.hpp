@@ -51,7 +51,6 @@ class JsonWriter {
     else
       return value(static_cast<std::uint64_t>(v));
   }
-  JsonWriter& null();
 
   /// Splices `json` into the output verbatim, in value position. The
   /// caller guarantees it is one complete JSON value; used to replay

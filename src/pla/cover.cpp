@@ -30,14 +30,6 @@ BitVec Cover::minterm_bits() const {
   return bits;
 }
 
-TernaryTruthTable Cover::to_truth_table() const {
-  TernaryTruthTable tt(num_inputs_);
-  minterm_bits().for_each_set([&](std::uint64_t m) {
-    tt.set_phase(static_cast<std::uint32_t>(m), Phase::kOne);
-  });
-  return tt;
-}
-
 Cover Cover::from_phase(const TernaryTruthTable& f, Phase phase) {
   const BitVec bits = phase == Phase::kOne  ? f.on_bits()
                       : phase == Phase::kDc ? f.dc_bits()

@@ -40,10 +40,6 @@ class Cover {
   /// painted word by word. Requires num_inputs <= TernaryTruthTable::kMaxInputs.
   BitVec minterm_bits() const;
 
-  /// Builds the set of minterms covered, as an on-set-only truth table
-  /// (off elsewhere). Requires num_inputs <= TernaryTruthTable::kMaxInputs.
-  TernaryTruthTable to_truth_table() const;
-
   /// Cover consisting of one minterm cube per on-set minterm of `f`
   /// (`phase` selects which set to enumerate), in increasing minterm order.
   static Cover from_phase(const TernaryTruthTable& f, Phase phase);

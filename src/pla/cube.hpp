@@ -53,11 +53,6 @@ struct Cube {
     return static_cast<unsigned>(std::popcount((mask0 ^ mask1) & var_mask(n)));
   }
 
-  /// Number of minterms contained: 2^(n - literals).
-  std::uint32_t minterm_count(unsigned n) const {
-    return empty(n) ? 0 : (1u << (n - literal_count(n)));
-  }
-
   bool contains_minterm(std::uint32_t m, unsigned n) const {
     // Every variable set to 1 in m must be admitted by mask1, every variable
     // set to 0 by mask0.
@@ -72,18 +67,6 @@ struct Cube {
   /// Intersection (may be empty).
   Cube intersect(const Cube& other) const {
     return Cube{mask0 & other.mask0, mask1 & other.mask1};
-  }
-
-  /// True iff the intersection is non-empty.
-  bool intersects(const Cube& other, unsigned n) const {
-    return !intersect(other).empty(n);
-  }
-
-  /// Distance: number of variables where the two cubes conflict (empty part).
-  unsigned conflict_count(const Cube& other, unsigned n) const {
-    const Cube x = intersect(other);
-    return static_cast<unsigned>(
-        std::popcount(~(x.mask0 | x.mask1) & var_mask(n)));
   }
 
   /// Raise variable j to don't-care.
@@ -138,14 +121,6 @@ inline void paint_cube(BitVec& set, const Cube& c, unsigned n) {
   for_each_cube_word(c, n, [&](std::size_t w, std::uint64_t bits) {
     words[w] |= bits;
     return true;
-  });
-}
-
-/// True iff `c` holds a minterm of `set`, a bitset of 2^n minterms.
-inline bool cube_meets(const BitVec& set, const Cube& c, unsigned n) {
-  const std::uint64_t* words = set.data();
-  return !for_each_cube_word(c, n, [&](std::size_t w, std::uint64_t bits) {
-    return (words[w] & bits) == 0;
   });
 }
 

@@ -1,13 +1,10 @@
 #include "pla/pla_io.hpp"
 
 #include <fstream>
-#include <map>
-#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
 
-#include "espresso/espresso.hpp"
 #include "pla/cover.hpp"
 
 namespace rdc {
@@ -212,51 +209,6 @@ void write_pla(const IncompleteSpec& spec, std::ostream& out) {
   }
   out << ".p " << rows.size() << "\n";
   for (const auto& r : rows) out << r << "\n";
-  out << ".e\n";
-}
-
-namespace {
-
-/// Minimized cover of exactly the `phase` set (no absorption of other
-/// phases, so write->parse round trips are exact).
-Cover exact_phase_cover(const TernaryTruthTable& f, Phase phase) {
-  TernaryTruthTable g(f.num_inputs());
-  for (std::uint32_t m = 0; m < f.size(); ++m)
-    if (f.phase(m) == phase) g.set_phase(m, Phase::kOne);
-  return minimize(g);
-}
-
-}  // namespace
-
-void write_pla_compact(const IncompleteSpec& spec, std::ostream& out) {
-  // Row map: input part -> output column characters.
-  std::map<std::string, std::string> rows;
-  const std::string blank(spec.num_outputs(), '0');
-  for (unsigned o = 0; o < spec.num_outputs(); ++o) {
-    const TernaryTruthTable& f = spec.output(o);
-    // Bind the covers: a range-for over `temporary.cubes()` would iterate
-    // a dangling vector in C++20.
-    const Cover on = exact_phase_cover(f, Phase::kOne);
-    const Cover dc = exact_phase_cover(f, Phase::kDc);
-    for (const Cube& c : on.cubes()) {
-      auto [it, unused] =
-          rows.try_emplace(c.to_string(spec.num_inputs()), blank);
-      it->second[o] = '1';
-    }
-    for (const Cube& c : dc.cubes()) {
-      auto [it, unused] =
-          rows.try_emplace(c.to_string(spec.num_inputs()), blank);
-      it->second[o] = '-';
-    }
-  }
-
-  out << "# " << spec.name() << " — written by rdcsyn (compact)\n";
-  out << ".i " << spec.num_inputs() << "\n";
-  out << ".o " << spec.num_outputs() << "\n";
-  out << ".type fd\n";
-  out << ".p " << rows.size() << "\n";
-  for (const auto& [input, outputs] : rows)
-    out << input << " " << outputs << "\n";
   out << ".e\n";
 }
 

@@ -28,12 +28,6 @@ IncompleteSpec load_pla(const std::filesystem::path& path);
 /// Writes the spec as an fd-type .pla (one row per care-or-DC minterm).
 void write_pla(const IncompleteSpec& spec, std::ostream& out);
 
-/// Writes a compact fd-type .pla: per-output ON and DC covers are
-/// minimized (espresso for ON, single-cube containment for DC) and rows
-/// with identical input parts are merged across outputs — the row format
-/// espresso itself emits. Typically 10-50x smaller than write_pla.
-void write_pla_compact(const IncompleteSpec& spec, std::ostream& out);
-
 /// Writes to a file, creating parent directories as needed.
 void save_pla(const IncompleteSpec& spec, const std::filesystem::path& path);
 

@@ -186,24 +186,13 @@ DcCandidates dc_candidates(const TernaryTruthTable& f,
 }
 
 AssignmentResult ranking_assign(TernaryTruthTable& f, double fraction) {
-  return ranking_assign(f, fraction, NeighborTable(f));
-}
-
-AssignmentResult ranking_assign(TernaryTruthTable& f, double fraction,
-                                const NeighborTable& neighbors) {
-  DcCandidates candidates = dc_candidates(f, neighbors, paper_model());
+  DcCandidates candidates = dc_candidates(f, NeighborTable(f), paper_model());
   return rank_and_assign(f, fraction, candidates);
 }
 
 AssignmentResult ranking_assign_count(TernaryTruthTable& f,
                                       std::uint32_t count) {
-  return ranking_assign_count(f, count, NeighborTable(f));
-}
-
-AssignmentResult ranking_assign_count(TernaryTruthTable& f,
-                                      std::uint32_t count,
-                                      const NeighborTable& neighbors) {
-  DcCandidates candidates = dc_candidates(f, neighbors, paper_model());
+  DcCandidates candidates = dc_candidates(f, NeighborTable(f), paper_model());
   return assign_top(f, candidates, count);
 }
 
@@ -266,12 +255,7 @@ AssignmentResult ranking_assign_incremental(TernaryTruthTable& f,
 
 AssignmentResult lcf_assign(TernaryTruthTable& f, double threshold,
                             bool assign_balanced) {
-  return lcf_assign(f, threshold, assign_balanced, NeighborTable(f));
-}
-
-AssignmentResult lcf_assign(TernaryTruthTable& f, double threshold,
-                            bool assign_balanced,
-                            const NeighborTable& neighbors) {
+  const NeighborTable neighbors(f);
   return lcf_filter_and_assign(f, threshold, assign_balanced,
                                dc_candidates(f, neighbors, paper_model()),
                                neighbors);

@@ -44,15 +44,8 @@ AssignmentResult ranking_assign(TernaryTruthTable& f, double fraction);
 /// assignments can create or destroy majorities for later ones.
 AssignmentResult ranking_assign_incremental(TernaryTruthTable& f,
                                             double fraction);
-
-// Table-reusing overloads: identical semantics, but seeded from an
-// already-built NeighborTable of `f` instead of rebuilding one. All
-// algorithms evaluate their neighbor metrics on the *input* specification
-// (the paper's static formulation), so a table cached for the pristine spec
-// stays valid for every such pass — the flow layer builds the per-output
-// tables once per Design and hands them to each assign pass.
-AssignmentResult ranking_assign(TernaryTruthTable& f, double fraction,
-                                const NeighborTable& neighbors);
+/// The same, seeded from `neighbors`, an already-built NeighborTable of
+/// `f` (the flow's per-Design table of the pristine spec).
 AssignmentResult ranking_assign_incremental(TernaryTruthTable& f,
                                             double fraction,
                                             const NeighborTable& neighbors);
@@ -70,17 +63,11 @@ AssignmentResult ranking_assign_incremental(TernaryTruthTable& f,
 /// (compare with bench_ablation_ties).
 AssignmentResult lcf_assign(TernaryTruthTable& f, double threshold,
                             bool assign_balanced = false);
-AssignmentResult lcf_assign(TernaryTruthTable& f, double threshold,
-                            bool assign_balanced,
-                            const NeighborTable& neighbors);
 
 /// Assigns exactly `count` DCs by rank (used for the paper's Table-2
 /// protocol of comparing ranking-based to LC^f-based at equal fractions).
 AssignmentResult ranking_assign_count(TernaryTruthTable& f,
                                       std::uint32_t count);
-AssignmentResult ranking_assign_count(TernaryTruthTable& f,
-                                      std::uint32_t count,
-                                      const NeighborTable& neighbors);
 
 /// Multi-output wrappers: apply the pass to every output independently and
 /// accumulate the counters.

@@ -524,15 +524,6 @@ class StuckAtModel final : public FaultModel {
 
 }  // namespace
 
-const char* fault_model_kind_name(FaultModelKind kind) {
-  switch (kind) {
-    case FaultModelKind::kBitflip: return "bitflip";
-    case FaultModelKind::kBitflipWeighted: return "bitflip_weighted";
-    case FaultModelKind::kStuckAt: return "stuckat";
-  }
-  return "unknown";
-}
-
 FaultModelSpec FaultModelSpec::bitflip(unsigned k) {
   FaultModelSpec spec;
   spec.kind_ = FaultModelKind::kBitflip;

@@ -52,9 +52,6 @@ enum class FaultModelKind : std::uint8_t {
   kStuckAt = 2,          ///< stuck-at-0/1 input-pin faults
 };
 
-/// Stable lower-case kind name ("bitflip", "bitflip_weighted", "stuckat").
-const char* fault_model_kind_name(FaultModelKind kind);
-
 /// Value-semantics description of a fault model. Default-constructed it is
 /// the paper's model, bitflip(1); is_default() gates the compatibility
 /// paths (unannotated canonical specs, report labels) and the one
@@ -127,8 +124,6 @@ struct SampledRate {
   double ci_low = 0.0;    ///< 95% CI lower bound, clamped to [0, 1]
   double ci_high = 0.0;   ///< 95% CI upper bound, clamped to [0, 1]
   std::uint64_t samples = 0;  ///< draws actually spent
-
-  double half_width() const { return (ci_high - ci_low) / 2.0; }
 };
 
 /// One fault scenario's complete analysis surface. Implementations must be

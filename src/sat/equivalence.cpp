@@ -7,8 +7,25 @@
 namespace rdc {
 namespace {
 
-EquivalenceResult run_miter(const Aig& a, const Aig& b, unsigned first_output,
-                            unsigned last_output) {
+void check_interfaces(const Aig& a, const Aig& b) {
+  if (a.num_inputs() != b.num_inputs())
+    throw std::invalid_argument("equivalence: input count mismatch");
+  if (a.outputs().size() != b.outputs().size())
+    throw std::invalid_argument("equivalence: output count mismatch");
+  if (a.num_inputs() > 31)
+    throw std::invalid_argument(
+        "equivalence: counterexample encoding limited to 31 inputs");
+}
+
+}  // namespace
+
+EquivalenceResult check_equivalence(const Aig& a, const Aig& b) {
+  check_interfaces(a, b);
+  EquivalenceResult result;
+  if (a.outputs().empty()) {
+    result.equivalent = true;
+    return result;
+  }
   sat::Solver solver;
   std::vector<unsigned> inputs;
   inputs.reserve(a.num_inputs());
@@ -22,7 +39,7 @@ EquivalenceResult run_miter(const Aig& a, const Aig& b, unsigned first_output,
   // mismatch. xor variable x_o <-> (out_a ^ out_b).
   sat::Clause any_diff;
   std::vector<unsigned> xor_vars;
-  for (unsigned o = first_output; o <= last_output; ++o) {
+  for (std::size_t o = 0; o < a.outputs().size(); ++o) {
     const sat::Lit oa = sat::aig_literal(vars_a, a.outputs()[o]);
     const sat::Lit ob = sat::aig_literal(vars_b, b.outputs()[o]);
     const unsigned x = solver.new_var();
@@ -36,7 +53,6 @@ EquivalenceResult run_miter(const Aig& a, const Aig& b, unsigned first_output,
   }
   solver.add_clause(any_diff);
 
-  EquivalenceResult result;
   const sat::SolveResult outcome = solver.solve();
   if (outcome == sat::SolveResult::kUnsat) {
     result.equivalent = true;
@@ -54,39 +70,10 @@ EquivalenceResult run_miter(const Aig& a, const Aig& b, unsigned first_output,
       result.counterexample |= 1u << i;
   for (unsigned o = 0; o < xor_vars.size(); ++o)
     if (solver.model_value(xor_vars[o])) {
-      result.failing_output = first_output + o;
+      result.failing_output = o;
       break;
     }
   return result;
-}
-
-void check_interfaces(const Aig& a, const Aig& b) {
-  if (a.num_inputs() != b.num_inputs())
-    throw std::invalid_argument("equivalence: input count mismatch");
-  if (a.outputs().size() != b.outputs().size())
-    throw std::invalid_argument("equivalence: output count mismatch");
-  if (a.num_inputs() > 31)
-    throw std::invalid_argument(
-        "equivalence: counterexample encoding limited to 31 inputs");
-}
-
-}  // namespace
-
-EquivalenceResult check_equivalence(const Aig& a, const Aig& b) {
-  check_interfaces(a, b);
-  if (a.outputs().empty()) {
-    EquivalenceResult result;
-    result.equivalent = true;
-    return result;
-  }
-  return run_miter(a, b, 0,
-                   static_cast<unsigned>(a.outputs().size()) - 1);
-}
-
-EquivalenceResult check_output_equivalence(const Aig& a, const Aig& b,
-                                           unsigned output) {
-  check_interfaces(a, b);
-  return run_miter(a, b, output, output);
 }
 
 }  // namespace rdc

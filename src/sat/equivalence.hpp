@@ -28,8 +28,4 @@ struct EquivalenceResult {
 /// Checks that two AIGs with identical interfaces compute the same outputs.
 EquivalenceResult check_equivalence(const Aig& a, const Aig& b);
 
-/// Checks one output pair only.
-EquivalenceResult check_output_equivalence(const Aig& a, const Aig& b,
-                                           unsigned output);
-
 }  // namespace rdc

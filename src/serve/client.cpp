@@ -5,19 +5,13 @@
 #include <cstring>
 #include <thread>
 
-#if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
-#define RDC_SERVE_POSIX 1
-#endif
 
 namespace rdc::serve {
-
-#if defined(RDC_SERVE_POSIX)
-
 namespace {
 
 double now_ms() {
@@ -233,29 +227,5 @@ exec::Status ping_server(const ClientOptions& options, double wait_ms) {
   } while (now_ms() < deadline);
   return last.with_context("ping " + options.socket_path);
 }
-
-#else  // !RDC_SERVE_POSIX
-
-bool result_is_transient(const SubmitResult& result) {
-  exec::JobOutcome outcome;
-  outcome.status = result.status;
-  outcome.crashed = result.transport_error;
-  return exec::outcome_is_transient(outcome);
-}
-
-SubmitResult submit_job(const ClientOptions&, const JobRequest&) {
-  SubmitResult result;
-  result.attempts = 1;
-  result.status = {exec::StatusCode::kUnavailable,
-                   "rdcsynd client requires a POSIX socket layer"};
-  return result;
-}
-
-exec::Status ping_server(const ClientOptions&, double) {
-  return {exec::StatusCode::kUnavailable,
-          "rdcsynd client requires a POSIX socket layer"};
-}
-
-#endif  // RDC_SERVE_POSIX
 
 }  // namespace rdc::serve

@@ -12,14 +12,11 @@
 #include <unordered_set>
 #include <vector>
 
-#if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
-#define RDC_SERVE_POSIX 1
-#endif
 
 #include "exec/budget.hpp"
 #include "exec/shutdown.hpp"
@@ -32,9 +29,6 @@
 #include "pla/pla_io.hpp"
 
 namespace rdc::serve {
-
-#if defined(RDC_SERVE_POSIX)
-
 namespace {
 
 double now_ms() {
@@ -685,31 +679,5 @@ void Server::set_executors_paused(bool paused) {
   }
   impl_->queue_cv.notify_all();
 }
-
-#else  // !RDC_SERVE_POSIX
-
-struct Server::Impl {
-  ServerOptions options;
-  ResultCache cache{0};
-};
-
-Server::Server(ServerOptions options)
-    : impl_(std::make_unique<Impl>()) {
-  impl_->options = std::move(options);
-}
-Server::~Server() = default;
-exec::Status Server::start() {
-  return {exec::StatusCode::kUnavailable,
-          "rdcsynd requires a POSIX socket layer"};
-}
-void Server::run_until_shutdown() {}
-void Server::drain(int) {}
-bool Server::started() const { return false; }
-ServeStats Server::stats() const { return {}; }
-ResultCache& Server::cache() { return impl_->cache; }
-const ServerOptions& Server::options() const { return impl_->options; }
-void Server::set_executors_paused(bool) {}
-
-#endif  // RDC_SERVE_POSIX
 
 }  // namespace rdc::serve

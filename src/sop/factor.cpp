@@ -171,24 +171,4 @@ std::string to_string(const FactorTree& tree) {
   return "?";
 }
 
-bool evaluate(const FactorTree& tree, std::uint32_t minterm) {
-  switch (tree.kind) {
-    case FactorTree::Kind::kConst0:
-      return false;
-    case FactorTree::Kind::kConst1:
-      return true;
-    case FactorTree::Kind::kLiteral:
-      return test_bit(minterm, tree.var) == tree.positive;
-    case FactorTree::Kind::kAnd:
-      for (const FactorTree& child : tree.children)
-        if (!evaluate(child, minterm)) return false;
-      return true;
-    case FactorTree::Kind::kOr:
-      for (const FactorTree& child : tree.children)
-        if (evaluate(child, minterm)) return true;
-      return false;
-  }
-  return false;
-}
-
 }  // namespace rdc

@@ -49,7 +49,4 @@ std::uint64_t factored_literal_count(const FactorTree& tree);
 /// x0, x1, ...
 std::string to_string(const FactorTree& tree);
 
-/// Evaluates the tree on a minterm (bit v of `minterm` = value of x_v).
-bool evaluate(const FactorTree& tree, std::uint32_t minterm);
-
 }  // namespace rdc

@@ -69,11 +69,6 @@ Cube common_cube(const Cover& f) {
   return cc;
 }
 
-bool is_cube_free(const Cover& f) {
-  if (f.empty_cover()) return true;
-  return common_cube(f) == Cube::full(f.num_inputs());
-}
-
 Cover make_cube_free(const Cover& f) {
   const Cube cc = common_cube(f);
   Cover result(f.num_inputs());

@@ -18,9 +18,6 @@ struct Kernel {
 /// the full cube when the cover is empty.
 Cube common_cube(const Cover& f);
 
-/// True iff no single literal divides every cube.
-bool is_cube_free(const Cover& f);
-
 /// f divided by its common cube.
 Cover make_cube_free(const Cover& f);
 

@@ -6,7 +6,7 @@
 namespace rdc::oracle {
 
 void add_cofactor(Cover& out, const Cube& q, const Cube& c) {
-  if (!q.intersects(c, out.num_inputs())) return;
+  if (!intersects(q, c, out.num_inputs())) return;
   const std::uint32_t fixed = c.mask0 ^ c.mask1;
   out.add(Cube{q.mask0 | fixed, q.mask1 | fixed});
 }
@@ -76,7 +76,7 @@ bool is_tautology(const Cover& cover) {
   std::uint64_t minterms = 0;
   for (const Cube& c : cover.cubes()) {
     if (c == full) return true;
-    minterms += c.minterm_count(n);
+    minterms += minterm_count(c, n);
   }
   // Cheap necessary condition: the cubes must jointly have enough minterms.
   if (minterms < num_minterms(n)) return false;

@@ -7,11 +7,22 @@
 #pragma once
 
 #include <array>
+#include <cstdint>
 #include <optional>
 
 #include "pla/cover.hpp"
 
 namespace rdc::oracle {
+
+/// True iff cubes `a` and `b` over n inputs share a minterm.
+inline bool intersects(const Cube& a, const Cube& b, unsigned n) {
+  return !a.intersect(b).empty(n);
+}
+
+/// Number of minterms cube `c` over n inputs contains: 2^(n - literals).
+inline std::uint32_t minterm_count(const Cube& c, unsigned n) {
+  return c.empty(n) ? 0 : (1u << (n - c.literal_count(n)));
+}
 
 /// Appends the cofactor of cube `q` with respect to `c` — q with the
 /// variables fixed by c raised — if q meets c: one cube of cofactor().

@@ -11,6 +11,14 @@
 
 namespace rdc::oracle {
 
+/// True iff `c` holds a minterm of `set`, a bitset of 2^n minterms.
+inline bool cube_meets(const BitVec& set, const Cube& c, unsigned n) {
+  const std::uint64_t* words = set.data();
+  return !for_each_cube_word(c, n, [&](std::size_t w, std::uint64_t bits) {
+    return (words[w] & bits) == 0;
+  });
+}
+
 /// expand_cube's contract: raise the fixed variable whose raise misses
 /// `off` and brings the most peers (cubes of `peers` whose miss set is
 /// exactly that variable) into the cube, ties to the lowest variable, until

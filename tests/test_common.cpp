@@ -213,10 +213,14 @@ TEST(BitVec, SetAlgebraMatchesPerBit) {
   Rng rng(404);
   const BitVec a = random_bitvec(200, rng);
   const BitVec b = random_bitvec(200, rng);
-  const BitVec conj = bv_and(a, b);
-  const BitVec disj = bv_or(a, b);
-  const BitVec sym = bv_xor(a, b);
-  const BitVec diff = bv_andnot(a, b);
+  BitVec conj = a;
+  conj &= b;
+  BitVec disj = a;
+  disj |= b;
+  BitVec sym = a;
+  sym ^= b;
+  BitVec diff = a;
+  diff.and_not(b);
   for (std::uint64_t i = 0; i < 200; ++i) {
     EXPECT_EQ(conj.get(i), a.get(i) && b.get(i));
     EXPECT_EQ(disj.get(i), a.get(i) || b.get(i));
@@ -224,7 +228,8 @@ TEST(BitVec, SetAlgebraMatchesPerBit) {
     EXPECT_EQ(diff.get(i), a.get(i) && !b.get(i));
   }
   EXPECT_EQ(popcount_and(a, b), conj.count());
-  EXPECT_EQ(popcount_xor_and(a, b, disj), bv_and(sym, disj).count());
+  sym &= disj;
+  EXPECT_EQ(popcount_xor_and(a, b, disj), sym.count());
 }
 
 TEST(BitVec, NeighborShiftMatchesFlipBit) {

@@ -19,6 +19,7 @@
 #include "mapper/liberty.hpp"
 #include "mapper/power.hpp"
 #include "mapper/tree_map.hpp"
+#include "oracles/liberty_writer.hpp"
 #include "pla/pla_io.hpp"
 #include "reliability/assignment.hpp"
 #include "reliability/complexity.hpp"
@@ -140,7 +141,7 @@ TEST(EdgeCases, LibertyFileRoundTripOnDisk) {
   const auto path = temp_file("rdcsyn_roundtrip.lib");
   {
     std::ofstream out(path);
-    write_liberty(CellLibrary::generic70(), "rt", out);
+    oracle::write_liberty(CellLibrary::generic70(), "rt", out);
   }
   const CellLibrary lib = load_liberty(path);
   EXPECT_EQ(lib.cells().size(), CellLibrary::generic70().cells().size());
@@ -179,7 +180,7 @@ TEST(EdgeCases, FlowWithCustomLibraryMatchesBuiltin) {
       f.set_phase(m, static_cast<Phase>(rng.below(3)));
 
   std::ostringstream text;
-  write_liberty(CellLibrary::generic70(), "copy", text);
+  oracle::write_liberty(CellLibrary::generic70(), "copy", text);
   const CellLibrary parsed = parse_liberty_string(text.str());
 
   FlowOptions with_custom;

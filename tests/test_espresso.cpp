@@ -9,6 +9,7 @@
 #include "espresso/expand.hpp"
 #include "espresso/irredundant.hpp"
 #include "espresso/reduce.hpp"
+#include "oracles/artifact_checks.hpp"
 
 namespace rdc {
 namespace {
@@ -86,7 +87,7 @@ TEST(Espresso, MinimizeSimpleFunction) {
   const Cover cover = minimize(f);
   ASSERT_EQ(cover.size(), 1u);
   EXPECT_EQ(cover.cube(0).to_string(2), "1-");
-  EXPECT_TRUE(cover_is_valid_for(cover, f));
+  EXPECT_TRUE(oracle::cover_is_valid_for(cover, f));
 }
 
 TEST(Espresso, UsesDcToMerge) {
@@ -115,7 +116,7 @@ TEST(Espresso, ParityIsWorstCase) {
     if (std::popcount(m) % 2) f.set_phase(m, Phase::kOne);
   const Cover cover = minimize(f);
   EXPECT_EQ(cover.size(), 8u);
-  EXPECT_TRUE(cover_is_valid_for(cover, f));
+  EXPECT_TRUE(oracle::cover_is_valid_for(cover, f));
 }
 
 TEST(Espresso, RandomFunctionsAreValidAndIrredundant) {
@@ -124,7 +125,7 @@ TEST(Espresso, RandomFunctionsAreValidAndIrredundant) {
     const unsigned n = 4 + static_cast<unsigned>(rng.below(3));
     const TernaryTruthTable f = random_ternary(n, 0.4, rng);
     const Cover cover = minimize(f);
-    EXPECT_TRUE(cover_is_valid_for(cover, f)) << "trial " << trial;
+    EXPECT_TRUE(oracle::cover_is_valid_for(cover, f)) << "trial " << trial;
     // Never worse than one cube per on-minterm.
     EXPECT_LE(cover.size(), f.on_count());
   }

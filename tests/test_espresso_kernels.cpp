@@ -120,7 +120,7 @@ Cover complement(const Cover& cover) {
 
 bool intersects_cover(const Cube& c, const Cover& cover) {
   for (const Cube& q : cover.cubes())
-    if (c.intersects(q, cover.num_inputs())) return true;
+    if (oracle::intersects(c, q, cover.num_inputs())) return true;
   return false;
 }
 

@@ -6,11 +6,13 @@
 
 #include "common/rng.hpp"
 #include "espresso/espresso.hpp"
+#include "oracles/artifact_checks.hpp"
 #include "oracles/exact.hpp"
 
 namespace rdc {
 namespace {
 
+using oracle::cover_is_valid_for;
 using oracle::exact_minimize;
 using oracle::minimum_sop_size;
 using oracle::prime_implicants;

@@ -2,6 +2,8 @@
 // the full flow, cross-representation agreement, and SAT sign-off.
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "aig/aig.hpp"
 #include "benchdata/suite.hpp"
 #include "espresso/espresso.hpp"
@@ -63,7 +65,9 @@ TEST(Integration, InterchangeFormatsAgree) {
   const Aig mapped = netlist_to_aig(result.netlist);
 
   // AIGER round trip.
-  const Aig via_aiger = parse_aiger_string(to_aiger(mapped));
+  std::ostringstream aag;
+  write_aiger(mapped, aag);
+  const Aig via_aiger = parse_aiger_string(aag.str());
   EXPECT_TRUE(check_equivalence(mapped, via_aiger).equivalent);
 
   // BLIF round trip (through the gate-level writer).

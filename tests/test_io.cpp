@@ -15,6 +15,13 @@
 namespace rdc {
 namespace {
 
+/// The ascii AIGER document write_aiger emits for `aig`.
+std::string aag_text(const Aig& aig) {
+  std::ostringstream out;
+  write_aiger(aig, out);
+  return out.str();
+}
+
 Aig random_aig(unsigned n, unsigned outputs, Rng& rng) {
   Aig aig(n);
   for (unsigned o = 0; o < outputs; ++o) {
@@ -87,7 +94,7 @@ TEST(Blif, TieCells) {
 TEST(Aiger, WriteHasCorrectHeader) {
   Rng rng(311);
   const Aig aig = random_aig(4, 2, rng);
-  const std::string text = to_aiger(aig);
+  const std::string text = aag_text(aig);
   std::istringstream in(text);
   std::string magic;
   std::size_t m, i, l, o, a;
@@ -104,7 +111,7 @@ TEST(Aiger, RoundTripPreservesFunction) {
   Rng rng(313);
   for (int trial = 0; trial < 10; ++trial) {
     const Aig aig = random_aig(5, 3, rng);
-    const Aig parsed = parse_aiger_string(to_aiger(aig));
+    const Aig parsed = parse_aiger_string(aag_text(aig));
     ASSERT_EQ(parsed.num_inputs(), aig.num_inputs());
     ASSERT_EQ(parsed.outputs().size(), aig.outputs().size());
     const AigSimulator sa(aig);
@@ -119,7 +126,7 @@ TEST(Aiger, ConstantAndPassthroughOutputs) {
   Aig aig(2);
   aig.add_output(aiglit::kTrue);
   aig.add_output(aig.input_literal(1));
-  const Aig parsed = parse_aiger_string(to_aiger(aig));
+  const Aig parsed = parse_aiger_string(aag_text(aig));
   EXPECT_EQ(parsed.outputs()[0], aiglit::kTrue);
   EXPECT_EQ(parsed.outputs()[1], parsed.input_literal(1));
 }

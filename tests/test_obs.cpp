@@ -56,7 +56,7 @@ TEST(ObsJson, WriterParserRoundTrip) {
   w.key("big").value(std::uint64_t{1} << 63);
   w.key("text").value("line\n\"quoted\" back\\slash tab\t");
   w.key("flag").value(true);
-  w.key("nothing").null();
+  w.key("nothing").raw("null");
   w.key("list").begin_array();
   w.value(std::uint64_t{1}).value("two").value(false);
   w.end_array();

@@ -8,6 +8,7 @@
 #include "common/rng.hpp"
 #include "espresso/espresso.hpp"
 #include "flow/synthesis_flow.hpp"
+#include "oracles/artifact_checks.hpp"
 #include "oracles/bdd_ops.hpp"
 #include "oracles/cube_calculus.hpp"
 #include "oracles/local_complexity.hpp"
@@ -43,7 +44,7 @@ class FunctionProperty : public ::testing::TestWithParam<Params> {
 TEST_P(FunctionProperty, EspressoCoverIsValid) {
   const TernaryTruthTable f = make_function();
   const Cover cover = minimize(f);
-  EXPECT_TRUE(cover_is_valid_for(cover, f));
+  EXPECT_TRUE(oracle::cover_is_valid_for(cover, f));
   EXPECT_LE(cover.size(), f.on_count());
 }
 
@@ -60,7 +61,7 @@ TEST_P(FunctionProperty, FactoredFormMatchesCover) {
   const Cover cover = minimize(f);
   const FactorTree tree = factor(cover);
   for (std::uint32_t m = 0; m < f.size(); ++m)
-    EXPECT_EQ(evaluate(tree, m), cover.covers_minterm(m));
+    EXPECT_EQ(oracle::evaluate(tree, m), cover.covers_minterm(m));
 }
 
 TEST_P(FunctionProperty, ErrorBoundsOrdered) {

@@ -255,7 +255,7 @@ TEST(LcfAssign, GateMatchesLocalComplexityFactor) {
               expected.set_phase(m, c.on > c.off ? Phase::kOne : Phase::kZero);
           }
           TernaryTruthTable f = spec;
-          lcf_assign(f, threshold, balanced, neighbors);
+          lcf_assign(f, threshold, balanced);
           EXPECT_EQ(f, expected) << "n=" << n << " threshold=" << threshold
                                  << " balanced=" << balanced;
         }

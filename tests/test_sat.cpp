@@ -227,16 +227,22 @@ TEST(Equivalence, FindsCounterexample) {
 }
 
 TEST(Equivalence, PerOutputCheck) {
+  // Output 0 agrees, output 1 differs: the miter names output 1, and the
+  // counterexample tells the two output-1 functions apart.
   Aig a(2);
   a.add_output(a.make_and(a.input_literal(0), a.input_literal(1)));
   a.add_output(a.input_literal(0));
   Aig b(2);
   b.add_output(b.make_and(b.input_literal(0), b.input_literal(1)));
   b.add_output(b.input_literal(1));  // differs
-  EXPECT_TRUE(check_output_equivalence(a, b, 0).equivalent);
-  const EquivalenceResult r = check_output_equivalence(a, b, 1);
+  const EquivalenceResult r = check_equivalence(a, b);
   ASSERT_FALSE(r.equivalent);
   EXPECT_EQ(r.failing_output, 1u);
+  EXPECT_NE(r.counterexample & 1u, (r.counterexample >> 1) & 1u);
+  Aig c(2);
+  c.add_output(c.make_and(c.input_literal(1), c.input_literal(0)));
+  c.add_output(c.input_literal(0));
+  EXPECT_TRUE(check_equivalence(a, c).equivalent);
 }
 
 TEST(Equivalence, InterfaceMismatchThrows) {
