@@ -3,17 +3,18 @@
 # twice: once on the default SIMD dispatch, once pinned to the scalar
 # backend with RDC_SIMD=scalar), then the whole unit-test binary once in a
 # single process (ctest runs every test in its own process, which hides
-# state one test leaks into the next), a diff of the paper harnesses'
-# stdout, the rdcsyn_cli fixture reports and the canonical-flow reports of
+# state one test leaks into the next), a build of perfbench (the
+# end-to-end benchmark, which links the library's public API), a diff of
+# the paper harnesses' stdout, the rdcsyn_cli fixture reports and the canonical-flow reports of
 # the Table-1 circuits against the goldens in tests/golden/, followed
 # by an ASan+UBSan build of the unit tests to catch memory and UB bugs the
 # release build hides (the word-parallel kernels and the thread pool are
 # exactly the kind of code sanitizers pay off on), a fuzz-corpus replay of
 # the fuzz targets (parsers + journal replayer), a pipeline smoke
 # (rdcsyn_cli --pipeline
-# with a nondefault spec plus a batch fan-out over the examples/ fixtures,
-# reports validated with rdc_json_check), an rdcsyn_cli smoke (malformed
-# or out-of-range assign and renode flags, batch --delay and synth
+# with a nondefault spec plus an rdc_batch fan-out over the examples/
+# fixtures, reports validated with rdc_json_check), an rdcsyn_cli smoke
+# (malformed or out-of-range assign and renode flags, synth
 # --pipeline with --delay or --resyn exit 2, a
 # fault model that does not fit the spec fails a --pipeline with exit 2,
 # a failed synth writes no
@@ -30,9 +31,9 @@
 # The §14 crash-safe batch smoke interrupts a fault-armed rdc_batch run
 # mid-flight and asserts the journal-resumed report matches an
 # uninterrupted one, that worker segfaults become INTERNAL rows with
-# job.crash events, that rdcsyn_cli batch (same engine) retries through
-# them, that malformed numeric flags exit 2, and that SIGTERM produces an
-# orderly shutdown in both the driver-owned (exit 4) and
+# job.crash events, that --retries recovers every row from a segfaulted
+# first attempt, that malformed numeric flags exit 2, and that SIGTERM
+# produces an orderly shutdown in both the driver-owned (exit 4) and
 # unowned-snapshotter (exit 143) paths.
 # The §15 serving smoke exercises rdcsynd end to end on a unix socket:
 # warm-cache request pair (byte-identical reply, serve.cache.hit counter),
@@ -63,6 +64,13 @@ echo "== tier-1 rerun on the scalar SIMD backend =="
 # must also hold with the dispatch pinned to the portable kernels — the
 # configuration every non-x86 target runs.
 (cd build && RDC_SIMD=scalar ctest --output-on-failure -j)
+
+echo
+echo "== perfbench build =="
+# perfbench links the library's public API; building it here catches an
+# API change that would break the benchmark.
+cmake -S perfbench -B build-perfbench
+cmake --build build-perfbench -j
 
 echo
 echo "== unit tests in one process =="
@@ -119,9 +127,9 @@ echo "== fuzz corpus replay (release build) =="
 run_fuzzers build
 
 echo
-echo "== pipeline smoke: rdcsyn_cli --pipeline / batch =="
+echo "== pipeline smoke: rdcsyn_cli --pipeline / rdc_batch =="
 # A nondefault spec (extract instead of factor|aig, delay mapping) through
-# the single-circuit path, then a batch fan-out over the examples/
+# the single-circuit path, then an rdc_batch fan-out over the examples/
 # fixtures; both reports must validate structurally.
 ./build/examples/rdcsyn_cli synth examples/fixtures/builtin.pla \
   --pipeline "assign:lcf(0.6,balanced) | espresso | extract | map:delay | analyze | error_rate" \
@@ -129,7 +137,7 @@ echo "== pipeline smoke: rdcsyn_cli --pipeline / batch =="
 ./build/tools/rdc_json_check "$smoke_dir/pipeline.json" \
   schema phases metrics metrics.error_rate metrics.gates metrics.area \
   metrics.delay_ps metrics.power_uw
-./build/examples/rdcsyn_cli batch examples/fixtures/*.pla \
+./build/tools/rdc_batch examples/fixtures/*.pla \
   --pipeline "assign:ranking(0.75) | espresso | factor | aig | resyn | map:power | analyze | error_rate" \
   --json "$smoke_dir/batch.json" > /dev/null
 ./build/tools/rdc_json_check "$smoke_dir/batch.json" \
@@ -174,11 +182,9 @@ for threshold in 5 -1 0 1 abc; do
   expect_exit 2 ./build/examples/rdcsyn_cli renode \
     examples/fixtures/builtin.pla --threshold "$threshold"
 done
-# batch and synth --pipeline run a pipeline, which names its mapper and
+# synth --pipeline runs a pipeline, which names its mapper and
 # restructuring passes; --delay and --resyn would reach no pass, so they
 # are refused rather than ignored.
-expect_exit 2 ./build/examples/rdcsyn_cli batch examples/fixtures/builtin.pla \
-  --pipeline "assign:zero | espresso" --delay
 expect_exit 2 ./build/examples/rdcsyn_cli synth examples/fixtures/builtin.pla \
   --pipeline "assign:zero | espresso" --delay
 expect_exit 2 ./build/examples/rdcsyn_cli synth examples/fixtures/builtin.pla \
@@ -447,20 +453,20 @@ RDC_FAULT=job:kill:1@1 ./build/tools/rdc_batch examples/fixtures/builtin.pla \
   exit 1
 }
 
-# rdcsyn_cli batch runs on the same engine: a worker segfault on every
-# first attempt is absorbed by --retries 2, and every row records it.
+# A worker segfault on every first attempt is absorbed by --retries 2,
+# and every row records it.
 RDC_FAULT=job:segv:1@1 \
-  ./build/examples/rdcsyn_cli batch examples/fixtures/*.pla \
+  ./build/tools/rdc_batch examples/fixtures/*.pla \
   --pipeline "assign:ranking(0.75) | espresso | factor | aig | resyn | map:power | analyze | error_rate" \
-  --retries 2 --json "$smoke_dir/cli_faults.json" > /dev/null 2>&1 || {
-  echo "batch fault smoke: rdcsyn_cli batch did not recover the segfaults" >&2
+  --retries 2 --json "$smoke_dir/segv_retry.json" > /dev/null 2>&1 || {
+  echo "batch fault smoke: rdc_batch did not recover the segfaults" >&2
   exit 1
 }
-python3 - "$smoke_dir/cli_faults.json" <<'EOF'
+python3 - "$smoke_dir/segv_retry.json" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     rows = json.load(f)["rows"]
-assert rows, "cli batch fault smoke: empty report"
+assert rows, "segv retry smoke: empty report"
 assert all(r.get("attempts") == 2 for r in rows), rows
 EOF
 

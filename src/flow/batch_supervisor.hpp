@@ -2,9 +2,9 @@
 // circuits, one deterministic report row per circuit, with every circuit
 // in its own forked, resource-capped worker — a worker SIGSEGV, OOM kill,
 // or hang becomes an INTERNAL / RESOURCE_EXHAUSTED / DEADLINE_EXCEEDED
-// row instead of batch death. rdc_batch, `rdcsyn_cli batch` and the
-// benchmark harness all run batches through this one engine; its only
-// retry loop is exec::run_supervised's.
+// row instead of batch death. rdc_batch and the benchmark harness run
+// batches through this one engine; its only retry loop is
+// exec::run_supervised's.
 //
 // Identity: every (circuit, pipeline, budget) job gets a stable 64-bit
 // key hashed from the spec's serialized .pla bytes, its name, the
