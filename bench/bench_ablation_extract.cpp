@@ -25,18 +25,16 @@ int main(int argc, char** argv) {
   std::size_t ok_circuits = 0;
   for (const IncompleteSpec& spec : bench::suite()) {
     const exec::Status status = bench::run_guarded(options_cli, [&] {
-      FlowOptions plain;
-      FlowOptions extracting;
-      extracting.use_extraction = true;
-
+      const std::string extracting =
+          " | espresso | extract | map:power | analyze | error_rate";
       const double conv0 =
-          run_flow(spec, DcPolicy::kConventional, plain).stats.area;
+          run_flow(spec, "assign:conventional" + bench::kLowerHalf).stats.area;
       const double conv1 =
-          run_flow(spec, DcPolicy::kConventional, extracting).stats.area;
+          run_flow(spec, "assign:conventional" + extracting).stats.area;
       const double lcf0 =
-          run_flow(spec, DcPolicy::kLcfThreshold, plain).stats.area;
+          run_flow(spec, "assign:lcf(0.55)" + bench::kLowerHalf).stats.area;
       const double lcf1 =
-          run_flow(spec, DcPolicy::kLcfThreshold, extracting).stats.area;
+          run_flow(spec, "assign:lcf(0.55)" + extracting).stats.area;
 
       const double dc = bench::improvement_percent(conv0, conv1);
       const double dl = bench::improvement_percent(lcf0, lcf1);

@@ -31,13 +31,14 @@ int main(int argc, char** argv) {
     std::size_t ok_circuits = 0;
     for (const IncompleteSpec& spec : bench::suite()) {
       const exec::Status status = bench::run_guarded(options_cli, [&] {
-        const FlowResult baseline = run_flow(spec, DcPolicy::kConventional);
-        FlowOptions options;
-        options.ranking_fraction = fraction;
+        const FlowResult baseline =
+            run_flow(spec, "assign:conventional" + bench::kLowerHalf);
+        const std::string arg =
+            std::string("(").append(format_double(fraction)).append(")");
         const FlowResult s =
-            run_flow(spec, DcPolicy::kRankingFraction, options);
+            run_flow(spec, "assign:ranking" + arg + bench::kLowerHalf);
         const FlowResult i =
-            run_flow(spec, DcPolicy::kRankingIncremental, options);
+            run_flow(spec, "assign:ranking_inc" + arg + bench::kLowerHalf);
         er_static += bench::normalized(baseline.error_rate, s.error_rate);
         er_incremental +=
             bench::normalized(baseline.error_rate, i.error_rate);

@@ -29,11 +29,10 @@ int main(int argc, char** argv) {
     for (const IncompleteSpec& spec : bench::suite()) {
       const exec::Status status = bench::run_guarded(options_cli, [&] {
         const FlowResult conventional =
-            run_flow(spec, DcPolicy::kConventional);
-        FlowOptions options;
-        options.lcf_threshold = threshold;
+            run_flow(spec, "assign:conventional" + bench::kLowerHalf);
         const FlowResult lcf =
-            run_flow(spec, DcPolicy::kLcfThreshold, options);
+            run_flow(spec, "assign:lcf(" + format_double(threshold) + ")" +
+                               bench::kLowerHalf);
         assigned_sum += lcf.assignment.dc_before > 0
                             ? 100.0 * lcf.assignment.assigned /
                                   lcf.assignment.dc_before

@@ -26,16 +26,14 @@ int main(int argc, char** argv) {
   std::size_t ok_circuits = 0;
   for (const IncompleteSpec& spec : bench::suite()) {
     const exec::Status status = bench::run_guarded(options_cli, [&] {
-      const FlowResult conventional = run_flow(spec, DcPolicy::kConventional);
-
-      FlowOptions skip_options;  // default: ties left to the optimizer
+      const FlowResult conventional =
+          run_flow(spec, "assign:conventional" + bench::kLowerHalf);
+      // Default: ties left to the optimizer.
       const FlowResult skip =
-          run_flow(spec, DcPolicy::kLcfThreshold, skip_options);
-
-      FlowOptions literal_options;
-      literal_options.lcf_assign_balanced = true;  // pseudocode-literal
+          run_flow(spec, "assign:lcf(0.55)" + bench::kLowerHalf);
+      // Pseudocode-literal: ties assigned to 0.
       const FlowResult literal =
-          run_flow(spec, DcPolicy::kLcfThreshold, literal_options);
+          run_flow(spec, "assign:lcf(0.55,balanced)" + bench::kLowerHalf);
 
       const double sa = bench::improvement_percent(conventional.stats.area,
                                                    skip.stats.area);

@@ -46,9 +46,10 @@ int main(int argc, char** argv) {
   std::uint64_t untestable_total = 0;
   for (const IncompleteSpec& spec : bench::suite()) {
     const exec::Status status = bench::run_guarded(options_cli, [&] {
-      const FlowResult conventional = run_flow(spec, DcPolicy::kConventional);
+      const FlowResult conventional =
+          run_flow(spec, "assign:conventional" + bench::kLowerHalf);
       const FlowResult reliability_opt =
-          run_flow(spec, DcPolicy::kAllReliability);
+          run_flow(spec, "assign:all" + bench::kLowerHalf);
 
       std::vector<double> weights(spec.num_inputs());
       for (unsigned j = 0; j < spec.num_inputs(); ++j)

@@ -40,14 +40,14 @@ int main(int argc, char** argv) {
                                [&](std::size_t index) {
         const IncompleteSpec& spec = specs[index];
         const double baseline =
-            run_flow(spec, DcPolicy::kConventional).error_rate;
+            run_flow(spec, "assign:conventional" + bench::kLowerHalf).error_rate;
         Row row{spec.name(), {}};
         row.normalized.reserve(fractions.size());
         for (const double fraction : fractions) {
-          FlowOptions options;
-          options.ranking_fraction = fraction;
           const double rate =
-              run_flow(spec, DcPolicy::kRankingFraction, options).error_rate;
+              run_flow(spec, "assign:ranking(" + format_double(fraction) +
+                                 ")" + bench::kLowerHalf)
+                  .error_rate;
           row.normalized.push_back(bench::normalized(baseline, rate));
         }
         return row;

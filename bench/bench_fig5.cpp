@@ -41,9 +41,12 @@ int main(int argc, char** argv) {
   const std::vector<double> fractions{0.0, 0.2, 0.4, 0.6, 0.8, 1.0};
   obs::RunReport report("fig5");
 
-  for (const OptimizeFor objective :
-       {OptimizeFor::kDelay, OptimizeFor::kPower}) {
-    const bool is_delay = objective == OptimizeFor::kDelay;
+  for (const bool is_delay : {true, false}) {
+    const std::string lower_half =
+        is_delay
+            ? " | espresso | factor | aig | balance | map:delay | analyze | "
+              "error_rate"
+            : bench::kLowerHalf;
     bench::heading(std::string("Figure 5 (") +
                    (is_delay ? "delay" : "power") +
                    "-optimized): normalized overhead vs fraction assigned");
@@ -53,17 +56,14 @@ int main(int argc, char** argv) {
         bench::guarded_rows<Row>(options_cli, specs.size(),
                                  [&](std::size_t index) {
           const IncompleteSpec& spec = specs[index];
-          FlowOptions base_options;
-          base_options.objective = objective;
           const Metrics baseline = metrics_of(
-              run_flow(spec, DcPolicy::kConventional, base_options).stats);
+              run_flow(spec, "assign:conventional" + lower_half).stats);
           Row row;
           for (const double fraction : fractions) {
-            FlowOptions options;
-            options.objective = objective;
-            options.ranking_fraction = fraction;
             const Metrics m = metrics_of(
-                run_flow(spec, DcPolicy::kRankingFraction, options).stats);
+                run_flow(spec, "assign:ranking(" + format_double(fraction) +
+                                   ")" + lower_half)
+                    .stats);
             row.area.push_back(bench::normalized(baseline.area, m.area));
             row.delay.push_back(bench::normalized(baseline.delay, m.delay));
             row.power.push_back(bench::normalized(baseline.power, m.power));

@@ -55,12 +55,13 @@ int main(int argc, char** argv) {
         Rng rng(kBaseSeed + task);
         const IncompleteSpec spec = generate_spec(
             "fig6_cf" + std::to_string(family_cf), options, rng);
-        const FlowResult baseline = run_flow(spec, DcPolicy::kConventional);
+        const FlowResult baseline =
+            run_flow(spec, "assign:conventional" + bench::kLowerHalf);
         Trajectory t;
         for (const double fraction : fractions) {
-          FlowOptions fo;
-          fo.ranking_fraction = fraction;
-          const FlowResult r = run_flow(spec, DcPolicy::kRankingFraction, fo);
+          const FlowResult r =
+              run_flow(spec, "assign:ranking(" + format_double(fraction) +
+                                 ")" + bench::kLowerHalf);
           t.area.push_back(bench::normalized(baseline.stats.area,
                                              r.stats.area));
           t.error.push_back(bench::normalized(baseline.error_rate,

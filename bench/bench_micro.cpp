@@ -246,7 +246,10 @@ void BM_FullFlow(benchmark::State& state) {
   IncompleteSpec spec("bm", n, 4);
   for (auto& f : spec.outputs()) f = random_ternary(n, 0.6, rng());
   for (auto _ : state)
-    benchmark::DoNotOptimize(run_flow(spec, DcPolicy::kLcfThreshold));
+    benchmark::DoNotOptimize(
+        run_flow(spec,
+                 "assign:lcf(0.55) | espresso | factor | aig | map:power | "
+                 "analyze | error_rate"));
 }
 BENCHMARK(BM_FullFlow)->Arg(6)->Arg(8)->Unit(benchmark::kMillisecond);
 

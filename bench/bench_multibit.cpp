@@ -38,9 +38,10 @@ int main(int argc, char** argv) {
   std::size_t ok_circuits = 0;
   for (const IncompleteSpec& spec : bench::suite()) {
     const exec::Status status = bench::run_guarded(options_cli, [&] {
-      const FlowResult conventional = run_flow(spec, DcPolicy::kConventional);
+      const FlowResult conventional =
+          run_flow(spec, "assign:conventional" + bench::kLowerHalf);
       const FlowResult reliability =
-          run_flow(spec, DcPolicy::kAllReliability);
+          run_flow(spec, "assign:all" + bench::kLowerHalf);
 
       const double c1 = conventional.error_rate;
       const double r1 = reliability.error_rate;

@@ -42,11 +42,11 @@ int main(int argc, char** argv) {
     const exec::Status status = bench::run_guarded(options_cli, [&] {
       for (const bool resyn : {false, true}) {
         for (const double fraction : fractions) {
-          FlowOptions options;
-          options.ranking_fraction = fraction;
-          options.resyn_recipe = resyn;
-          const FlowResult r =
-              run_flow(spec, DcPolicy::kRankingFraction, options);
+          const FlowResult r = run_flow(
+              spec, "assign:ranking(" + format_double(fraction) +
+                        ") | espresso | factor | aig" +
+                        (resyn ? " | resyn" : "") +
+                        " | map:power | analyze | error_rate");
           if (fraction == 0.0) baseline_area[resyn] = r.stats.area;
           norms.push_back(
               bench::normalized(baseline_area[resyn], r.stats.area));

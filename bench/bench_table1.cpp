@@ -129,9 +129,12 @@ int run_circuit_list(const bench::Options& options) {
     r.set("sop", row.sop);
   }
   if (rows.failures() > 0)
-    bench::note("\n" + std::to_string(rows.failures()) + " of " +
-                std::to_string(circuits.size()) +
-                " circuits failed (error rows above); run completed.");
+    bench::note(std::string("\n")
+                    .append(std::to_string(rows.failures()))
+                    .append(" of ")
+                    .append(std::to_string(circuits.size()))
+                    .append(" circuits failed (error rows above); run "
+                            "completed."));
   return bench::finish(options, report);
 }
 

@@ -49,13 +49,12 @@ int main(int argc, char** argv) {
       bench::guarded_rows<Row>(options, specs.size(), [&](std::size_t index) {
         const IncompleteSpec& spec = specs[index];
         const FlowResult conventional =
-            run_flow(spec, DcPolicy::kConventional);
+            run_flow(spec, "assign:conventional" + bench::kLowerHalf);
 
         // LC^f-based.
-        FlowOptions lcf_options;
-        lcf_options.lcf_threshold = kThreshold;
         const FlowResult lcf =
-            run_flow(spec, DcPolicy::kLcfThreshold, lcf_options);
+            run_flow(spec, "assign:lcf(" + format_double(kThreshold) + ")" +
+                               bench::kLowerHalf);
 
         // Ranking-based at the same per-output fraction as the LC^f pass.
         // run_flow sees the pre-assigned spec, so its error_rate field
@@ -67,11 +66,13 @@ int main(int argc, char** argv) {
           const AssignmentResult r = lcf_assign(probe.output(o), kThreshold);
           ranking_assign_count(ranked.output(o), r.assigned);
         }
-        FlowResult ranking = run_flow(ranked, DcPolicy::kConventional);
+        FlowResult ranking =
+            run_flow(ranked, "assign:conventional" + bench::kLowerHalf);
         ranking.error_rate = exact_error_rate(ranking.implementation, spec);
 
         // Complete reliability-driven assignment.
-        const FlowResult complete = run_flow(spec, DcPolicy::kAllReliability);
+        const FlowResult complete =
+            run_flow(spec, "assign:all" + bench::kLowerHalf);
 
         const auto area_impr = [&](const FlowResult& r) {
           return bench::improvement_percent(conventional.stats.area,

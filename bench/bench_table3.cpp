@@ -52,8 +52,9 @@ int main(int argc, char** argv) {
         row.border = border_bounds(spec);
 
         const FlowResult conventional =
-            run_flow(spec, DcPolicy::kConventional);
-        const FlowResult lcf = run_flow(spec, DcPolicy::kLcfThreshold);
+            run_flow(spec, "assign:conventional" + bench::kLowerHalf);
+        const FlowResult lcf =
+            run_flow(spec, "assign:lcf(0.55)" + bench::kLowerHalf);
 
         const auto pct_diff = [&](double rate) {
           return row.exact.min > 0.0

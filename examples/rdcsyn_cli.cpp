@@ -12,13 +12,17 @@
 //              [--delay] [--resyn] [--policy P ...] [--pipeline "<spec>"]
 //              [--json out.json]
 //       Full flow: assignment, minimization, mapping; writes the mapped
-//       netlist (or the AIG for aiger) and prints the QoR report. A flow
-//       that fails (e.g. an out-of-range --fraction) writes no file and
-//       exits 2 for invalid arguments, 1 otherwise.
-//       --pipeline replaces the canonical flow with an explicit pass
-//       spec, e.g. "assign:ranking(0.5) | espresso | factor | aig |
-//       map:power | analyze | error_rate"; it refuses --delay and
-//       --resyn (exit 2), whose passes the spec names instead.
+//       netlist (or the AIG for aiger) and prints the QoR report. The
+//       flags name a pipeline spec, "assign:<P>(<F or T>) | espresso |
+//       factor | aig [| resyn] | map:power | analyze | error_rate" with
+//       "balance | map:delay" for --delay, which run_flow runs inside its
+//       degradation ladder. A flow that fails (e.g. an out-of-range
+//       --fraction) writes no file and exits 2 for invalid arguments, 1
+//       otherwise.
+//       --pipeline runs an explicit pass spec instead, fail-fast, e.g.
+//       "assign:ranking(0.5) | espresso | factor | aig | map:power |
+//       analyze | error_rate"; it refuses --delay and --resyn (exit 2),
+//       whose passes the spec names instead.
 //
 // A pipeline over many circuits runs on tools/rdc_batch.
 //
@@ -48,6 +52,7 @@
 #include "sop/factor.hpp"
 #include "espresso/espresso.hpp"
 #include "aig/aig.hpp"
+#include "common/format.hpp"
 #include "common/rng.hpp"
 #include "decomp/renode.hpp"
 #include "io/blif_reader.hpp"
@@ -134,7 +139,11 @@ bool parse_args(int argc, char** argv, int first, Args& args) {
     } else if (a == "--resyn") {
       args.resyn = true;
     } else if (a[0] != '-') {
-      if (args.input.empty()) args.input = a;
+      if (!args.input.empty()) {
+        std::fprintf(stderr, "unexpected argument: %s\n", a.c_str());
+        return false;
+      }
+      args.input = a;
     } else {
       std::fprintf(stderr, "unknown argument: %s\n", a.c_str());
       return false;
@@ -205,7 +214,7 @@ bool write_text_file(const std::string& path, const std::string& text) {
 }
 
 /// `synth --pipeline "<spec>"`: run an explicit pass sequence instead of
-/// the canonical flow and print the flow report JSON.
+/// the flags' flow and print the flow report JSON.
 int cmd_pipeline(const Args& args) {
   // The pipeline names its mapper and restructuring passes; a flow-level
   // flag would reach no pass, so it is refused rather than ignored.
@@ -287,30 +296,41 @@ int cmd_cachekey(const Args& args) {
   return 0;
 }
 
+/// `synth`'s flags as the pipeline spec they select: the paper's flow with
+/// the --policy assign pass, `resyn` for --resyn and the delay mapper for
+/// --delay. Empty for an unknown policy.
+std::string flag_pipeline(const Args& args) {
+  std::string spec;
+  if (args.policy == "ranking")
+    spec = "assign:ranking(" + format_double(args.fraction) + ")";
+  else if (args.policy == "incremental")
+    spec = "assign:ranking_inc(" + format_double(args.fraction) + ")";
+  else if (args.policy == "lcf")
+    spec = "assign:lcf(" + format_double(args.threshold) + ")";
+  else if (args.policy == "conventional")
+    spec = "assign:conventional";
+  else
+    return spec;
+  spec.append(" | espresso | factor | aig");
+  if (args.resyn) spec.append(" | resyn");
+  spec.append(args.delay ? " | balance | map:delay" : " | map:power");
+  spec.append(" | analyze | error_rate");
+  return spec;
+}
+
 int cmd_synth(const Args& args) {
   if (!args.pipeline.empty()) return cmd_pipeline(args);
   const IncompleteSpec spec = load_pla(args.input);
-  DcPolicy policy = DcPolicy::kConventional;
-  if (args.policy == "ranking") policy = DcPolicy::kRankingFraction;
-  else if (args.policy == "incremental") policy = DcPolicy::kRankingIncremental;
-  else if (args.policy == "lcf") policy = DcPolicy::kLcfThreshold;
-  else if (args.policy == "conventional") policy = DcPolicy::kConventional;
-  else {
+  const std::string pipeline = flag_pipeline(args);
+  if (pipeline.empty()) {
     std::fprintf(stderr, "synth: unknown policy %s\n", args.policy.c_str());
     return 2;
   }
-  FlowOptions options;
-  options.objective = args.delay ? OptimizeFor::kDelay : OptimizeFor::kPower;
-  options.ranking_fraction = args.fraction;
-  options.lcf_threshold = args.threshold;
-  options.resyn_recipe = args.resyn;
   CellLibrary custom_lib = CellLibrary::generic70();
-  if (!args.liberty.empty()) {
-    custom_lib = load_liberty(args.liberty);
-    options.library = &custom_lib;
-  }
+  if (!args.liberty.empty()) custom_lib = load_liberty(args.liberty);
 
-  const FlowResult result = run_flow(spec, policy, options);
+  const FlowResult result = run_flow(
+      spec, pipeline, args.liberty.empty() ? nullptr : &custom_lib);
   if (result.degradation == DegradationLevel::kPartial) {
     std::fprintf(stderr, "error: %s\n", result.status.to_string().c_str());
     return result.status.code() == exec::StatusCode::kInvalidArgument ? 2 : 1;

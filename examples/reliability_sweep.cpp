@@ -13,6 +13,7 @@
 #include <string>
 
 #include "benchdata/suite.hpp"
+#include "common/format.hpp"
 #include "flow/synthesis_flow.hpp"
 #include "reliability/error_rate.hpp"
 #include "reliability/estimates.hpp"
@@ -39,10 +40,10 @@ int main(int argc, char** argv) {
               "gates", "area", "delay/ps", "power/uW");
   for (int i = 0; i <= steps; ++i) {
     const double fraction = static_cast<double>(i) / steps;
-    FlowOptions options;
-    options.ranking_fraction = fraction;
-    const FlowResult r =
-        run_flow(spec, DcPolicy::kRankingFraction, options);
+    const FlowResult r = run_flow(
+        spec, "assign:ranking(" + format_double(fraction) +
+                  ") | espresso | factor | aig | map:power | analyze | "
+                  "error_rate");
     std::printf("%9.2f %10.4f %8zu %9.1f %9.1f %10.2f\n", fraction,
                 r.error_rate, r.stats.gates, r.stats.area, r.stats.delay_ps,
                 r.stats.power_uw);

@@ -77,7 +77,7 @@ int main() {
 
   // Stage 4: technology mapping, both objectives. The balanced AIG is
   // still valid on the design, so each map pass just re-targets it.
-  for (const auto [label, map_spec] :
+  for (const auto& [label, map_spec] :
        {std::pair{"area ", "map:power | analyze"},
         std::pair{"delay", "map:delay | analyze"}}) {
     run_stage(design, map_spec);

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Local CI: the tier-1 configure/build/ctest line from ROADMAP.md (run
-# twice: once on the default SIMD dispatch, once pinned to the scalar
-# backend with RDC_SIMD=scalar), then the whole unit-test binary once in a
+# Local CI: the tier-1 configure/build/ctest line from ROADMAP.md, with
+# warnings as errors (run twice: once on the default SIMD dispatch, once
+# pinned to the scalar backend with RDC_SIMD=scalar), then the whole unit-test binary once in a
 # single process (ctest runs every test in its own process, which hides
 # state one test leaks into the next), a build of perfbench (the
 # end-to-end benchmark, which links the library's public API), a diff of
@@ -14,8 +14,8 @@
 # (rdcsyn_cli --pipeline
 # with a nondefault spec plus an rdc_batch fan-out over the examples/
 # fixtures, reports validated with rdc_json_check), an rdcsyn_cli smoke
-# (malformed or out-of-range assign and renode flags, synth
-# --pipeline with --delay or --resyn exit 2, a
+# (malformed or out-of-range assign and renode flags, a second input
+# file, synth --pipeline with --delay or --resyn exit 2, a
 # fault model that does not fit the spec fails a --pipeline with exit 2,
 # a failed synth writes no
 # file and exits 2 or 1, synth --json writes the report), and the §10
@@ -54,7 +54,9 @@ if [[ "${1:-}" == "--no-sanitizers" ]]; then
 fi
 
 echo "== tier-1: configure + build + ctest =="
-cmake -B build -S . -DRDC_ENABLE_FUZZERS=ON
+# Warnings fail the build: the library, tests, harnesses, examples, tools
+# and fuzz targets all compile with -Wall -Wextra -Wshadow.
+cmake -B build -S . -DRDC_ENABLE_FUZZERS=ON -DRDCSYN_WERROR=ON
 cmake --build build -j
 (cd build && ctest --output-on-failure -j)
 
@@ -177,6 +179,10 @@ for threshold in 5 0 1 abc; do
     examples/fixtures/builtin.pla -o "$smoke_dir/assign.pla" \
     --policy lcf --threshold "$threshold"
 done
+# Every subcommand but cec takes one input file; a second one is a usage
+# error, not silently dropped.
+expect_exit 2 ./build/examples/rdcsyn_cli stats examples/fixtures/builtin.pla \
+  examples/fixtures/parity4.pla
 # renode: the same (0, 1) range for --threshold.
 for threshold in 5 -1 0 1 abc; do
   expect_exit 2 ./build/examples/rdcsyn_cli renode \

@@ -3,6 +3,8 @@
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
+#include <iterator>
 #include <optional>
 #include <utility>
 
@@ -153,6 +155,23 @@ bool parse_unsigned_arg(const std::string& text, unsigned& out) {
 
 // --- DC assignment -------------------------------------------------------
 
+/// Per assign kind, in AssignPass::Kind order: the pass name, the
+/// report's "policy" literal and the knob's default. The ladder's fallback
+/// `assign:zero` records no policy.
+struct AssignKindInfo {
+  const char* name;
+  const char* policy;
+  double default_param;
+};
+constexpr AssignKindInfo kAssignKinds[] = {
+    {"assign:conventional", "conventional", 0.0},
+    {"assign:ranking", "ranking_fraction", 0.5},
+    {"assign:ranking_inc", "ranking_incremental", 0.5},
+    {"assign:lcf", "lcf_threshold", 0.55},
+    {"assign:all", "all_reliability", 0.0},
+    {"assign:zero", nullptr, 0.0},
+};
+
 class AssignPass final : public Pass {
  public:
   enum class Kind { kConventional, kRanking, kRankingInc, kLcf, kAll, kZero };
@@ -160,17 +179,7 @@ class AssignPass final : public Pass {
   AssignPass(Kind kind, double param, bool balanced)
       : kind_(kind), param_(param), balanced_(balanced) {}
 
-  const char* name() const override {
-    switch (kind_) {
-      case Kind::kConventional: return "assign:conventional";
-      case Kind::kRanking: return "assign:ranking";
-      case Kind::kRankingInc: return "assign:ranking_inc";
-      case Kind::kLcf: return "assign:lcf";
-      case Kind::kAll: return "assign:all";
-      case Kind::kZero: return "assign:zero";
-    }
-    return "assign";
-  }
+  const char* name() const override { return info().name; }
 
   const char* phase() const override { return "dc_assign"; }
 
@@ -209,7 +218,6 @@ class AssignPass final : public Pass {
     design.reset_working();
     IncompleteSpec& working = design.working();
     AssignmentResult result;
-    const char* policy = "";
     // The reliability policies decide from the Design's candidate lists
     // and NeighborTables: reset_working() just made working == spec, and
     // all of them evaluate their metrics on the input specification, so
@@ -221,7 +229,6 @@ class AssignPass final : public Pass {
     switch (kind_) {
       case Kind::kConventional:
         // All DCs stay with the downstream minimizer (the baseline).
-        policy = "conventional";
         break;
       case Kind::kRanking:
       case Kind::kAll: {
@@ -229,7 +236,6 @@ class AssignPass final : public Pass {
         if (!lists.ok()) return lists.status();
         result = ranking_assign(working, kind_ == Kind::kAll ? 1.0 : param_,
                                 *lists);
-        policy = kind_ == Kind::kAll ? "all_reliability" : "ranking_fraction";
         break;
       }
       case Kind::kRankingInc: {
@@ -244,7 +250,6 @@ class AssignPass final : public Pass {
           if (!lists.ok()) return lists.status();
           result = ranking_assign(working, param_, *lists);
         }
-        policy = "ranking_incremental";
         break;
       }
       case Kind::kLcf: {
@@ -252,7 +257,6 @@ class AssignPass final : public Pass {
         if (!lists.ok()) return lists.status();
         result = lcf_assign(working, param_, balanced_, *lists,
                             design.spec_neighbors());
-        policy = "lcf_threshold";
         break;
       }
       case Kind::kZero:
@@ -267,12 +271,16 @@ class AssignPass final : public Pass {
     }
     design.assignment = result;
     design.has_assignment = true;
-    design.policy = policy;
+    design.policy = info().policy;
     design.produced(Artifact::kAssigned);
     return {};
   }
 
  private:
+  const AssignKindInfo& info() const {
+    return kAssignKinds[static_cast<int>(kind_)];
+  }
+
   Kind kind_;
   double param_;
   bool balanced_;
@@ -558,7 +566,7 @@ exec::Status check_arity(const std::string& name,
 }
 
 exec::Status make_assign(AssignPass::Kind kind, const std::string& name,
-                         const std::vector<std::string>& args, double fallback,
+                         const std::vector<std::string>& args,
                          std::unique_ptr<Pass>& out) {
   const bool takes_param =
       kind == AssignPass::Kind::kRanking ||
@@ -568,7 +576,7 @@ exec::Status make_assign(AssignPass::Kind kind, const std::string& name,
           check_arity(name, args, takes_param ? (takes_balanced ? 2 : 1) : 0);
       !s.ok())
     return s;
-  double param = fallback;
+  double param = kAssignKinds[static_cast<int>(kind)].default_param;
   bool balanced = false;
   if (!args.empty()) {
     if (!parse_double_arg(args[0], param))
@@ -595,22 +603,19 @@ exec::Status make_assign(AssignPass::Kind kind, const std::string& name,
 
 }  // namespace
 
+const char* assign_policy(const Pass& pass) {
+  for (const AssignKindInfo& kind : kAssignKinds)
+    if (std::strcmp(pass.name(), kind.name) == 0) return kind.policy;
+  return nullptr;
+}
+
 exec::Status make_pass(const std::string& name,
                        const std::vector<std::string>& args,
                        std::unique_ptr<Pass>& out) {
   out.reset();
-  if (name == "assign:conventional")
-    return make_assign(AssignPass::Kind::kConventional, name, args, 0.0, out);
-  if (name == "assign:ranking")
-    return make_assign(AssignPass::Kind::kRanking, name, args, 0.5, out);
-  if (name == "assign:ranking_inc")
-    return make_assign(AssignPass::Kind::kRankingInc, name, args, 0.5, out);
-  if (name == "assign:lcf")
-    return make_assign(AssignPass::Kind::kLcf, name, args, 0.55, out);
-  if (name == "assign:all")
-    return make_assign(AssignPass::Kind::kAll, name, args, 0.0, out);
-  if (name == "assign:zero")
-    return make_assign(AssignPass::Kind::kZero, name, args, 0.0, out);
+  for (std::size_t kind = 0; kind < std::size(kAssignKinds); ++kind)
+    if (name == kAssignKinds[kind].name)
+      return make_assign(static_cast<AssignPass::Kind>(kind), name, args, out);
   if (name == "espresso") {
     if (exec::Status s = check_arity(name, args, 1); !s.ok()) return s;
     int max_iterations = -1;

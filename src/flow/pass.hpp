@@ -271,6 +271,10 @@ exec::Status make_pass(const std::string& name,
                        const std::vector<std::string>& args,
                        std::unique_ptr<Pass>& out);
 
+/// The report's "policy" literal of an assign pass ("ranking_fraction",
+/// ...); nullptr for every other pass, `assign:zero` included.
+const char* assign_policy(const Pass& pass);
+
 /// Every registered pass name, in grammar order (for usage text, error
 /// messages and the spec fuzzer's dictionary).
 std::vector<std::string> pass_names();

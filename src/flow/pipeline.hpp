@@ -12,8 +12,8 @@
 // `parse_pipeline` turns a spec string — `pass ('|' pass)*` with optional
 // `(arg,...)` lists, e.g. "assign:ranking(0.5) | espresso | factor | aig |
 // map:power" — into a Pipeline, with offset-annotated errors and no partial
-// pipelines. run_flow's rungs are themselves spec strings
-// (`canonical_flow_spec`, flow/synthesis_flow.hpp).
+// pipelines. run_flow (flow/synthesis_flow.hpp) takes a spec string and
+// derives its degradation ladder's rungs from the parsed pipeline.
 #pragma once
 
 #include <cstddef>

@@ -10,7 +10,7 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
+#include <string_view>
 
 #include "exec/status.hpp"
 #include "mapper/power.hpp"
@@ -21,25 +21,11 @@
 
 namespace rdc {
 
-/// Mirrors the paper's two Design Compiler configurations
-/// ("set_max_delay 0" vs "set_max_leakage/dynamic_power 0"; the paper notes
-/// min-area behaves like min-power, which holds here by construction).
-enum class OptimizeFor { kDelay, kPower };
-
-/// How don't cares are assigned before conventional optimization.
-enum class DcPolicy {
-  kConventional,        ///< all DCs left to the minimizer (the baseline)
-  kRankingFraction,     ///< Fig. 3, top `ranking_fraction` of the ranked list
-  kRankingIncremental,  ///< ablation variant with neighbor-count updates
-  kLcfThreshold,        ///< Fig. 7, local-complexity-factor gated
-  kAllReliability,      ///< every majority-phase DC assigned (fraction = 1)
-};
-
 /// How far run_flow had to descend its graceful-degradation ladder
 /// (DESIGN.md §10). Each level trades result quality for completion:
 ///   kNone          — full flow with exact-effort ESPRESSO
-///   kHeuristic     — single-pass ESPRESSO: the canonical spec with
-///                    `espresso(0)` in place of `espresso`
+///   kHeuristic     — single-pass ESPRESSO: the pipeline with
+///                    `espresso(0)` in place of each bare `espresso`
 ///   kConventional  — no minimization: remaining DCs forced to 0, minterm
 ///                    covers, synthesized with the budget masked so this
 ///                    rung always completes
@@ -54,24 +40,6 @@ enum class DegradationLevel : std::uint8_t {
 
 /// Stable lower-case name ("none", "heuristic", ...) used in report JSON.
 const char* degradation_level_name(DegradationLevel level);
-
-struct FlowOptions {
-  OptimizeFor objective = OptimizeFor::kPower;
-  double ranking_fraction = 0.5;  ///< for kRankingFraction / kRankingIncremental
-  double lcf_threshold = 0.55;    ///< for kLcfThreshold
-  /// Assign tied (on == off neighbors) DCs to 0 as in the Fig.-7
-  /// pseudocode; off by default (see lcf_assign).
-  bool lcf_assign_balanced = false;
-  /// Run the structurally different "second opinion" recipe (balance ->
-  /// SDC-based node refactoring -> balance) before mapping — the analogue
-  /// of the paper's ABC resyn2rs cross-validation.
-  bool resyn_recipe = false;
-  /// Target standard-cell library; null selects the built-in generic70.
-  const CellLibrary* library = nullptr;
-  /// Share common kernels across outputs before factoring (GKX-lite);
-  /// functionally neutral, typically saves area on multi-output specs.
-  bool use_extraction = false;
-};
 
 struct FlowResult {
   IncompleteSpec implementation;  ///< completely specified final function
@@ -92,27 +60,24 @@ struct FlowResult {
   DegradationLevel degradation = DegradationLevel::kNone;
 };
 
-/// Runs the full flow on a specification: the pipeline
-/// `flow::canonical_flow_spec(policy, options)` on a flow::Design of
-/// `spec`, inside a degradation ladder, under the calling thread's exec
-/// budget (exec::BudgetScope), which the thread pool hands on to the
-/// flow's workers. No-throw by design: budget trips, injected faults and
-/// internal errors make it descend the ladder documented on
-/// DegradationLevel; the worst case is a kPartial result whose
-/// FlowResult::status carries the terminal failure. A cancellation and an
-/// invalid argument go straight to kPartial; the latter includes a knob
-/// the policy reads out of range (ranking_fraction outside [0, 1],
-/// lcf_threshold outside (0, 1), NaN included), rejected before any pass
-/// runs. The flow analyzes under the paper's fault model; a pipeline
-/// names any other with `@model` annotations (DESIGN.md §16).
-FlowResult run_flow(const IncompleteSpec& spec, DcPolicy policy,
-                    const FlowOptions& options = {});
+/// Runs the pipeline spec `pipeline` (flow/pipeline.hpp) on a
+/// flow::Design of `spec` and `library` (null: the built-in generic70),
+/// inside a degradation ladder, under the calling thread's exec budget
+/// (exec::BudgetScope), which the thread pool hands on to the flow's
+/// workers. The paper's flow for one DC policy is
+/// "assign:<policy> | espresso | factor | aig | map:power | analyze |
+/// error_rate" (`balance | map:delay` for the delay setting).
+///
+/// No-throw by design: budget trips, injected faults and internal errors
+/// make it descend the ladder documented on DegradationLevel; the worst
+/// case is a kPartial result whose FlowResult::status carries the terminal
+/// failure. A cancellation and an invalid argument go straight to
+/// kPartial; the latter includes text that does not parse (a knob out of
+/// range, NaN included) and a fault model that does not fit the spec,
+/// both rejected before any pass runs. Rung 2 maps with the pipeline's own
+/// mapper (for delay when the text names `map:delay`, else for power) and
+/// rates errors under its error-rate pass's `@model`.
+FlowResult run_flow(const IncompleteSpec& spec, std::string_view pipeline,
+                    const CellLibrary* library = nullptr);
 
-namespace flow {
-
-/// The pipeline spec run_flow runs for `policy`/`options` on its first
-/// rung, parameters rendered with format_double.
-std::string canonical_flow_spec(DcPolicy policy, const FlowOptions& options);
-
-}  // namespace flow
 }  // namespace rdc

@@ -8,6 +8,7 @@
 #include "common/stats.hpp"
 #include "espresso/expand.hpp"
 #include "flow/synthesis_flow.hpp"
+#include "flow_specs.hpp"
 #include "oracles/bdd.hpp"
 #include "reliability/fault_model.hpp"
 
@@ -72,11 +73,9 @@ TEST(FlowCoverage, LcfBalancedOptionChangesAssignment) {
   for (auto& f : spec.outputs())
     for (std::uint32_t m = 0; m < f.size(); ++m)
       f.set_phase(m, static_cast<Phase>(rng.below(3)));
-  FlowOptions skip;
-  FlowOptions literal;
-  literal.lcf_assign_balanced = true;
-  const FlowResult a = run_flow(spec, DcPolicy::kLcfThreshold, skip);
-  const FlowResult b = run_flow(spec, DcPolicy::kLcfThreshold, literal);
+  const FlowResult a = run_flow(spec, test::paper_flow("assign:lcf(0.55)"));
+  const FlowResult b =
+      run_flow(spec, test::paper_flow("assign:lcf(0.55,balanced)"));
   // The literal mode assigns at least as many DCs.
   EXPECT_GE(b.assignment.assigned, a.assignment.assigned);
 }
@@ -87,18 +86,17 @@ TEST(FlowCoverage, CombinedOptionsStillCorrect) {
   for (auto& f : spec.outputs())
     for (std::uint32_t m = 0; m < f.size(); ++m)
       f.set_phase(m, static_cast<Phase>(rng.below(3)));
-  FlowOptions options;
-  options.objective = OptimizeFor::kDelay;
-  options.resyn_recipe = true;
-  options.use_extraction = true;
-  const FlowResult result = run_flow(spec, DcPolicy::kRankingFraction,
-                                     options);
+  const FlowResult result =
+      run_flow(spec,
+               "assign:ranking(0.5) | espresso | extract | resyn | balance | "
+               "map:delay | analyze | error_rate");
   for (unsigned o = 0; o < spec.num_outputs(); ++o) {
     ASSERT_EQ(result.netlist.output_table(o), result.implementation.output(o));
     for (std::uint32_t m = 0; m < spec.output(o).size(); ++m)
-      if (spec.output(o).is_care(m))
+      if (spec.output(o).is_care(m)) {
         ASSERT_EQ(result.implementation.output(o).is_on(m),
                   spec.output(o).is_on(m));
+      }
   }
 }
 

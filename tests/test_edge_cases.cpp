@@ -15,6 +15,7 @@
 #include "decomp/renode.hpp"
 #include "espresso/espresso.hpp"
 #include "flow/synthesis_flow.hpp"
+#include "flow_specs.hpp"
 #include "io/aiger.hpp"
 #include "mapper/liberty.hpp"
 #include "mapper/power.hpp"
@@ -68,7 +69,8 @@ TEST(EdgeCases, AllDcFunctionThroughFlow) {
   for (auto& f : spec.outputs())
     for (std::uint32_t m = 0; m < f.size(); ++m)
       f.set_phase(m, Phase::kDc);
-  const FlowResult result = run_flow(spec, DcPolicy::kRankingFraction);
+  const FlowResult result =
+      run_flow(spec, test::paper_flow("assign:ranking(0.5)"));
   EXPECT_DOUBLE_EQ(result.error_rate, 0.0);
   for (unsigned o = 0; o < 2; ++o)
     EXPECT_TRUE(result.implementation.output(o).fully_specified());
@@ -79,7 +81,8 @@ TEST(EdgeCases, ConstantOutputsThroughFlow) {
   // Output 0 constant 0, output 1 constant 1.
   for (std::uint32_t m = 0; m < 8; ++m)
     spec.output(1).set_phase(m, Phase::kOne);
-  const FlowResult result = run_flow(spec, DcPolicy::kConventional);
+  const FlowResult result =
+      run_flow(spec, test::paper_flow("assign:conventional"));
   EXPECT_DOUBLE_EQ(result.error_rate, 0.0);
   for (std::uint32_t m = 0; m < 8; ++m) {
     const auto out = result.netlist.evaluate(m);
@@ -94,7 +97,8 @@ TEST(EdgeCases, PassthroughAndInverterOutputs) {
     spec.output(0).set_phase(m, (m & 1) ? Phase::kOne : Phase::kZero);
     spec.output(1).set_phase(m, (m & 1) ? Phase::kZero : Phase::kOne);
   }
-  const FlowResult result = run_flow(spec, DcPolicy::kConventional);
+  const FlowResult result =
+      run_flow(spec, test::paper_flow("assign:conventional"));
   // x0 passes through unprotected: every flip of x0 propagates; the other
   // pin is fully masked. Rate per output = 1/2.
   EXPECT_DOUBLE_EQ(result.error_rate, 0.5);
@@ -156,9 +160,10 @@ TEST(EdgeCases, LibertyRejectsCellWiderThanAnySupportedKind) {
   text << "library(wide) {\n  cell(AND32) {\n    area : 1;\n";
   std::string function;
   for (int pin = 0; pin < 32; ++pin) {
-    const std::string name = "A" + std::to_string(pin);
+    const std::string name = std::string("A").append(std::to_string(pin));
     text << "    pin(" << name << ") { direction : input; capacitance : 1; }\n";
-    function += (pin == 0 ? "" : "&") + name;
+    if (pin != 0) function += '&';
+    function += name;
   }
   text << "    pin(Y) { direction : output; function : \"" << function
        << "\"; }\n  }\n}\n";
@@ -183,10 +188,9 @@ TEST(EdgeCases, FlowWithCustomLibraryMatchesBuiltin) {
   oracle::write_liberty(CellLibrary::generic70(), "copy", text);
   const CellLibrary parsed = parse_liberty_string(text.str());
 
-  FlowOptions with_custom;
-  with_custom.library = &parsed;
-  const FlowResult a = run_flow(spec, DcPolicy::kLcfThreshold, with_custom);
-  const FlowResult b = run_flow(spec, DcPolicy::kLcfThreshold);
+  const std::string lcf = test::paper_flow("assign:lcf(0.55)");
+  const FlowResult a = run_flow(spec, lcf, &parsed);
+  const FlowResult b = run_flow(spec, lcf);
   EXPECT_EQ(a.stats.gates, b.stats.gates);
   EXPECT_DOUBLE_EQ(a.stats.area, b.stats.area);
   EXPECT_DOUBLE_EQ(a.error_rate, b.error_rate);

@@ -45,7 +45,9 @@ TEST(Expand, RespectsOffSet) {
   const Cover expanded = expand(on, off.minterm_bits());
   // Can expand to 1- or -1 but must not hit 00.
   for (std::uint32_t m = 0; m < 4; ++m)
-    if (off.covers_minterm(m)) EXPECT_FALSE(expanded.covers_minterm(m));
+    if (off.covers_minterm(m)) {
+      EXPECT_FALSE(expanded.covers_minterm(m));
+    }
   EXPECT_TRUE(expanded.covers_minterm(0b11));
 }
 

@@ -76,7 +76,9 @@ TEST(PrimeImplicants, AllArePrime) {
     for (const Cube& p : prime_implicants(f)) {
       // p must avoid the off-set ...
       for (std::uint32_t m = 0; m < f.size(); ++m)
-        if (f.is_off(m)) EXPECT_FALSE(p.contains_minterm(m, 5));
+        if (f.is_off(m)) {
+          EXPECT_FALSE(p.contains_minterm(m, 5));
+        }
       // ... and raising any literal must hit it.
       for (unsigned v = 0; v < 5; ++v) {
         const bool fixed = test_bit(p.mask0, v) != test_bit(p.mask1, v);

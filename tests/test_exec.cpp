@@ -17,6 +17,7 @@
 #include "exec/status.hpp"
 #include "fault_guard.hpp"
 #include "flow/synthesis_flow.hpp"
+#include "flow_specs.hpp"
 #include "io/aiger.hpp"
 #include "io/blif_reader.hpp"
 #include "obs/json.hpp"
@@ -226,10 +227,12 @@ TEST(ExecBudget, EspressoBoundedSalvagesPartialResult) {
   // Salvaged cover still covers every ON minterm and no OFF minterm.
   const TernaryTruthTable& f = spec.output(0);
   for (std::uint32_t m = 0; m < f.size(); ++m) {
-    if (f.phase(m) == Phase::kOne)
+    if (f.phase(m) == Phase::kOne) {
       EXPECT_TRUE(result.cover.covers_minterm(m)) << "minterm " << m;
-    if (f.phase(m) == Phase::kZero)
+    }
+    if (f.phase(m) == Phase::kZero) {
       EXPECT_FALSE(result.cover.covers_minterm(m)) << "minterm " << m;
+    }
   }
 }
 
@@ -346,7 +349,8 @@ TEST(ExecFault, DrawsAreDeterministicPerJobAndAttempt) {
 // --- run_flow degradation ladder -----------------------------------------
 
 TEST(ExecFlow, NoBudgetRunsAtFullQuality) {
-  const FlowResult result = run_flow(small_spec(), DcPolicy::kLcfThreshold);
+  const FlowResult result =
+      run_flow(small_spec(), test::paper_flow("assign:lcf(0.55)"));
   EXPECT_TRUE(result.status.ok());
   EXPECT_EQ(result.degradation, DegradationLevel::kNone);
   EXPECT_GT(result.netlist.gate_count(), 0u);
@@ -354,7 +358,8 @@ TEST(ExecFlow, NoBudgetRunsAtFullQuality) {
 
 TEST(ExecFlow, ExactFaultDescendsToHeuristic) {
   FaultSpecGuard guard("flow.exact:1");
-  const FlowResult result = run_flow(small_spec(), DcPolicy::kLcfThreshold);
+  const FlowResult result =
+      run_flow(small_spec(), test::paper_flow("assign:lcf(0.55)"));
   EXPECT_TRUE(result.status.ok());
   EXPECT_EQ(result.degradation, DegradationLevel::kHeuristic);
   EXPECT_GT(result.netlist.gate_count(), 0u);
@@ -365,7 +370,8 @@ TEST(ExecFlow, EspressoFaultDescendsToConventional) {
   // heuristic rung die; the conventional fallback avoids ESPRESSO and
   // must still deliver a netlist.
   FaultSpecGuard guard("espresso:1");
-  const FlowResult result = run_flow(small_spec(), DcPolicy::kLcfThreshold);
+  const FlowResult result =
+      run_flow(small_spec(), test::paper_flow("assign:lcf(0.55)"));
   EXPECT_TRUE(result.status.ok());
   EXPECT_EQ(result.degradation, DegradationLevel::kConventional);
   EXPECT_GT(result.netlist.gate_count(), 0u);
@@ -375,12 +381,15 @@ TEST(ExecFlow, EspressoFaultDescendsToConventional) {
   const TernaryTruthTable& f = spec.output(0);
   const TernaryTruthTable& g = result.implementation.output(0);
   for (std::uint32_t m = 0; m < f.size(); ++m)
-    if (f.phase(m) != Phase::kDc) EXPECT_EQ(g.phase(m), f.phase(m));
+    if (f.phase(m) != Phase::kDc) {
+      EXPECT_EQ(g.phase(m), f.phase(m));
+    }
 }
 
 TEST(ExecFlow, AllRungsFailingYieldsPartial) {
   FaultSpecGuard guard("espresso:1,flow.conventional:1");
-  const FlowResult result = run_flow(small_spec(), DcPolicy::kLcfThreshold);
+  const FlowResult result =
+      run_flow(small_spec(), test::paper_flow("assign:lcf(0.55)"));
   EXPECT_FALSE(result.status.ok());
   EXPECT_EQ(result.status.code(), exec::StatusCode::kFaultInjected);
   EXPECT_EQ(result.degradation, DegradationLevel::kPartial);
@@ -392,7 +401,8 @@ TEST(ExecFlow, CancelledBudgetSkipsStraightToPartial) {
   exec::ExecBudget budget;
   budget.request_cancel();
   exec::BudgetScope scope(&budget);
-  const FlowResult result = run_flow(small_spec(), DcPolicy::kLcfThreshold);
+  const FlowResult result =
+      run_flow(small_spec(), test::paper_flow("assign:lcf(0.55)"));
   EXPECT_EQ(result.status.code(), exec::StatusCode::kCancelled);
   EXPECT_EQ(result.degradation, DegradationLevel::kPartial);
 }
@@ -404,7 +414,8 @@ TEST(ExecFlow, ExpiredDeadlineStillProducesNetlistAndValidReport) {
   exec::ExecBudget budget = exec::ExecBudget::with_deadline_ms(0.001);
   std::this_thread::sleep_for(std::chrono::milliseconds(2));
   exec::BudgetScope scope(&budget);
-  const FlowResult result = run_flow(small_spec(), DcPolicy::kLcfThreshold);
+  const FlowResult result =
+      run_flow(small_spec(), test::paper_flow("assign:lcf(0.55)"));
 
   EXPECT_TRUE(result.status.ok());
   EXPECT_EQ(result.degradation, DegradationLevel::kConventional);

@@ -30,6 +30,7 @@
 #include "flow/pass.hpp"
 #include "flow/pipeline.hpp"
 #include "flow/synthesis_flow.hpp"
+#include "flow_specs.hpp"
 #include "obs/events.hpp"
 #include "oracles/error_rate.hpp"
 #include "oracles/kbit_events.hpp"
@@ -72,15 +73,14 @@ TernaryTruthTable random_complete(unsigned n, Rng& rng) {
   return f;
 }
 
-/// The canonical flow for `policy` run under `model`: the annotation goes
+/// The paper's flow behind `assign` run under `model`: the annotation goes
 /// on the passes that consult a model, the reliability assignment
 /// (conventional consults none) and the trailing error_rate.
-std::string annotated_flow(DcPolicy policy, const FlowOptions& options,
+std::string annotated_flow(const std::string& assign,
                            const FaultModelSpec& model) {
   const std::string at = flow::model_annotation(model);
-  std::string spec = flow::canonical_flow_spec(policy, options);
-  if (policy != DcPolicy::kConventional) spec.insert(spec.find(" | "), at);
-  return spec + at;
+  const bool reads_model = assign != "assign:conventional";
+  return assign + (reads_model ? at : "") + test::kLowerHalf + at;
 }
 
 // --- FaultModelSpec: grammar, canonical form, fingerprint -----------------
@@ -178,12 +178,11 @@ TEST(FaultModelSpec, FingerprintsSeparateModels) {
 // --- cache-key compatibility ----------------------------------------------
 
 // The fingerprint cache and journal keys were built on before the budget
-// limits became its only input, replicated field by field. At default
-// flow options it must equal budget_fingerprint for every budget: old
-// fingerprints key warm serve caches and resumable journals, so changing
-// them silently is a bug.
-std::uint64_t legacy_fingerprint(const FlowOptions& options,
-                                 const exec::BudgetLimits& budget) {
+// limits became its only input, replicated field by field with the flow
+// options it once hashed at their defaults. It must equal
+// budget_fingerprint for every budget: old fingerprints key warm serve
+// caches and resumable journals, so changing them silently is a bug.
+std::uint64_t legacy_fingerprint(const exec::BudgetLimits& budget) {
   const auto fnv1a = [](const void* data, std::size_t size,
                         std::uint64_t hash) {
     const auto* bytes = static_cast<const unsigned char*>(data);
@@ -202,12 +201,12 @@ std::uint64_t legacy_fingerprint(const FlowOptions& options,
     return mix_u64(hash, bits);
   };
   std::uint64_t hash = 0xcbf29ce484222325ull;
-  hash = mix_u64(hash, static_cast<std::uint64_t>(options.objective));
-  hash = mix_double(hash, options.ranking_fraction);
-  hash = mix_double(hash, options.lcf_threshold);
-  hash = mix_u64(hash, options.lcf_assign_balanced ? 1 : 0);
-  hash = mix_u64(hash, options.resyn_recipe ? 1 : 0);
-  hash = mix_u64(hash, options.use_extraction ? 1 : 0);
+  hash = mix_u64(hash, 1);         // objective: power
+  hash = mix_double(hash, 0.5);    // ranking fraction
+  hash = mix_double(hash, 0.55);   // LC^f threshold
+  hash = mix_u64(hash, 0);         // LC^f ties left unassigned
+  hash = mix_u64(hash, 0);         // no resyn recipe
+  hash = mix_u64(hash, 0);         // no kernel extraction
   hash = mix_u64(hash, 0x9e3779b97f4a7c15ull);  // the sampled-pass seed
   hash = mix_double(hash, budget.deadline_ms);
   hash = mix_u64(hash, budget.max_checkpoints);
@@ -216,19 +215,18 @@ std::uint64_t legacy_fingerprint(const FlowOptions& options,
 }
 
 TEST(FlowFingerprint, DefaultModelPreservesPreRefactorBytes) {
-  const FlowOptions defaults;
   exec::BudgetLimits budget;
   EXPECT_EQ(flow::budget_fingerprint(budget),
-            legacy_fingerprint(defaults, budget));
+            legacy_fingerprint(budget));
   budget.deadline_ms = 1500.0;
   EXPECT_EQ(flow::budget_fingerprint(budget),
-            legacy_fingerprint(defaults, budget));
+            legacy_fingerprint(budget));
   budget.max_checkpoints = 1000;
   EXPECT_EQ(flow::budget_fingerprint(budget),
-            legacy_fingerprint(defaults, budget));
+            legacy_fingerprint(budget));
   budget.max_rss_bytes = 1 << 20;
   EXPECT_EQ(flow::budget_fingerprint(budget),
-            legacy_fingerprint(defaults, budget));
+            legacy_fingerprint(budget));
 }
 
 TEST(FlowFingerprint, NonDefaultModelsNeverAlias) {
@@ -238,13 +236,12 @@ TEST(FlowFingerprint, NonDefaultModelsNeverAlias) {
   const std::string pla = ".i 4\n.o 1\n0000 1\n.e\n";
   const std::uint64_t budget = flow::budget_fingerprint({});
   std::vector<std::uint64_t> keys = {serve::result_cache_key(
-      pla, flow::canonical_flow_spec(DcPolicy::kRankingFraction, {}),
-      budget)};
+      pla, test::paper_flow("assign:ranking(0.5)"), budget)};
   for (const FaultModelSpec& model :
        {FaultModelSpec::bitflip(2), FaultModelSpec::stuckat(),
         FaultModelSpec::bitflip_weighted({1.0, 0.5, 0.25, 0.125})})
     keys.push_back(serve::result_cache_key(
-        pla, annotated_flow(DcPolicy::kRankingFraction, {}, model), budget));
+        pla, annotated_flow("assign:ranking(0.5)", model), budget));
   EXPECT_EQ(keys[0], serve::result_cache_key(
                          pla, "assign:ranking(0.5) | espresso | factor | aig "
                               "| map:power | analyze | error_rate",
@@ -744,19 +741,19 @@ TEST(PipelineAnnotation, RoundTripsThroughToString) {
 }
 
 TEST(PipelineAnnotation, CanonicalFlowSpecCarriesNonDefaultModels) {
-  // The canonical flow is the paper's model: no annotation. Another model
-  // is named on its model-reading passes, and the annotated spec keeps it
-  // through a parse and a canonical re-rendering.
-  const FlowOptions options;
-  for (const DcPolicy policy :
-       {DcPolicy::kConventional, DcPolicy::kRankingFraction,
-        DcPolicy::kRankingIncremental, DcPolicy::kLcfThreshold,
-        DcPolicy::kAllReliability})
-    EXPECT_EQ(flow::canonical_flow_spec(policy, options).find('@'),
-              std::string::npos);
+  // The paper's flow is the paper's model: its canonical rendering adds
+  // no annotation. Another model is named on its model-reading passes,
+  // and the annotated spec keeps it through a parse and a canonical
+  // re-rendering.
+  for (const std::string& assign : test::kAssignPasses) {
+    exec::Result<flow::Pipeline> plain =
+        flow::parse_pipeline(test::paper_flow(assign));
+    ASSERT_TRUE(plain.ok()) << assign;
+    EXPECT_EQ(plain->to_string().find('@'), std::string::npos) << assign;
+  }
 
-  const std::string annotated = annotated_flow(
-      DcPolicy::kRankingFraction, options, FaultModelSpec::stuckat());
+  const std::string annotated =
+      annotated_flow("assign:ranking(0.5)", FaultModelSpec::stuckat());
   exec::Result<flow::Pipeline> pipeline = flow::parse_pipeline(annotated);
   ASSERT_TRUE(pipeline.ok()) << annotated;
   EXPECT_EQ(pipeline->to_string(), annotated);
@@ -767,8 +764,8 @@ TEST(PipelineAnnotation, CanonicalFlowSpecCarriesNonDefaultModels) {
 
   // Conventional assignment never consults the model (its pass refuses
   // an annotation): only the trailing error_rate pass carries one.
-  const std::string conventional = annotated_flow(
-      DcPolicy::kConventional, options, FaultModelSpec::stuckat());
+  const std::string conventional =
+      annotated_flow("assign:conventional", FaultModelSpec::stuckat());
   exec::Result<flow::Pipeline> reparsed = flow::parse_pipeline(conventional);
   ASSERT_TRUE(reparsed.ok()) << conventional;
   EXPECT_EQ(reparsed->to_string(), conventional);
@@ -806,15 +803,13 @@ TEST(FlowFaultModel, ReportStampsNonDefaultModels) {
   const IncompleteSpec spec = flow_test_spec();
 
   std::optional<flow::Design> plain;
-  ASSERT_TRUE(run_pipeline(flow::canonical_flow_spec(
-                               DcPolicy::kRankingFraction, {}),
-                           spec, plain)
-                  .ok());
+  ASSERT_TRUE(
+      run_pipeline(test::paper_flow("assign:ranking(0.5)"), spec, plain).ok());
   EXPECT_EQ(plain->report.to_json().find("\"fault_model\""),
             std::string::npos);
 
   std::optional<flow::Design> stuck;
-  ASSERT_TRUE(run_pipeline(annotated_flow(DcPolicy::kRankingFraction, {},
+  ASSERT_TRUE(run_pipeline(annotated_flow("assign:ranking(0.5)",
                                           FaultModelSpec::stuckat()),
                            spec, stuck)
                   .ok());
@@ -827,7 +822,7 @@ TEST(FlowFaultModel, WeightCountMismatchIsRejectedUpFront) {
   const IncompleteSpec spec = flow_test_spec();  // 5 inputs
   std::optional<flow::Design> design;
   const exec::Status status = run_pipeline(
-      annotated_flow(DcPolicy::kRankingFraction, {},
+      annotated_flow("assign:ranking(0.5)",
                      FaultModelSpec::bitflip_weighted({1.0, 0.5})),
       spec, design);
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
@@ -846,7 +841,7 @@ TEST(FlowFaultModel, FlipCountAboveInputsIsRejectedUpFront) {
   (void)obs::drain_events();
   std::optional<flow::Design> design;
   const exec::Status status =
-      run_pipeline(annotated_flow(DcPolicy::kRankingFraction, {},
+      run_pipeline(annotated_flow("assign:ranking(0.5)",
                                   FaultModelSpec::bitflip(5)),
                    spec, design);
   const std::vector<std::string> events = obs::drain_events();
@@ -874,19 +869,9 @@ TEST(FlowFaultModel, UniformWeightsReproduceDefaultDecisions) {
   // as the paper's model, so every policy must make the very same
   // assignment decisions under it — and the weighted exact rate reduces to
   // the unweighted one.
-  struct Case {
-    const char* name;
-    DcPolicy policy;
-    double fraction;
-    bool balanced;
-  };
-  const Case cases[] = {
-      {"ranking(0)", DcPolicy::kRankingFraction, 0.0, false},
-      {"ranking(0.3)", DcPolicy::kRankingFraction, 0.3, false},
-      {"ranking(1)", DcPolicy::kRankingFraction, 1.0, false},
-      {"lcf(0.55)", DcPolicy::kLcfThreshold, 0.0, false},
-      {"lcf(0.55,balanced)", DcPolicy::kLcfThreshold, 0.0, true},
-      {"all", DcPolicy::kAllReliability, 0.0, false},
+  const char* const cases[] = {
+      "assign:ranking(0)", "assign:ranking(0.3)",       "assign:ranking(1)",
+      "assign:lcf(0.55)",  "assign:lcf(0.55,balanced)", "assign:all",
   };
   const struct {
     std::uint64_t seed;
@@ -894,23 +879,18 @@ TEST(FlowFaultModel, UniformWeightsReproduceDefaultDecisions) {
   } specs[] = {{9011, 5}, {9012, 6}, {9013, 7}, {9014, 8}};
   for (const auto& s : specs) {
     const IncompleteSpec spec = seeded_flow_spec(s.seed, s.n);
-    for (const Case& c : cases) {
+    for (const char* assign : cases) {
       const std::string where =
-          c.name + std::string(" seed=") + std::to_string(s.seed);
-      FlowOptions options;
-      options.ranking_fraction = c.fraction;
-      options.lcf_assign_balanced = c.balanced;
+          assign + std::string(" seed=") + std::to_string(s.seed);
       std::optional<flow::Design> weighted;
-      ASSERT_TRUE(run_pipeline(annotated_flow(c.policy, options,
+      ASSERT_TRUE(run_pipeline(annotated_flow(assign,
                                               FaultModelSpec::bitflip_weighted(
                                                   std::vector<double>(s.n, 1.0))),
                                spec, weighted)
                       .ok())
           << where;
       std::optional<flow::Design> base;
-      ASSERT_TRUE(
-          run_pipeline(flow::canonical_flow_spec(c.policy, options), spec, base)
-              .ok())
+      ASSERT_TRUE(run_pipeline(test::paper_flow(assign), spec, base).ok())
           << where;
       for (unsigned o = 0; o < 2; ++o)
         EXPECT_EQ(weighted->working().output(o), base->working().output(o))

@@ -4,6 +4,7 @@
 #include "common/rng.hpp"
 #include "flow/pipeline.hpp"
 #include "flow/synthesis_flow.hpp"
+#include "flow_specs.hpp"
 #include "reliability/error_rate.hpp"
 
 namespace rdc {
@@ -40,7 +41,8 @@ void expect_respects_care_set(const IncompleteSpec& impl,
 TEST(Flow, ConventionalRespectsSpec) {
   Rng rng(179);
   const IncompleteSpec spec = random_spec(6, 3, 0.5, rng);
-  const FlowResult result = run_flow(spec, DcPolicy::kConventional);
+  const FlowResult result =
+      run_flow(spec, test::paper_flow("assign:conventional"));
   expect_respects_care_set(result.implementation, spec);
   EXPECT_EQ(result.assignment.assigned, 0u);
   EXPECT_GT(result.stats.gates, 0u);
@@ -49,25 +51,21 @@ TEST(Flow, ConventionalRespectsSpec) {
 TEST(Flow, NetlistMatchesImplementation) {
   Rng rng(181);
   const IncompleteSpec spec = random_spec(5, 2, 0.4, rng);
-  for (const DcPolicy policy :
-       {DcPolicy::kConventional, DcPolicy::kRankingFraction,
-        DcPolicy::kLcfThreshold, DcPolicy::kAllReliability}) {
-    const FlowResult result = run_flow(spec, policy);
+  for (const char* assign : {"assign:conventional", "assign:ranking(0.5)",
+                             "assign:lcf(0.55)", "assign:all"}) {
+    const FlowResult result = run_flow(spec, test::paper_flow(assign));
     for (unsigned o = 0; o < spec.num_outputs(); ++o)
       EXPECT_EQ(result.netlist.output_table(o),
                 result.implementation.output(o))
-          << "policy " << static_cast<int>(policy) << " output " << o;
+          << assign << " output " << o;
   }
 }
 
 TEST(Flow, AllPoliciesRespectCareSet) {
   Rng rng(191);
   const IncompleteSpec spec = random_spec(6, 2, 0.6, rng);
-  for (const DcPolicy policy :
-       {DcPolicy::kConventional, DcPolicy::kRankingFraction,
-        DcPolicy::kRankingIncremental, DcPolicy::kLcfThreshold,
-        DcPolicy::kAllReliability}) {
-    const FlowResult result = run_flow(spec, policy);
+  for (const std::string& assign : test::kAssignPasses) {
+    const FlowResult result = run_flow(spec, test::paper_flow(assign));
     expect_respects_care_set(result.implementation, spec);
   }
 }
@@ -81,9 +79,9 @@ TEST(Flow, FullReliabilityAssignmentLowersErrorRate) {
   for (int t = 0; t < trials; ++t) {
     const IncompleteSpec spec = random_spec(6, 2, 0.6, rng);
     const double conventional =
-        run_flow(spec, DcPolicy::kConventional).error_rate;
+        run_flow(spec, test::paper_flow("assign:conventional")).error_rate;
     const double reliability =
-        run_flow(spec, DcPolicy::kAllReliability).error_rate;
+        run_flow(spec, test::paper_flow("assign:all")).error_rate;
     if (reliability <= conventional + 1e-12) ++wins;
   }
   EXPECT_EQ(wins, trials);
@@ -93,10 +91,9 @@ TEST(Flow, ErrorRateWithinExactBounds) {
   Rng rng(197);
   const IncompleteSpec spec = random_spec(6, 2, 0.5, rng);
   const RateBounds bounds = exact_error_bounds(spec);
-  for (const DcPolicy policy :
-       {DcPolicy::kConventional, DcPolicy::kRankingFraction,
-        DcPolicy::kAllReliability}) {
-    const FlowResult result = run_flow(spec, policy);
+  for (const char* assign :
+       {"assign:conventional", "assign:ranking(0.5)", "assign:all"}) {
+    const FlowResult result = run_flow(spec, test::paper_flow(assign));
     EXPECT_GE(result.error_rate, bounds.min - 1e-12);
     EXPECT_LE(result.error_rate, bounds.max + 1e-12);
   }
@@ -108,7 +105,7 @@ TEST(Flow, AllReliabilityAchievesMinimumBound) {
   Rng rng(199);
   const IncompleteSpec spec = random_spec(6, 2, 0.5, rng);
   const RateBounds bounds = exact_error_bounds(spec);
-  const FlowResult result = run_flow(spec, DcPolicy::kAllReliability);
+  const FlowResult result = run_flow(spec, test::paper_flow("assign:all"));
   EXPECT_NEAR(result.error_rate, bounds.min, 1e-12);
 }
 
@@ -118,14 +115,11 @@ TEST(Flow, DelayModeFasterOrEqual) {
   const int trials = 6;
   for (int t = 0; t < trials; ++t) {
     const IncompleteSpec spec = random_spec(6, 2, 0.4, rng);
-    FlowOptions delay_opt;
-    delay_opt.objective = OptimizeFor::kDelay;
-    FlowOptions power_opt;
-    power_opt.objective = OptimizeFor::kPower;
     const double d_delay =
-        run_flow(spec, DcPolicy::kConventional, delay_opt).stats.delay_ps;
+        run_flow(spec, "assign:conventional" + test::kDelayLowerHalf)
+            .stats.delay_ps;
     const double d_power =
-        run_flow(spec, DcPolicy::kConventional, power_opt).stats.delay_ps;
+        run_flow(spec, test::paper_flow("assign:conventional")).stats.delay_ps;
     if (d_delay <= d_power * 1.05 + 1e-9) ++ok;
   }
   EXPECT_GE(ok, trials - 1);
@@ -134,10 +128,8 @@ TEST(Flow, DelayModeFasterOrEqual) {
 TEST(Flow, RankingFractionZeroEqualsConventional) {
   Rng rng(223);
   const IncompleteSpec spec = random_spec(6, 2, 0.5, rng);
-  FlowOptions options;
-  options.ranking_fraction = 0.0;
-  const FlowResult a = run_flow(spec, DcPolicy::kRankingFraction, options);
-  const FlowResult b = run_flow(spec, DcPolicy::kConventional);
+  const FlowResult a = run_flow(spec, test::paper_flow("assign:ranking(0)"));
+  const FlowResult b = run_flow(spec, test::paper_flow("assign:conventional"));
   EXPECT_EQ(a.implementation, b.implementation);
   EXPECT_NEAR(a.error_rate, b.error_rate, 1e-15);
 }
@@ -160,11 +152,11 @@ TEST(Flow, LowerHalfPipelineCompletesIncompleteSpec) {
 TEST(Flow, ResynRecipePreservesFunctionAndCareSet) {
   Rng rng(229);
   const IncompleteSpec spec = random_spec(6, 3, 0.5, rng);
-  FlowOptions options;
-  options.resyn_recipe = true;
-  for (const DcPolicy policy :
-       {DcPolicy::kConventional, DcPolicy::kRankingFraction}) {
-    const FlowResult result = run_flow(spec, policy, options);
+  for (const char* assign : {"assign:conventional", "assign:ranking(0.5)"}) {
+    const FlowResult result = run_flow(
+        spec, std::string(assign) +
+                  " | espresso | factor | aig | resyn | map:power | analyze "
+                  "| error_rate");
     expect_respects_care_set(result.implementation, spec);
     for (unsigned o = 0; o < spec.num_outputs(); ++o)
       EXPECT_EQ(result.netlist.output_table(o),
@@ -177,18 +169,19 @@ TEST(Flow, ResynRecipeSameErrorRate) {
   // rate must be identical to the direct recipe's.
   Rng rng(231);
   const IncompleteSpec spec = random_spec(6, 2, 0.5, rng);
-  FlowOptions direct;
-  FlowOptions resyn;
-  resyn.resyn_recipe = true;
   EXPECT_DOUBLE_EQ(
-      run_flow(spec, DcPolicy::kLcfThreshold, direct).error_rate,
-      run_flow(spec, DcPolicy::kLcfThreshold, resyn).error_rate);
+      run_flow(spec, test::paper_flow("assign:lcf(0.55)")).error_rate,
+      run_flow(spec,
+               "assign:lcf(0.55) | espresso | factor | aig | resyn | "
+               "map:power | analyze | error_rate")
+          .error_rate);
 }
 
 TEST(Flow, StatsArePopulated) {
   Rng rng(227);
   const IncompleteSpec spec = random_spec(5, 2, 0.3, rng);
-  const FlowResult result = run_flow(spec, DcPolicy::kLcfThreshold);
+  const FlowResult result =
+      run_flow(spec, test::paper_flow("assign:lcf(0.55)"));
   EXPECT_GT(result.stats.area, 0.0);
   EXPECT_GT(result.stats.delay_ps, 0.0);
   EXPECT_GT(result.stats.power_uw, 0.0);

@@ -8,6 +8,7 @@
 #include "benchdata/suite.hpp"
 #include "espresso/espresso.hpp"
 #include "flow/synthesis_flow.hpp"
+#include "flow_specs.hpp"
 #include "io/aiger.hpp"
 #include "io/blif.hpp"
 #include "io/blif_reader.hpp"
@@ -37,10 +38,11 @@ TEST(Integration, SuiteBenchmarkSignature) {
 TEST(Integration, FullFlowOrdering) {
   const IncompleteSpec& spec = bench_spec();
   const double conventional =
-      run_flow(spec, DcPolicy::kConventional).error_rate;
-  const double lcf = run_flow(spec, DcPolicy::kLcfThreshold).error_rate;
+      run_flow(spec, test::paper_flow("assign:conventional")).error_rate;
+  const double lcf =
+      run_flow(spec, test::paper_flow("assign:lcf(0.55)")).error_rate;
   const double complete =
-      run_flow(spec, DcPolicy::kAllReliability).error_rate;
+      run_flow(spec, test::paper_flow("assign:all")).error_rate;
   const RateBounds bounds = exact_error_bounds(spec);
   // complete achieves the minimum; lcf sits between it and conventional.
   EXPECT_NEAR(complete, bounds.min, 1e-12);
@@ -50,7 +52,7 @@ TEST(Integration, FullFlowOrdering) {
 
 TEST(Integration, SatSignOffOfMappedNetlist) {
   const FlowResult result =
-      run_flow(bench_spec(), DcPolicy::kLcfThreshold);
+      run_flow(bench_spec(), test::paper_flow("assign:lcf(0.55)"));
   // Reference AIG straight from the implementation functions.
   Aig reference(bench_spec().num_inputs());
   for (const auto& f : result.implementation.outputs())
@@ -61,7 +63,7 @@ TEST(Integration, SatSignOffOfMappedNetlist) {
 
 TEST(Integration, InterchangeFormatsAgree) {
   const FlowResult result =
-      run_flow(bench_spec(), DcPolicy::kConventional);
+      run_flow(bench_spec(), test::paper_flow("assign:conventional"));
   const Aig mapped = netlist_to_aig(result.netlist);
 
   // AIGER round trip.
@@ -77,23 +79,24 @@ TEST(Integration, InterchangeFormatsAgree) {
 }
 
 TEST(Integration, ResynRecipeEquivalentOnBenchmark) {
-  FlowOptions resyn;
-  resyn.resyn_recipe = true;
   const FlowResult direct =
-      run_flow(bench_spec(), DcPolicy::kConventional);
+      run_flow(bench_spec(), test::paper_flow("assign:conventional"));
   const FlowResult refactored =
-      run_flow(bench_spec(), DcPolicy::kConventional, resyn);
+      run_flow(bench_spec(),
+               "assign:conventional | espresso | factor | aig | resyn | "
+               "map:power | analyze | error_rate");
   EXPECT_TRUE(check_equivalence(netlist_to_aig(direct.netlist),
                                 netlist_to_aig(refactored.netlist))
                   .equivalent);
 }
 
 TEST(Integration, ExtractionEquivalentOnBenchmark) {
-  FlowOptions extracting;
-  extracting.use_extraction = true;
-  const FlowResult plain = run_flow(bench_spec(), DcPolicy::kConventional);
+  const FlowResult plain =
+      run_flow(bench_spec(), test::paper_flow("assign:conventional"));
   const FlowResult shared =
-      run_flow(bench_spec(), DcPolicy::kConventional, extracting);
+      run_flow(bench_spec(),
+               "assign:conventional | espresso | extract | map:power | "
+               "analyze | error_rate");
   EXPECT_TRUE(check_equivalence(netlist_to_aig(plain.netlist),
                                 netlist_to_aig(shared.netlist))
                   .equivalent);

@@ -2,8 +2,9 @@
 // spec-parser round trips and error positions, byte-compatibility of
 // run_flow's report JSON with the pre-pass-manager flow, artifact
 // invalidation on the Design, harness-owned spans/budget checkpoints,
-// degradation-ladder descent under pass-boundary faults, FlowOptions
-// validation, the batch driver, and one flow through every front door.
+// degradation-ladder descent under pass-boundary faults, out-of-range
+// knobs in run_flow's spec text, the batch driver, and one flow through
+// every front door.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -19,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/format.hpp"
 #include "common/rng.hpp"
 #include "espresso/espresso.hpp"
 #include "exec/budget.hpp"
@@ -28,6 +30,7 @@
 #include "flow/batch_supervisor.hpp"
 #include "flow/pipeline.hpp"
 #include "flow/synthesis_flow.hpp"
+#include "flow_specs.hpp"
 #include "obs/json.hpp"
 #include "obs/trace.hpp"
 #include "pla/pla_io.hpp"
@@ -76,15 +79,18 @@ IncompleteSpec random_spec(unsigned n, unsigned outputs, double dc_prob,
 std::string strip_timings(std::string json) {
   for (const std::string key : {"\"total_ms\": ", "\"wall_ms\": "}) {
     std::size_t at = 0;
-    while ((at = json.find(key, at)) != std::string::npos) {
+    std::string out;
+    std::size_t from = 0;
+    while ((at = json.find(key, from)) != std::string::npos) {
       const std::size_t begin = at + key.size();
       std::size_t end = begin;
       while (end < json.size() && json[end] != ',' && json[end] != '}' &&
              json[end] != '\n')
         ++end;
-      json.replace(begin, end - begin, "0");
-      at = begin;
+      out.append(json, from, begin - from).append("0");
+      from = end;
     }
+    json = out.append(json, from);
   }
   return json;
 }
@@ -364,32 +370,30 @@ constexpr const char* kGoldenBuiltinConventional = R"({
 
 TEST(PipelineGolden, RunFlowReportJsonIsByteIdenticalToPreRefactorFlow) {
   {
-    FlowOptions options;
-    options.ranking_fraction = 0.5;
     const FlowResult r =
-        run_flow(builtin_spec(), DcPolicy::kRankingFraction, options);
+        run_flow(builtin_spec(), test::paper_flow("assign:ranking(0.5)"));
     EXPECT_EQ(strip_timings(r.report.to_json()), kGoldenBuiltinRankingPower);
   }
   {
     Rng rng(197);
     const IncompleteSpec spec = random_spec(6, 2, 0.5, rng);
-    FlowOptions options;
-    options.objective = OptimizeFor::kDelay;
-    options.lcf_threshold = 0.55;
-    options.resyn_recipe = true;
-    const FlowResult r = run_flow(spec, DcPolicy::kLcfThreshold, options);
+    const FlowResult r =
+        run_flow(spec,
+                 "assign:lcf(0.55) | espresso | factor | aig | resyn | "
+                 "balance | map:delay | analyze | error_rate");
     EXPECT_EQ(strip_timings(r.report.to_json()), kGoldenRandomLcfDelayResyn);
   }
   {
     Rng rng(197);
     const IncompleteSpec spec = random_spec(6, 3, 0.6, rng);
-    FlowOptions options;
-    options.use_extraction = true;
-    const FlowResult r = run_flow(spec, DcPolicy::kAllReliability, options);
+    const FlowResult r = run_flow(
+        spec, "assign:all | espresso | extract | map:power | analyze | "
+              "error_rate");
     EXPECT_EQ(strip_timings(r.report.to_json()), kGoldenRandomAllExtract);
   }
   {
-    const FlowResult r = run_flow(builtin_spec(), DcPolicy::kConventional);
+    const FlowResult r =
+        run_flow(builtin_spec(), test::paper_flow("assign:conventional"));
     EXPECT_EQ(strip_timings(r.report.to_json()), kGoldenBuiltinConventional);
   }
 }
@@ -482,20 +486,20 @@ TEST(PipelineEquivalence, CanonicalSpecMatchesRunFlow) {
   std::vector<IncompleteSpec> specs;
   for (const std::string& pla : plas)
     specs.push_back(parse_pla_string(pla, "job"));
-  const DcPolicy policies[] = {
-      DcPolicy::kConventional, DcPolicy::kRankingFraction,
-      DcPolicy::kRankingIncremental, DcPolicy::kLcfThreshold,
-      DcPolicy::kAllReliability};
-  FlowOptions options;
-  options.ranking_fraction = 0.75;
-  options.lcf_threshold = 0.6;
+  const std::string flows[] = {
+      test::paper_flow("assign:conventional"),
+      test::paper_flow("assign:ranking(0.75)"),
+      test::paper_flow("assign:ranking_inc(0.75)"),
+      test::paper_flow("assign:lcf(0.6)"),
+      test::paper_flow("assign:all"),
+  };
 
   // The batch engine forks its workers, so every batch runs before the
   // daemon starts its threads.
   std::vector<obs::JsonValue> batches;
-  for (const DcPolicy policy : policies)
-    batches.push_back(run_batch(flow::canonical_flow_spec(policy, options),
-                                specs, flow::SupervisedBatchOptions{}));
+  for (const std::string& canonical : flows)
+    batches.push_back(
+        run_batch(canonical, specs, flow::SupervisedBatchOptions{}));
 
   char dir_template[] = "/tmp/rdc_front_doors_XXXXXX";
   const std::string dir = mkdtemp(dir_template);
@@ -508,9 +512,8 @@ TEST(PipelineEquivalence, CanonicalSpecMatchesRunFlow) {
   client.socket_path = server_options.socket_path;
   ASSERT_TRUE(serve::ping_server(client, 5000).ok());
 
-  for (std::size_t p = 0; p < std::size(policies); ++p) {
-    const DcPolicy policy = policies[p];
-    const std::string canonical = flow::canonical_flow_spec(policy, options);
+  for (std::size_t p = 0; p < std::size(flows); ++p) {
+    const std::string& canonical = flows[p];
     const obs::JsonValue* rows = batches[p].find("rows");
     ASSERT_NE(rows, nullptr);
     ASSERT_EQ(rows->array.size(), specs.size());
@@ -522,7 +525,7 @@ TEST(PipelineEquivalence, CanonicalSpecMatchesRunFlow) {
       const auto pipeline_metrics = report_metrics(design.report.to_json());
       ASSERT_FALSE(pipeline_metrics.empty()) << what;
 
-      const FlowResult flow_result = run_flow(specs[i], policy, options);
+      const FlowResult flow_result = run_flow(specs[i], canonical);
       ASSERT_TRUE(flow_result.status.ok()) << what;
       EXPECT_EQ(flow_result.degradation, DegradationLevel::kNone) << what;
       EXPECT_EQ(design.working(), flow_result.implementation) << what;
@@ -558,19 +561,24 @@ TEST(PipelineEquivalence, CanonicalSpecMatchesRunFlow) {
 TEST(PipelineEquivalence, HeuristicRungIsTheCanonicalSpecAtEspressoZero) {
   // A fault at the exact rung's entry sends run_flow to its heuristic
   // rung, which must report exactly what Pipeline::run reports for the
-  // canonical spec with `espresso(0)` in place of `espresso`, plus the
-  // ladder's degradation stamps.
+  // text with `espresso(0)` in place of `espresso`, plus the ladder's
+  // degradation stamps, whatever else the pipeline names.
   FaultSpecGuard guard("flow.exact:1");
   std::vector<IncompleteSpec> specs = {builtin_spec()};
   Rng rng(43);
   for (int i = 0; i < 3; ++i) specs.push_back(random_spec(8, 2, 0.4, rng));
-  FlowOptions options;
-  options.ranking_fraction = 0.75;
   bool effort_shows = false;
-  for (const DcPolicy policy :
-       {DcPolicy::kConventional, DcPolicy::kRankingFraction,
-        DcPolicy::kLcfThreshold}) {
-    const std::string canonical = flow::canonical_flow_spec(policy, options);
+  for (const std::string& canonical :
+       {test::paper_flow("assign:conventional"),
+        test::paper_flow("assign:ranking(0.75)"),
+        test::paper_flow("assign:lcf(0.55)"),
+        std::string("assign:ranking(0.75) | espresso | extract | map:power | "
+                    "analyze | error_rate"),
+        std::string("assign:lcf(0.55) | espresso | factor | aig | resyn | "
+                    "map:power | analyze | error_rate"),
+        "assign:all" + test::kDelayLowerHalf,
+        std::string("assign:ranking(0.5)@stuckat | espresso | factor | aig | "
+                    "map:power | analyze | error_rate@stuckat")}) {
     const std::string full_effort = " | espresso | ";
     const std::size_t at = canonical.find(full_effort);
     ASSERT_NE(at, std::string::npos) << canonical;
@@ -582,7 +590,7 @@ TEST(PipelineEquivalence, HeuristicRungIsTheCanonicalSpecAtEspressoZero) {
       ASSERT_TRUE(parse_ok(heuristic).run(design).ok()) << what;
       const auto pipeline_metrics = report_metrics(design.report.to_json());
 
-      const FlowResult result = run_flow(spec, policy, options);
+      const FlowResult result = run_flow(spec, canonical);
       ASSERT_TRUE(result.status.ok()) << what;
       EXPECT_EQ(result.degradation, DegradationLevel::kHeuristic) << what;
       EXPECT_EQ(design.working(), result.implementation) << what;
@@ -601,6 +609,51 @@ TEST(PipelineEquivalence, HeuristicRungIsTheCanonicalSpecAtEspressoZero) {
   // Some spec must minimize differently at the two efforts, or the
   // comparison could not tell the rungs apart.
   EXPECT_TRUE(effort_shows);
+}
+
+TEST(PipelineEquivalence, ConventionalRungKeepsThePipelinesMapper) {
+  // "espresso:1" fails both minimizing rungs, so run_flow falls back to
+  // rung 2, which maps with the pipeline's own mapper and rates errors
+  // under its error-rate pass's model: it must report exactly what
+  // Pipeline::run reports for the fallback text, plus the ladder's stamps
+  // (the fallback's assign:zero records no assignment statistics).
+  FaultSpecGuard guard("espresso:1");
+  Rng rng(47);
+  const IncompleteSpec spec = random_spec(7, 2, 0.4, rng);
+  const struct {
+    std::string pipeline;
+    const char* fallback;
+  } cases[] = {
+      {"assign:lcf(0.55)" + test::kDelayLowerHalf,
+       "assign:zero | covers:minterm | factor | aig | balance | map:delay | "
+       "analyze | error_rate"},
+      {test::paper_flow("assign:lcf(0.55)"),
+       "assign:zero | covers:minterm | factor | aig | map:power | analyze | "
+       "error_rate"},
+      {"assign:ranking(0.5)@stuckat | espresso | factor | aig | resyn | "
+       "map:power | analyze | error_rate@stuckat",
+       "assign:zero | covers:minterm | factor | aig | map:power | analyze | "
+       "error_rate@stuckat"},
+  };
+  std::vector<double> delays;
+  for (const auto& c : cases) {
+    flow::Design design(spec);
+    ASSERT_TRUE(parse_ok(c.fallback).run(design).ok()) << c.fallback;
+    const FlowResult result = run_flow(spec, c.pipeline);
+    ASSERT_TRUE(result.status.ok()) << c.pipeline;
+    EXPECT_EQ(result.degradation, DegradationLevel::kConventional)
+        << c.pipeline;
+    EXPECT_EQ(design.working(), result.implementation) << c.pipeline;
+    expect_same_metrics(report_metrics(design.report.to_json()),
+                        report_metrics(result.report.to_json()),
+                        {"name", "policy", "inputs", "outputs", "status",
+                         "degradation_level", "degradation",
+                         "degraded_reason"},
+                        c.pipeline);
+    delays.push_back(result.stats.delay_ps);
+  }
+  // The delay mapper's fallback is faster than the power mapper's.
+  EXPECT_LT(delays[0], delays[1]);
 }
 
 TEST(PipelineEquivalence, LowerHalfSpecsImplementAssignedSpec) {
@@ -725,7 +778,7 @@ TEST(PipelineHarness, PassBoundaryFaultDescendsLadderToPartial) {
   // not throw.
   FaultSpecGuard guard("pipeline.pass:1");
   const FlowResult result =
-      run_flow(builtin_spec(), DcPolicy::kRankingFraction);
+      run_flow(builtin_spec(), test::paper_flow("assign:ranking(0.5)"));
   EXPECT_EQ(result.degradation, DegradationLevel::kPartial);
   EXPECT_EQ(result.status.code(), StatusCode::kFaultInjected);
   std::string error;
@@ -739,43 +792,34 @@ TEST(PipelineHarness, ExactRungFaultStillDegradesToHeuristic) {
   // exact rung's entry degrades to kHeuristic, exactly as before.
   FaultSpecGuard guard("flow.exact:1");
   const FlowResult result =
-      run_flow(builtin_spec(), DcPolicy::kRankingFraction);
+      run_flow(builtin_spec(), test::paper_flow("assign:ranking(0.5)"));
   EXPECT_TRUE(result.status.ok());
   EXPECT_EQ(result.degradation, DegradationLevel::kHeuristic);
   EXPECT_GT(result.stats.gates, 0u);
 }
 
-// --- FlowOptions validation -----------------------------------------------
+// --- knob validation in run_flow's spec text -----------------------------
 
 TEST(FlowValidation, OutOfRangeKnobsAreInvalidArgument) {
   const IncompleteSpec spec = builtin_spec();
-  const struct {
-    DcPolicy policy;
-    double fraction;
-    double threshold;
-  } bad[] = {
-      {DcPolicy::kRankingFraction, -0.1, 0.55},
-      {DcPolicy::kRankingFraction, 1.5, 0.55},
-      {DcPolicy::kRankingIncremental, 2.0, 0.55},
-      {DcPolicy::kLcfThreshold, 0.5, 0.0},
-      {DcPolicy::kLcfThreshold, 0.5, 1.0},
-      {DcPolicy::kLcfThreshold, 0.5, -3.0},
-  };
-  for (const auto& c : bad) {
-    FlowOptions options;
-    options.ranking_fraction = c.fraction;
-    options.lcf_threshold = c.threshold;
-    const FlowResult result = run_flow(spec, c.policy, options);
-    EXPECT_EQ(result.status.code(), StatusCode::kInvalidArgument);
-    EXPECT_EQ(result.degradation, DegradationLevel::kPartial);
-    EXPECT_EQ(result.stats.gates, 0u);
+  for (const char* assign :
+       {"assign:ranking(-0.1)", "assign:ranking(1.5)", "assign:ranking_inc(2)",
+        "assign:lcf(0)", "assign:lcf(1)", "assign:lcf(-3)"}) {
+    const FlowResult result = run_flow(spec, test::paper_flow(assign));
+    EXPECT_EQ(result.status.code(), StatusCode::kInvalidArgument) << assign;
+    EXPECT_EQ(result.degradation, DegradationLevel::kPartial) << assign;
+    EXPECT_EQ(result.stats.gates, 0u) << assign;
+    // Text that does not parse names no policy.
+    const auto metrics = report_metrics(result.report.to_json());
+    EXPECT_EQ(metrics.count("policy"), 0u) << assign;
+    EXPECT_EQ(metrics.at("degradation"), "\"partial\"") << assign;
   }
   // NaN is rejected too (the comparisons are written to catch it).
-  FlowOptions nan_options;
-  nan_options.ranking_fraction = std::nan("");
-  EXPECT_EQ(run_flow(spec, DcPolicy::kRankingFraction, nan_options)
-                .status.code(),
-            StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      run_flow(spec, test::paper_flow("assign:ranking(" +
+                                      format_double(std::nan("")) + ")"))
+          .status.code(),
+      StatusCode::kInvalidArgument);
 }
 
 TEST(FlowValidation, AssignPassRejectsAModelThatDoesNotFitTheSpec) {
@@ -821,23 +865,17 @@ TEST(FlowValidation, ModelThatDoesNotFitFailsBeforeAnyPassRuns) {
 }
 
 TEST(FlowValidation, PoliciesIgnoreUnrelatedKnobs) {
-  // A garbage lcf_threshold must not fail policies that never read it —
-  // validation is per policy.
-  FlowOptions options;
-  options.lcf_threshold = 99.0;
-  options.ranking_fraction = -1.0;
+  // In spec text each pass carries only its own knob: the conventional
+  // assignment has none that could fail it.
   const FlowResult result =
-      run_flow(builtin_spec(), DcPolicy::kConventional, options);
+      run_flow(builtin_spec(), test::paper_flow("assign:conventional"));
   EXPECT_TRUE(result.status.ok());
   EXPECT_EQ(result.degradation, DegradationLevel::kNone);
   // Boundary values are inclusive for the ranking fraction.
-  for (const double fraction : {0.0, 1.0}) {
-    FlowOptions edge;
-    edge.ranking_fraction = fraction;
+  for (const char* assign : {"assign:ranking(0)", "assign:ranking(1)"})
     EXPECT_TRUE(
-        run_flow(builtin_spec(), DcPolicy::kRankingFraction, edge).status.ok())
-        << fraction;
-  }
+        run_flow(builtin_spec(), test::paper_flow(assign)).status.ok())
+        << assign;
 }
 
 // --- batch driver ---------------------------------------------------------

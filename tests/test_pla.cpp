@@ -132,7 +132,9 @@ TEST(Cube, MintermWordsMatchContainsMinterm) {
     for (const Cube& c : cubes) {
       BitVec bits(num_minterms(n));
       paint_cube(bits, c, n);
-      if (n < 6) EXPECT_EQ(bits.word(0) >> num_minterms(n), 0u) << "n=" << n;
+      if (n < 6) {
+        EXPECT_EQ(bits.word(0) >> num_minterms(n), 0u) << "n=" << n;
+      }
       std::uint32_t mismatches = 0;
       for (std::uint32_t m = 0; m < num_minterms(n); ++m)
         mismatches += bits.get(m) != c.contains_minterm(m, n);

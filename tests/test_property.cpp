@@ -8,6 +8,7 @@
 #include "common/rng.hpp"
 #include "espresso/espresso.hpp"
 #include "flow/synthesis_flow.hpp"
+#include "flow_specs.hpp"
 #include "oracles/artifact_checks.hpp"
 #include "oracles/bdd_ops.hpp"
 #include "oracles/cube_calculus.hpp"
@@ -111,7 +112,9 @@ TEST_P(FunctionProperty, RankingNeverTouchesCareMinterms) {
   TernaryTruthTable g = f;
   ranking_assign(g, 1.0);
   for (std::uint32_t m = 0; m < f.size(); ++m)
-    if (f.is_care(m)) EXPECT_EQ(g.phase(m), f.phase(m));
+    if (f.is_care(m)) {
+      EXPECT_EQ(g.phase(m), f.phase(m));
+    }
 }
 
 TEST_P(FunctionProperty, LcfThresholdMonotone) {
@@ -154,10 +157,14 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(4u, 6u, 8u),
                        ::testing::Values(0, 30, 60, 90),
                        ::testing::Values(1, 2, 3)),
-    [](const ::testing::TestParamInfo<Params>& info) {
-      return "n" + std::to_string(std::get<0>(info.param)) + "_dc" +
-             std::to_string(std::get<1>(info.param)) + "_seed" +
-             std::to_string(std::get<2>(info.param));
+    [](const ::testing::TestParamInfo<Params>& param_info) {
+      const Params& p = param_info.param;
+      return std::string("n")
+          .append(std::to_string(std::get<0>(p)))
+          .append("_dc")
+          .append(std::to_string(std::get<1>(p)))
+          .append("_seed")
+          .append(std::to_string(std::get<2>(p)));
     });
 
 // Flow-level properties on small multi-output specs.
@@ -169,11 +176,8 @@ TEST_P(FlowProperty, CareSetRespectedUnderEveryPolicy) {
   for (auto& f : spec.outputs())
     for (std::uint32_t m = 0; m < f.size(); ++m)
       f.set_phase(m, static_cast<Phase>(rng.below(3)));
-  for (const DcPolicy policy :
-       {DcPolicy::kConventional, DcPolicy::kRankingFraction,
-        DcPolicy::kRankingIncremental, DcPolicy::kLcfThreshold,
-        DcPolicy::kAllReliability}) {
-    const FlowResult result = run_flow(spec, policy);
+  for (const std::string& assign : test::kAssignPasses) {
+    const FlowResult result = run_flow(spec, test::paper_flow(assign));
     for (unsigned o = 0; o < spec.num_outputs(); ++o) {
       for (std::uint32_t m = 0; m < spec.output(o).size(); ++m) {
         if (!spec.output(o).is_care(m)) continue;

@@ -67,15 +67,18 @@ IncompleteSpec random_spec(unsigned n, unsigned outputs, double dc_prob,
 std::string strip_timings(std::string json) {
   for (const std::string key : {"\"total_ms\": ", "\"wall_ms\": "}) {
     std::size_t at = 0;
-    while ((at = json.find(key, at)) != std::string::npos) {
+    std::string out;
+    std::size_t from = 0;
+    while ((at = json.find(key, from)) != std::string::npos) {
       const std::size_t begin = at + key.size();
       std::size_t end = begin;
       while (end < json.size() && json[end] != ',' && json[end] != '}' &&
              json[end] != '\n')
         ++end;
-      json.replace(begin, end - begin, "0");
-      at = begin;
+      out.append(json, from, begin - from).append("0");
+      from = end;
     }
+    json = out.append(json, from);
   }
   return json;
 }
@@ -380,7 +383,8 @@ std::uint64_t killed_keys(const std::string& spec, int max_attempts) {
   FaultSpecGuard faults(spec);
   std::vector<exec::SupervisedJob> jobs;
   for (std::uint64_t key = 0; key < 64; ++key)
-    jobs.push_back(ok_job(key, "k" + std::to_string(key), "ok"));
+    jobs.push_back(
+        ok_job(key, std::string("k").append(std::to_string(key)), "ok"));
   exec::SupervisorOptions options;
   options.max_parallel = 4;
   options.retry.max_attempts = max_attempts;
