@@ -34,6 +34,7 @@
 #include "obs/json.hpp"
 #include "obs/trace.hpp"
 #include "pla/pla_io.hpp"
+#include "report_json.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
 
@@ -72,27 +73,6 @@ IncompleteSpec random_spec(unsigned n, unsigned outputs, double dc_prob,
         f.set_phase(m, rng.flip(0.5) ? Phase::kOne : Phase::kZero);
     }
   return spec;
-}
-
-/// Replaces every "total_ms"/"wall_ms" value with 0 so report documents
-/// compare byte-for-byte across runs.
-std::string strip_timings(std::string json) {
-  for (const std::string key : {"\"total_ms\": ", "\"wall_ms\": "}) {
-    std::size_t at = 0;
-    std::string out;
-    std::size_t from = 0;
-    while ((at = json.find(key, from)) != std::string::npos) {
-      const std::size_t begin = at + key.size();
-      std::size_t end = begin;
-      while (end < json.size() && json[end] != ',' && json[end] != '}' &&
-             json[end] != '\n')
-        ++end;
-      out.append(json, from, begin - from).append("0");
-      from = end;
-    }
-    json = out.append(json, from);
-  }
-  return json;
 }
 
 /// Parses a spec that is expected to be valid.
@@ -372,7 +352,8 @@ TEST(PipelineGolden, RunFlowReportJsonIsByteIdenticalToPreRefactorFlow) {
   {
     const FlowResult r =
         run_flow(builtin_spec(), test::paper_flow("assign:ranking(0.5)"));
-    EXPECT_EQ(strip_timings(r.report.to_json()), kGoldenBuiltinRankingPower);
+    EXPECT_EQ(test::strip_timings(r.report.to_json()),
+              kGoldenBuiltinRankingPower);
   }
   {
     Rng rng(197);
@@ -381,7 +362,8 @@ TEST(PipelineGolden, RunFlowReportJsonIsByteIdenticalToPreRefactorFlow) {
         run_flow(spec,
                  "assign:lcf(0.55) | espresso | factor | aig | resyn | "
                  "balance | map:delay | analyze | error_rate");
-    EXPECT_EQ(strip_timings(r.report.to_json()), kGoldenRandomLcfDelayResyn);
+    EXPECT_EQ(test::strip_timings(r.report.to_json()),
+              kGoldenRandomLcfDelayResyn);
   }
   {
     Rng rng(197);
@@ -389,12 +371,14 @@ TEST(PipelineGolden, RunFlowReportJsonIsByteIdenticalToPreRefactorFlow) {
     const FlowResult r = run_flow(
         spec, "assign:all | espresso | extract | map:power | analyze | "
               "error_rate");
-    EXPECT_EQ(strip_timings(r.report.to_json()), kGoldenRandomAllExtract);
+    EXPECT_EQ(test::strip_timings(r.report.to_json()),
+              kGoldenRandomAllExtract);
   }
   {
     const FlowResult r =
         run_flow(builtin_spec(), test::paper_flow("assign:conventional"));
-    EXPECT_EQ(strip_timings(r.report.to_json()), kGoldenBuiltinConventional);
+    EXPECT_EQ(test::strip_timings(r.report.to_json()),
+              kGoldenBuiltinConventional);
   }
 }
 
@@ -1079,7 +1063,7 @@ TEST(PipelineSampled, SampledReportIsByteDeterministicPerSeed) {
                          "map:power | analyze | error_rate:sampled(5000)")
                     .run(design)
                     .ok());
-    return strip_timings(design.report.to_json());
+    return test::strip_timings(design.report.to_json());
   };
   EXPECT_EQ(run_once(), run_once());
 }

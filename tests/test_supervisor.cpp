@@ -24,6 +24,7 @@
 #include "obs/events.hpp"
 #include "obs/json.hpp"
 #include "pla/pla_io.hpp"
+#include "report_json.hpp"
 
 namespace rdc {
 namespace {
@@ -60,27 +61,6 @@ IncompleteSpec random_spec(unsigned n, unsigned outputs, double dc_prob,
         f.set_phase(m, rng.flip(0.5) ? Phase::kOne : Phase::kZero);
     }
   return spec;
-}
-
-/// Replaces every "total_ms"/"wall_ms" value with 0 so report documents
-/// compare byte-for-byte across runs.
-std::string strip_timings(std::string json) {
-  for (const std::string key : {"\"total_ms\": ", "\"wall_ms\": "}) {
-    std::size_t at = 0;
-    std::string out;
-    std::size_t from = 0;
-    while ((at = json.find(key, from)) != std::string::npos) {
-      const std::size_t begin = at + key.size();
-      std::size_t end = begin;
-      while (end < json.size() && json[end] != ',' && json[end] != '}' &&
-             json[end] != '\n')
-        ++end;
-      out.append(json, from, begin - from).append("0");
-      from = end;
-    }
-    json = out.append(json, from);
-  }
-  return json;
 }
 
 /// Captures events + counters for one test and restores the globals.
@@ -501,8 +481,8 @@ TEST(SupervisedBatch, ResumedRunReproducesUninterruptedReport) {
 
   // The stitched report matches the uninterrupted one byte-for-byte
   // modulo wall-clock values.
-  EXPECT_EQ(strip_timings(resumed->report.to_json()),
-            strip_timings(full->report.to_json()));
+  EXPECT_EQ(test::strip_timings(resumed->report.to_json()),
+            test::strip_timings(full->report.to_json()));
 
   // Journal audit: every job reached exactly one terminal state.
   auto replay = exec::replay_journal_file(options.journal_path);
