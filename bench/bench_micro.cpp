@@ -26,6 +26,7 @@
 #include "common/rng.hpp"
 #include "espresso/espresso.hpp"
 #include "flow/synthesis_flow.hpp"
+#include "mapper/power.hpp"
 #include "mapper/tree_map.hpp"
 #include "oracles/bdd_ops.hpp"
 #include "reliability/assignment.hpp"
@@ -217,6 +218,26 @@ void BM_MapAig(benchmark::State& state) {
     benchmark::DoNotOptimize(map_aig(aig, CellLibrary::generic70()));
 }
 BENCHMARK(BM_MapAig)->Arg(6)->Arg(8)->Arg(10);
+
+/// The `analyze` pass's simulation: exact signal probabilities of every
+/// net of a mapped random function.
+void BM_NetProbabilities(benchmark::State& state) {
+  const auto n = static_cast<unsigned>(state.range(0));
+  const TernaryTruthTable f = random_ternary(n, 0.0, 84);
+  Aig aig(n);
+  aig.add_output(aig.build(factor(minimize(f))));
+  const Netlist netlist = map_aig(aig, CellLibrary::generic70());
+  for (auto _ : state) benchmark::DoNotOptimize(net_probabilities(netlist));
+}
+BENCHMARK(BM_NetProbabilities)->Arg(8)->Arg(10)->Arg(12);
+
+/// The `factor` pass on one minimized random function.
+void BM_Factor(benchmark::State& state) {
+  const auto n = static_cast<unsigned>(state.range(0));
+  const Cover cover = minimize(random_ternary(n, 0.0, 84));
+  for (auto _ : state) benchmark::DoNotOptimize(factor(cover));
+}
+BENCHMARK(BM_Factor)->Arg(8)->Arg(10)->Arg(12);
 
 void BM_SatEquivalence(benchmark::State& state) {
   const auto n = static_cast<unsigned>(state.range(0));

@@ -680,7 +680,7 @@ if ./build/tools/rdc_perf_diff \
 fi
 
 echo
-echo "== bench smoke: SIMD kernel snapshot validates =="
+echo "== bench smoke: SIMD kernel and lower-half snapshots validate =="
 # A cut-down run of the BENCH_simd.json recipe (the checked-in artifact is
 # produced by bench/run_bench_baseline.sh build BENCH_simd.json): the
 # snapshot must be a structurally valid rdc.bench.report.v1 document that
@@ -690,6 +690,14 @@ echo "== bench smoke: SIMD kernel snapshot validates =="
   --benchmark_min_time=0.05 \
   --json "$smoke_dir/bench_simd.json" > /dev/null
 ./build/tools/rdc_json_check "$smoke_dir/bench_simd.json" \
+  schema suite git_rev date threads compiler simd rows counters
+# The lower half of the flow, one layer each: tree mapping, the netlist
+# simulation behind `analyze`, and factoring.
+./build/bench/bench_micro \
+  --benchmark_filter='BM_(MapAig|NetProbabilities|Factor)/10$' \
+  --benchmark_min_time=0.05 \
+  --json "$smoke_dir/bench_lower.json" > /dev/null
+./build/tools/rdc_json_check "$smoke_dir/bench_lower.json" \
   schema suite git_rev date threads compiler simd rows counters
 
 if [[ "$run_sanitizers" == "1" ]]; then

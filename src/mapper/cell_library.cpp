@@ -1,7 +1,6 @@
 #include "mapper/cell_library.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 
 namespace rdc {
@@ -37,61 +36,14 @@ unsigned cell_arity(CellKind kind) {
   return 0;
 }
 
-std::uint64_t evaluate_cell(CellKind kind,
-                            std::span<const std::uint64_t> in) {
-  assert(in.size() == cell_arity(kind));
-  switch (kind) {
-    case CellKind::kInv:
-      return ~in[0];
-    case CellKind::kBuf:
-      return in[0];
-    case CellKind::kAnd2:
-      return in[0] & in[1];
-    case CellKind::kNand2:
-      return ~(in[0] & in[1]);
-    case CellKind::kOr2:
-      return in[0] | in[1];
-    case CellKind::kNor2:
-      return ~(in[0] | in[1]);
-    case CellKind::kAnd3:
-      return in[0] & in[1] & in[2];
-    case CellKind::kNand3:
-      return ~(in[0] & in[1] & in[2]);
-    case CellKind::kOr3:
-      return in[0] | in[1] | in[2];
-    case CellKind::kNor3:
-      return ~(in[0] | in[1] | in[2]);
-    case CellKind::kAnd4:
-      return in[0] & in[1] & in[2] & in[3];
-    case CellKind::kNand4:
-      return ~(in[0] & in[1] & in[2] & in[3]);
-    case CellKind::kAoi21:
-      return ~((in[0] & in[1]) | in[2]);
-    case CellKind::kOai21:
-      return ~((in[0] | in[1]) & in[2]);
-    case CellKind::kAoi22:
-      return ~((in[0] & in[1]) | (in[2] & in[3]));
-    case CellKind::kOai22:
-      return ~((in[0] | in[1]) & (in[2] | in[3]));
-    case CellKind::kXor2:
-      return in[0] ^ in[1];
-    case CellKind::kXnor2:
-      return ~(in[0] ^ in[1]);
-    case CellKind::kTie0:
-      return 0;
-    case CellKind::kTie1:
-      return ~0ull;
-  }
-  return 0;
-}
-
 bool evaluate_cell(CellKind kind, std::span<const bool> in) {
   if (in.size() != cell_arity(kind))
     throw std::invalid_argument("evaluate_cell: wrong number of inputs");
   std::uint64_t words[4] = {};
   std::copy(in.begin(), in.end(), words);
-  const std::uint64_t out =
-      evaluate_cell(kind, std::span<const std::uint64_t>(words, in.size()));
+  const std::uint64_t* pin[4] = {&words[0], &words[1], &words[2], &words[3]};
+  std::uint64_t out = 0;
+  evaluate_cell_words<1>(kind, pin, &out);
   return out & 1u;
 }
 

@@ -9,7 +9,7 @@
 namespace rdc {
 
 std::uint32_t Netlist::add_gate(CellKind kind,
-                                std::vector<std::uint32_t> fanins) {
+                                std::span<const std::uint32_t> fanins) {
   if (fanins.size() != cell_arity(kind))
     throw std::invalid_argument(
         "Netlist::add_gate: fanin count does not match the cell");
@@ -17,7 +17,7 @@ std::uint32_t Netlist::add_gate(CellKind kind,
     if (f >= num_nets())
       throw std::out_of_range("Netlist::add_gate: fanin net not yet driven");
   const std::uint32_t net = num_nets();
-  gates_.push_back(Gate{kind, std::move(fanins), net});
+  gates_.push_back(Gate{kind, CellPins(fanins), net});
   return net;
 }
 
@@ -66,29 +66,31 @@ double Netlist::critical_delay(const CellLibrary& lib) const {
   return worst;
 }
 
-void Netlist::simulate_block(std::size_t block,
+void Netlist::simulate_chunk(std::size_t first_block,
                              std::span<std::uint64_t> values) const {
-  if (values.size() != num_nets())
-    throw std::invalid_argument("simulate_block: need one word per net");
+  if (values.size() != kSimWords * num_nets())
+    throw std::invalid_argument(
+        "simulate_chunk: need kSimWords words per net");
+  std::uint64_t* v = values.data();
   for (unsigned i = 0; i < num_inputs_; ++i)
-    values[i] = input_pattern(i, block);
+    for (std::size_t w = 0; w < kSimWords; ++w)
+      v[kSimWords * i + w] = input_pattern(i, first_block + w);
   // Gates are stored in topological order (fanins precede outputs).
-  std::uint64_t pins[4];
+  const std::uint64_t* pin[CellPins::kCapacity] = {};
   for (const Gate& g : gates_) {
-    std::size_t k = 0;
-    for (const std::uint32_t f : g.fanins) pins[k++] = values[f];
-    values[g.output_net] =
-        evaluate_cell(g.kind, std::span<const std::uint64_t>(pins, k));
+    for (std::size_t k = 0; k < g.fanins.size(); ++k)
+      pin[k] = v + kSimWords * g.fanins[k];
+    evaluate_cell_words<kSimWords>(g.kind, pin, v + kSimWords * g.output_net);
   }
 }
 
 std::vector<bool> Netlist::evaluate(std::uint32_t minterm) const {
-  std::vector<std::uint64_t> values(num_nets());
-  simulate_block(minterm / 64, values);
+  std::vector<std::uint64_t> values(kSimWords * num_nets());
+  simulate_chunk(minterm / 64, values);
   std::vector<bool> out;
   out.reserve(outputs_.size());
   for (const std::uint32_t net : outputs_)
-    out.push_back((values[net] >> (minterm % 64)) & 1u);
+    out.push_back((values[kSimWords * net] >> (minterm % 64)) & 1u);
   return out;
 }
 
@@ -97,13 +99,18 @@ TernaryTruthTable Netlist::output_table(unsigned o) const {
     throw std::invalid_argument("output_table: too many inputs");
   const std::uint32_t net = outputs_.at(o);
   TernaryTruthTable tt(num_inputs_);
-  std::vector<std::uint64_t> values(num_nets());
-  for (std::uint32_t base = 0; base < tt.size(); base += 64) {
-    simulate_block(base / 64, values);
-    for (std::uint64_t bits = values[net] & sim_word_mask(num_inputs_); bits;
-         bits &= bits - 1)
-      tt.set_phase(base + static_cast<std::uint32_t>(std::countr_zero(bits)),
-                   Phase::kOne);
+  const std::uint64_t mask = sim_word_mask(num_inputs_);
+  const std::size_t blocks = (tt.size() + 63) / 64;
+  std::vector<std::uint64_t> values(kSimWords * num_nets());
+  for (std::size_t first = 0; first < blocks; first += kSimWords) {
+    simulate_chunk(first, values);
+    for (std::size_t w = 0; w < kSimWords && first + w < blocks; ++w) {
+      const auto base = static_cast<std::uint32_t>(64 * (first + w));
+      for (std::uint64_t bits = values[kSimWords * net + w] & mask; bits;
+           bits &= bits - 1)
+        tt.set_phase(base + static_cast<std::uint32_t>(std::countr_zero(bits)),
+                     Phase::kOne);
+    }
   }
   return tt;
 }

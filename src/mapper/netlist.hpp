@@ -2,9 +2,9 @@
 //
 // Nets are dense ids: 0..n-1 are the primary inputs, every gate drives one
 // new net. The netlist supports exact exhaustive simulation, 64 input
-// vectors per machine word (for functional verification and
-// switching-activity extraction), and static timing with the library's
-// linear delay model.
+// vectors per machine word and kSimWords words per gate step (for
+// functional verification and switching-activity extraction), and static
+// timing with the library's linear delay model.
 #pragma once
 
 #include <cstddef>
@@ -19,7 +19,7 @@ namespace rdc {
 
 struct Gate {
   CellKind kind;
-  std::vector<std::uint32_t> fanins;  ///< net ids, one per cell pin
+  CellPins fanins;  ///< net ids, one per cell pin
   std::uint32_t output_net = 0;
 };
 
@@ -40,7 +40,11 @@ class Netlist {
   /// Appends a gate; returns the net it drives. Throws
   /// std::invalid_argument if fanins.size() != cell_arity(kind) and
   /// std::out_of_range if a fanin net is not driven yet.
-  std::uint32_t add_gate(CellKind kind, std::vector<std::uint32_t> fanins);
+  std::uint32_t add_gate(CellKind kind, std::span<const std::uint32_t> fanins);
+  std::uint32_t add_gate(CellKind kind,
+                         std::initializer_list<std::uint32_t> fanins) {
+    return add_gate(kind, std::span(fanins.begin(), fanins.size()));
+  }
 
   void add_output(std::uint32_t net) { outputs_.push_back(net); }
   const std::vector<std::uint32_t>& outputs() const { return outputs_; }
@@ -63,12 +67,17 @@ class Netlist {
   /// Worst arrival time over the primary outputs (ps).
   double critical_delay(const CellLibrary& lib) const;
 
-  /// Simulates input vectors 64*block .. 64*block+63 at once: sets bit b
-  /// of values[net] to the net's value on vector 64*block + b. `values`
-  /// must hold one word per net (else std::invalid_argument). With fewer
-  /// than 6 inputs only the low 2^n bits are vectors; the bits above
-  /// repeat them.
-  void simulate_block(std::size_t block,
+  /// Words of 64 input vectors each that simulate_chunk computes per net.
+  static constexpr std::size_t kSimWords = 8;
+
+  /// Simulates the input vectors of the kSimWords blocks first_block,
+  /// first_block + 1, ... (block k holds vectors 64k .. 64k+63), gate by
+  /// gate in stored order: bit b of values[kSimWords * net + w] is the
+  /// net's value on vector 64 * (first_block + w) + b. `values` must hold
+  /// kSimWords words per net (else std::invalid_argument). Vectors are
+  /// taken modulo 2^n: with fewer than 6 inputs the bits above 2^n repeat
+  /// the low ones, and blocks past the last one repeat the first ones.
+  void simulate_chunk(std::size_t first_block,
                       std::span<std::uint64_t> values) const;
 
   /// Evaluates the netlist on one input vector (bit i = input i).

@@ -1,9 +1,9 @@
 #include "mapper/power.hpp"
 
-#include <bit>
 #include <stdexcept>
 
 #include "common/bits.hpp"
+#include "common/simd.hpp"
 
 namespace rdc {
 
@@ -11,17 +11,24 @@ std::vector<double> net_probabilities(const Netlist& netlist) {
   const unsigned n = netlist.num_inputs();
   if (n > TernaryTruthTable::kMaxInputs)
     throw std::invalid_argument("net_probabilities: too many inputs");
+  constexpr std::size_t kWords = Netlist::kSimWords;
   const std::uint32_t vectors = num_minterms(n);
-  const std::uint64_t mask = sim_word_mask(n);
-  std::vector<std::uint64_t> values(netlist.num_nets());
-  std::vector<std::uint64_t> ones(netlist.num_nets(), 0);
-  for (std::size_t block = 0; block < (vectors + 63) / 64; ++block) {
-    netlist.simulate_block(block, values);
-    for (std::uint32_t net = 0; net < netlist.num_nets(); ++net)
-      ones[net] += std::popcount(values[net] & mask);
+  const std::size_t blocks = (vectors + 63) / 64;
+  const std::uint32_t nets = netlist.num_nets();
+  std::vector<std::uint64_t> values(kWords * nets);
+  std::vector<std::uint64_t> ones(nets, 0);
+  for (std::size_t first = 0; first < blocks; first += kWords) {
+    netlist.simulate_chunk(first, values);
+    // Counts only the vectors 0 .. 2^n - 1: the bits above 2^n of a short
+    // word and the words past the last block repeat earlier vectors.
+    std::uint64_t mask[kWords] = {};
+    for (std::size_t w = 0; w < kWords && first + w < blocks; ++w)
+      mask[w] = sim_word_mask(n);
+    for (std::uint32_t net = 0; net < nets; ++net)
+      ones[net] += simd::popcount_and(&values[kWords * net], mask, kWords);
   }
-  std::vector<double> p(netlist.num_nets());
-  for (std::uint32_t net = 0; net < netlist.num_nets(); ++net)
+  std::vector<double> p(nets);
+  for (std::uint32_t net = 0; net < nets; ++net)
     p[net] = static_cast<double>(ones[net]) / vectors;
   return p;
 }

@@ -1,10 +1,12 @@
 // Power analysis of mapped netlists.
 //
 // Dynamic power uses exact signal probabilities from exhaustive
-// word-parallel simulation: all 2^n vectors, 64 per operation, holding one
-// word per net, so the cost is gates x 2^n/64 word operations. Toggles use
-// the standard temporal-independence model alpha = 2 p (1-p); reported in uW assuming Vdd = 1 V and f = 1 GHz, so
-// 1 fJ/cycle = 1 uW. Leakage comes straight from the library.
+// word-parallel simulation: all 2^n vectors, 64 per word, simulated gate by
+// gate in chunks of Netlist::kSimWords words per net, so the cost is
+// gates x 2^n/64 word operations and the scratch kSimWords words per net.
+// Toggles use the standard temporal-independence model alpha = 2 p (1-p);
+// reported in uW assuming Vdd = 1 V and f = 1 GHz, so 1 fJ/cycle = 1 uW.
+// Leakage comes straight from the library.
 #pragma once
 
 #include <vector>

@@ -1,6 +1,8 @@
 #include "mapper/subject_graph.hpp"
 
-#include <algorithm>
+#include <array>
+#include <stdexcept>
+#include <utility>
 
 namespace rdc {
 namespace {
@@ -25,33 +27,43 @@ bool absorbable_negated(const Aig& aig, std::uint32_t edge,
   return is_complemented(edge) && aig.is_and(child) && fanout[child] == 1;
 }
 
+/// At most eight frontiers exist: the cuts of 2..4 leaves below a node's
+/// two edges number 1 + 2 + 5 (Catalan counts of the split shapes).
+constexpr std::size_t kMaxFrontiers = 8;
+
+struct Frontiers {
+  std::array<CellPins, kMaxFrontiers> sets;
+  std::size_t count = 0;
+};
+
 /// Enumerates conjunction leaf-sets of size 2..4 rooted at `node`, expanding
 /// only absorbable edges. Produces each distinct frontier once.
 void conjunction_frontiers(const Aig& aig, const std::vector<unsigned>& fanout,
-                           std::vector<std::uint32_t> frontier,
-                           std::size_t next,
-                           std::vector<std::vector<std::uint32_t>>& out) {
+                           const CellPins& frontier, std::size_t next,
+                           Frontiers& out) {
   if (next == frontier.size()) {
-    out.push_back(frontier);
+    if (out.count == kMaxFrontiers)
+      throw std::logic_error("conjunction_frontiers: frontier bound exceeded");
+    out.sets[out.count++] = frontier;
     return;
   }
   // Option 1: keep frontier[next] as a leaf.
   conjunction_frontiers(aig, fanout, frontier, next + 1, out);
   // Option 2: expand it, if possible and within the 4-leaf budget.
-  if (frontier.size() < 4 && absorbable(aig, frontier[next], fanout)) {
+  if (frontier.size() < CellPins::kCapacity &&
+      absorbable(aig, frontier[next], fanout)) {
     const std::uint32_t child = node_of(frontier[next]);
-    std::vector<std::uint32_t> expanded = frontier;
+    CellPins expanded = frontier;
     expanded[next] = aig.fanin0(child);
-    expanded.insert(expanded.begin() + static_cast<std::ptrdiff_t>(next) + 1,
-                    aig.fanin1(child));
-    conjunction_frontiers(aig, fanout, std::move(expanded), next, out);
+    expanded.insert(next + 1, aig.fanin1(child));
+    conjunction_frontiers(aig, fanout, expanded, next, out);
   }
 }
 
-void add_conjunction_matches(const std::vector<std::uint32_t>& leaves,
+void add_conjunction_matches(const CellPins& leaves,
                              std::vector<Match>& matches) {
-  std::vector<std::uint32_t> negated(leaves);
-  for (auto& l : negated) l = negate(l);
+  CellPins negated = leaves;
+  for (std::uint32_t& l : negated) l = negate(l);
   switch (leaves.size()) {
     case 2:
       matches.push_back({CellKind::kAnd2, false, leaves});
@@ -76,20 +88,25 @@ void add_conjunction_matches(const std::vector<std::uint32_t>& leaves,
 
 }  // namespace
 
-std::vector<Match> enumerate_matches(const Aig& aig, std::uint32_t node,
-                                     const std::vector<unsigned>& fanout) {
-  std::vector<Match> matches;
+void enumerate_matches(const Aig& aig, std::uint32_t node,
+                       const std::vector<unsigned>& fanout,
+                       std::vector<Match>& matches) {
+  matches.clear();
   const std::uint32_t e0 = aig.fanin0(node);
   const std::uint32_t e1 = aig.fanin1(node);
 
   // Plain conjunctions: AND/NAND/OR/NOR families over 2..4 leaves.
-  std::vector<std::vector<std::uint32_t>> frontiers;
+  Frontiers frontiers;
   conjunction_frontiers(aig, fanout, {e0, e1}, 0, frontiers);
-  std::sort(frontiers.begin(), frontiers.end());
-  frontiers.erase(std::unique(frontiers.begin(), frontiers.end()),
-                  frontiers.end());
-  for (const auto& leaves : frontiers)
-    add_conjunction_matches(leaves, matches);
+  // In ascending order, each distinct frontier once (an insertion sort:
+  // there are at most kMaxFrontiers).
+  std::array<CellPins, kMaxFrontiers>& sets = frontiers.sets;
+  for (std::size_t i = 1; i < frontiers.count; ++i)
+    for (std::size_t j = i; j > 0 && sets[j] < sets[j - 1]; --j)
+      std::swap(sets[j], sets[j - 1]);
+  for (std::size_t i = 0; i < frontiers.count; ++i)
+    if (i == 0 || sets[i] != sets[i - 1])
+      add_conjunction_matches(sets[i], matches);
 
   // AOI21 / OAI21: N = AND(!g, x) with g = AND(a, b).
   for (const auto& [g_edge, x] : {std::pair{e0, e1}, std::pair{e1, e0}}) {
@@ -125,7 +142,6 @@ std::vector<Match> enumerate_matches(const Aig& aig, std::uint32_t node,
       matches.push_back({CellKind::kXnor2, true, {a, b}});
     }
   }
-  return matches;
 }
 
 }  // namespace rdc

@@ -18,12 +18,14 @@ namespace rdc {
 struct Match {
   CellKind kind;
   bool output_negated = false;  ///< cell output = NEG polarity of the node
-  std::vector<std::uint32_t> leaves;  ///< AIG literals, one per cell pin
+  CellPins leaves;              ///< AIG literals, one per cell pin
 };
 
-/// Enumerates all structural matches at AND node `node`. `fanout` must come
-/// from Aig::fanout_counts() of the same AIG.
-std::vector<Match> enumerate_matches(const Aig& aig, std::uint32_t node,
-                                     const std::vector<unsigned>& fanout);
+/// Enumerates all structural matches at AND node `node` into `matches`,
+/// which is cleared first (a caller that maps many nodes reuses one
+/// buffer). `fanout` must come from Aig::fanout_counts() of the same AIG.
+void enumerate_matches(const Aig& aig, std::uint32_t node,
+                       const std::vector<unsigned>& fanout,
+                       std::vector<Match>& matches);
 
 }  // namespace rdc

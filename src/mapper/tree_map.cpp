@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <array>
-#include <cassert>
 #include <limits>
-#include <unordered_map>
 
 #include "mapper/subject_graph.hpp"
 #include "obs/counters.hpp"
@@ -21,7 +19,18 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 class TreeMapper {
  public:
   TreeMapper(const Aig& aig, const CellLibrary& lib, const MapOptions& opts)
-      : aig_(aig), lib_(lib), opts_(opts), fanout_(aig.fanout_counts()) {}
+      : aig_(aig),
+        lib_(lib),
+        delay_mode_(opts.objective == MapObjective::kDelay),
+        fanout_(aig.fanout_counts()) {
+    for (const Cell& cell : lib.cells())
+      cell_costs_[static_cast<std::size_t>(cell.kind)] = {
+          true, cell.area,
+          cell.intrinsic_delay + cell.load_slope * lib.nominal_load()};
+    const CellCost& inv = cell_costs_[static_cast<std::size_t>(CellKind::kInv)];
+    inv_cost_ = delay_mode_ ? inv.delay : inv.area;
+    inv_area_ = inv.area;
+  }
 
   Netlist run() {
     solve();
@@ -32,33 +41,40 @@ class TreeMapper {
   struct Choice {
     double cost = kInf;       ///< objective value for this polarity
     double tiebreak = kInf;   ///< secondary (area in delay mode)
-    int match = -1;           ///< index into matches_[node]
+    Match match{};            ///< the winning match, unless use_inverter
     bool use_inverter = false;  ///< realize as INV of the other polarity
   };
 
-  bool delay_mode() const { return opts_.objective == MapObjective::kDelay; }
+  /// realize()'s memo entry for a literal not realized yet.
+  static constexpr std::uint32_t kUnrealized =
+      std::numeric_limits<std::uint32_t>::max();
 
-  double cell_delay(const Cell& cell) const {
-    return cell.intrinsic_delay + cell.load_slope * lib_.nominal_load();
+  /// A library cell's area and its delay into the nominal load.
+  struct CellCost {
+    bool in_library = false;
+    double area = 0.0;
+    double delay = 0.0;
+  };
+
+  const CellCost& cell_cost(CellKind kind) const {
+    const CellCost& cost = cell_costs_[static_cast<std::size_t>(kind)];
+    if (!cost.in_library) lib_.cell(kind);  // throws std::out_of_range
+    return cost;
   }
 
   /// Objective cost of using literal L as a cell pin: pair (cost, area).
   std::pair<double, double> leaf_cost(std::uint32_t lit) const {
     const std::uint32_t node = node_of(lit);
     const bool neg = is_complemented(lit);
-    const Cell& inv = lib_.inverter();
-    const double inv_cost = delay_mode() ? cell_delay(inv) : inv.area;
-    const double inv_area = inv.area;
-
     if (!aig_.is_and(node)) {
       // Primary input (constants never appear as fanins after folding).
-      return neg ? std::pair{inv_cost, inv_area} : std::pair{0.0, 0.0};
+      return neg ? std::pair{inv_cost_, inv_area_} : std::pair{0.0, 0.0};
     }
     if (fanout_[node] > 1) {
       // Tree boundary: the root signal is realized in positive polarity;
       // its own cost is accounted for when its tree is mapped.
-      const double base = delay_mode() ? root_arrival_[node] : 0.0;
-      return neg ? std::pair{base + inv_cost, inv_area}
+      const double base = delay_mode_ ? root_arrival_[node] : 0.0;
+      return neg ? std::pair{base + inv_cost_, inv_area_}
                  : std::pair{base, 0.0};
     }
     const Choice& c = choices_[node][neg ? 1 : 0];
@@ -67,39 +83,36 @@ class TreeMapper {
 
   void solve() {
     choices_.assign(aig_.num_nodes(), {});
-    matches_.assign(aig_.num_nodes(), {});
     root_arrival_.assign(aig_.num_nodes(), 0.0);
 
+    std::vector<Match> matches;
     for (std::uint32_t node = aig_.num_inputs() + 1; node < aig_.num_nodes();
          ++node) {
-      matches_[node] = enumerate_matches(aig_, node, fanout_);
+      enumerate_matches(aig_, node, fanout_, matches);
       std::array<Choice, 2>& choice = choices_[node];
-      for (int mi = 0; mi < static_cast<int>(matches_[node].size()); ++mi) {
-        const Match& m = matches_[node][static_cast<std::size_t>(mi)];
-        const Cell& cell = lib_.cell(m.kind);
-        double cost = delay_mode() ? 0.0 : cell.area;
+      for (const Match& m : matches) {
+        const CellCost& cell = cell_cost(m.kind);
+        double cost = delay_mode_ ? 0.0 : cell.area;
         double area = cell.area;
         for (const std::uint32_t leaf : m.leaves) {
           const auto [lc, la] = leaf_cost(leaf);
-          if (delay_mode())
+          if (delay_mode_)
             cost = std::max(cost, lc);
           else
             cost += lc;
           area += la;
         }
-        if (delay_mode()) cost += cell_delay(cell);
+        if (delay_mode_) cost += cell.delay;
         Choice& slot = choice[m.output_negated ? 1 : 0];
         if (cost < slot.cost ||
             (cost == slot.cost && area < slot.tiebreak)) {
           slot.cost = cost;
-          slot.tiebreak = delay_mode() ? area : area;
-          slot.match = mi;
+          slot.tiebreak = area;
+          slot.match = m;
           slot.use_inverter = false;
         }
       }
       // Polarity conversion through an inverter (at most one side wins).
-      const Cell& inv = lib_.inverter();
-      const double inv_cost = delay_mode() ? cell_delay(inv) : inv.area;
       const std::array<Choice, 2> base = choice;
       for (int pol = 0; pol < 2; ++pol) {
         // Tree roots are realized match-based in positive polarity (their
@@ -108,10 +121,9 @@ class TreeMapper {
         // make the two paths mutually recursive.
         if (fanout_[node] > 1 && pol == 0) continue;
         const Choice& other = base[1 - pol];
-        if (other.cost + inv_cost < choice[pol].cost) {
-          choice[pol].cost = other.cost + inv_cost;
-          choice[pol].tiebreak = other.tiebreak + inv.area;
-          choice[pol].match = -1;
+        if (other.cost + inv_cost_ < choice[pol].cost) {
+          choice[pol].cost = other.cost + inv_cost_;
+          choice[pol].tiebreak = other.tiebreak + inv_area_;
           choice[pol].use_inverter = true;
         }
       }
@@ -120,6 +132,7 @@ class TreeMapper {
   }
 
   Netlist build() {
+    memo_.assign(2 * std::size_t{aig_.num_nodes()}, kUnrealized);
     Netlist netlist(aig_.num_inputs());
     for (const std::uint32_t out : aig_.outputs())
       netlist.add_output(realize(netlist, node_of(out),
@@ -128,9 +141,8 @@ class TreeMapper {
   }
 
   std::uint32_t realize(Netlist& netlist, std::uint32_t node, bool neg) {
-    const std::uint64_t key = (static_cast<std::uint64_t>(node) << 1) |
-                              (neg ? 1u : 0u);
-    if (const auto it = memo_.find(key); it != memo_.end()) return it->second;
+    std::uint32_t& memo = memo_[2 * std::size_t{node} + (neg ? 1 : 0)];
+    if (memo != kUnrealized) return memo;
 
     std::uint32_t net;
     if (node == 0) {
@@ -148,29 +160,29 @@ class TreeMapper {
         net = netlist.add_gate(CellKind::kInv,
                                {realize(netlist, node, !neg)});
       } else {
-        assert(choice.match >= 0);
-        const Match& m =
-            matches_[node][static_cast<std::size_t>(choice.match)];
-        std::vector<std::uint32_t> fanins;
-        fanins.reserve(m.leaves.size());
-        for (const std::uint32_t leaf : m.leaves)
-          fanins.push_back(
-              realize(netlist, node_of(leaf), is_complemented(leaf)));
-        net = netlist.add_gate(m.kind, std::move(fanins));
+        const Match& m = choice.match;
+        CellPins fanins = m.leaves;
+        for (std::uint32_t& pin : fanins)
+          pin = realize(netlist, node_of(pin), is_complemented(pin));
+        net = netlist.add_gate(m.kind, fanins);
       }
     }
-    memo_.emplace(key, net);
+    // memo_ is sized once in build(), so `memo` survived the recursion.
+    memo = net;
     return net;
   }
 
   const Aig& aig_;
   const CellLibrary& lib_;
-  MapOptions opts_;
+  bool delay_mode_;
   std::vector<unsigned> fanout_;
+  std::array<CellCost, 64> cell_costs_{};  ///< by CellKind
+  double inv_cost_ = 0.0;  ///< objective cost of one inverter
+  double inv_area_ = 0.0;
   std::vector<std::array<Choice, 2>> choices_;
-  std::vector<std::vector<Match>> matches_;
   std::vector<double> root_arrival_;
-  std::unordered_map<std::uint64_t, std::uint32_t> memo_;
+  /// Net realizing each AIG literal (2 * node + negated), or kUnrealized.
+  std::vector<std::uint32_t> memo_;
 };
 
 }  // namespace

@@ -12,6 +12,13 @@ struct DivisionResult {
   Cover remainder;
 };
 
+/// True iff cube `c` holds the literal (var, positive).
+inline bool cube_has_literal(const Cube& c, unsigned var, bool positive) {
+  const bool has0 = test_bit(c.mask0, var);
+  const bool has1 = test_bit(c.mask1, var);
+  return has0 != has1 && has1 == positive;
+}
+
 /// True iff cube `d` algebraically divides cube `c` (every literal of d
 /// appears in c with the same polarity).
 bool cube_divides(const Cube& d, const Cube& c);

@@ -13,6 +13,7 @@ namespace {
 
 FactorTree cube_to_tree(const Cube& c, unsigned n) {
   std::vector<FactorTree> literals;
+  literals.reserve(c.literal_count(n));
   for (unsigned v = 0; v < n; ++v) {
     const bool has0 = test_bit(c.mask0, v);
     const bool has1 = test_bit(c.mask1, v);
@@ -44,32 +45,18 @@ FactorTree make_and(std::vector<FactorTree> children) {
   return t;
 }
 
-/// Most frequent literal (>= 2 occurrences), or nullopt.
+/// Most frequent literal (>= 2 occurrences), or nullopt. Ties go to the
+/// lowest variable, and on one variable to the negative literal.
 std::optional<std::pair<unsigned, bool>> best_literal(const Cover& f) {
-  const unsigned n = f.num_inputs();
+  const LiteralCounts counts = literal_counts(f);
   std::optional<std::pair<unsigned, bool>> best;
   unsigned best_freq = 1;
-  for (unsigned v = 0; v < n; ++v) {
-    unsigned freq0 = 0;
-    unsigned freq1 = 0;
-    for (const Cube& c : f.cubes()) {
-      const bool has0 = test_bit(c.mask0, v);
-      const bool has1 = test_bit(c.mask1, v);
-      if (has0 == has1) continue;
-      if (has1)
-        ++freq1;
-      else
-        ++freq0;
-    }
-    if (freq0 > best_freq) {
-      best_freq = freq0;
-      best = {v, false};
-    }
-    if (freq1 > best_freq) {
-      best_freq = freq1;
-      best = {v, true};
-    }
-  }
+  for (unsigned v = 0; v < f.num_inputs(); ++v)
+    for (const bool positive : {false, true})
+      if (counts[2 * v + (positive ? 1 : 0)] > best_freq) {
+        best_freq = counts[2 * v + (positive ? 1 : 0)];
+        best = {v, positive};
+      }
   return best;
 }
 

@@ -1,20 +1,25 @@
 #include "sop/kernel.hpp"
 
+#include <bit>
+#include <vector>
+
 #include "sop/division.hpp"
 
 namespace rdc {
-namespace {
 
-/// Number of cubes of f containing the literal (var, positive).
-unsigned literal_frequency(const Cover& f, unsigned var, bool positive) {
-  unsigned count = 0;
-  for (const Cube& c : f.cubes()) {
-    const bool has0 = test_bit(c.mask0, var);
-    const bool has1 = test_bit(c.mask1, var);
-    if (has0 != has1 && has1 == positive) ++count;
-  }
-  return count;
+LiteralCounts literal_counts(const Cover& f) {
+  LiteralCounts counts{};
+  const std::uint32_t vars = var_mask(f.num_inputs());
+  for (const Cube& c : f.cubes())
+    for (std::uint32_t fixed = (c.mask0 ^ c.mask1) & vars; fixed;
+         fixed &= fixed - 1) {
+      const auto var = static_cast<unsigned>(std::countr_zero(fixed));
+      ++counts[2 * var + (test_bit(c.mask1, var) ? 1 : 0)];
+    }
+  return counts;
 }
+
+namespace {
 
 void kernels_rec(const Cover& g, unsigned min_literal,
                  std::vector<Kernel>& out, const Cube& cokernel,
@@ -25,23 +30,19 @@ void kernels_rec(const Cover& g, unsigned min_literal,
 
   // Literals are enumerated as 2*var + polarity to impose the canonical
   // order that prevents duplicate kernels.
+  const LiteralCounts counts = literal_counts(g);
   for (unsigned lit = min_literal; lit < 2 * n; ++lit) {
     const unsigned var = lit / 2;
     const bool positive = lit % 2;
-    if (literal_frequency(g, var, positive) < 2) continue;
+    if (counts[lit] < 2) continue;
 
     Cover quotient = divide_by_literal(g, var, positive).quotient;
     const Cube cc = common_cube(quotient);
     // Skip if the common cube contains a literal smaller than `lit` — that
     // kernel is found via the smaller literal's branch.
     bool smaller = false;
-    for (unsigned l2 = 0; l2 < lit && !smaller; ++l2) {
-      const unsigned v2 = l2 / 2;
-      const bool p2 = l2 % 2;
-      const bool has0 = test_bit(cc.mask0, v2);
-      const bool has1 = test_bit(cc.mask1, v2);
-      if (has0 != has1 && has1 == p2) smaller = true;
-    }
+    for (unsigned l2 = 0; l2 < lit && !smaller; ++l2)
+      smaller = cube_has_literal(cc, l2 / 2, l2 % 2);
     if (smaller) continue;
 
     Cover cube_free(quotient.num_inputs());
@@ -88,18 +89,22 @@ std::vector<Kernel> all_kernels(const Cover& f, std::size_t max_kernels) {
 Cover level0_kernel(const Cover& f) {
   const unsigned n = f.num_inputs();
   Cover current = make_cube_free(f);
-  bool progressed = true;
-  while (progressed && current.size() >= 2) {
-    progressed = false;
-    for (unsigned lit = 0; lit < 2 * n; ++lit) {
-      const unsigned var = lit / 2;
-      const bool positive = lit % 2;
-      if (literal_frequency(current, var, positive) < 2) continue;
-      current = make_cube_free(
-          divide_by_literal(current, var, positive).quotient);
-      progressed = true;
-      break;
-    }
+  std::vector<Cube>& cubes = current.cubes();
+  while (cubes.size() >= 2) {
+    // The first literal, in 2*var + polarity order, in two cubes or more.
+    const LiteralCounts counts = literal_counts(current);
+    unsigned lit = 0;
+    while (lit < 2 * n && counts[lit] < 2) ++lit;
+    if (lit == 2 * n) break;
+    const unsigned var = lit / 2;
+    const bool positive = lit % 2;
+    // current = make_cube_free(current / literal), in place.
+    std::erase_if(cubes, [&](const Cube& c) {
+      return !cube_has_literal(c, var, positive);
+    });
+    for (Cube& c : cubes) c = c.expanded(var);
+    const Cube cc = common_cube(current);
+    for (Cube& c : cubes) c = cube_quotient(c, cc);
   }
   return current;
 }

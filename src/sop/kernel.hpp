@@ -2,11 +2,19 @@
 // multi-cube divisors during factoring.
 #pragma once
 
+#include <array>
 #include <vector>
 
 #include "pla/cover.hpp"
 
 namespace rdc {
+
+/// Number of cubes of a cover holding each literal, indexed 2 * var +
+/// positive (the kernel search's literal order).
+using LiteralCounts = std::array<unsigned, 64>;
+
+/// Counts every cube's literals in one pass over its fixed variables.
+LiteralCounts literal_counts(const Cover& f);
 
 /// A kernel of a cover together with the co-kernel cube that exposes it.
 struct Kernel {
