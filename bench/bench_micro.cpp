@@ -219,17 +219,17 @@ void BM_MapAig(benchmark::State& state) {
 }
 BENCHMARK(BM_MapAig)->Arg(6)->Arg(8)->Arg(10);
 
-/// The `analyze` pass's simulation: exact signal probabilities of every
-/// net of a mapped random function.
-void BM_NetProbabilities(benchmark::State& state) {
+/// The `analyze` pass's simulation: one sweep of a mapped random function
+/// for every net's one-count and the output table.
+void BM_NetlistSimulate(benchmark::State& state) {
   const auto n = static_cast<unsigned>(state.range(0));
   const TernaryTruthTable f = random_ternary(n, 0.0, 84);
   Aig aig(n);
   aig.add_output(aig.build(factor(minimize(f))));
   const Netlist netlist = map_aig(aig, CellLibrary::generic70());
-  for (auto _ : state) benchmark::DoNotOptimize(net_probabilities(netlist));
+  for (auto _ : state) benchmark::DoNotOptimize(netlist.simulate());
 }
-BENCHMARK(BM_NetProbabilities)->Arg(8)->Arg(10)->Arg(12);
+BENCHMARK(BM_NetlistSimulate)->Arg(8)->Arg(10)->Arg(12);
 
 /// The `factor` pass on one minimized random function.
 void BM_Factor(benchmark::State& state) {

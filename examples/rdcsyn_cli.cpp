@@ -4,10 +4,11 @@
 //       Benchmark properties, error-rate bounds, analytical estimates.
 //   rdcsyn_cli assign <in.pla> -o <out.pla> [--policy P] [--fraction F]
 //              [--threshold T]
-//       Reliability-driven DC assignment; remaining DCs stay DCs so a
-//       downstream optimizer keeps its freedom. P is one of
-//       ranking | incremental | lcf (default ranking); F is in [0, 1],
-//       T in (0, 1).
+//       Reliability-driven DC assignment: runs the assign pass that synth's
+//       flags name, alone; remaining DCs stay DCs so a downstream
+//       optimizer keeps its freedom. P is one of ranking | incremental |
+//       lcf (default ranking); F is in [0, 1], T in (0, 1), and a flag the
+//       policy does not read is ignored.
 //   rdcsyn_cli synth  <in.pla> [-o out] [--format verilog|blif|aiger]
 //              [--delay] [--resyn] [--policy P ...] [--pipeline "<spec>"]
 //              [--json out.json]
@@ -170,39 +171,6 @@ int cmd_stats(const Args& args) {
   return 0;
 }
 
-int cmd_assign(const Args& args) {
-  if (args.output.empty()) {
-    std::fprintf(stderr, "assign: -o <out.pla> is required\n");
-    return 2;
-  }
-  // Negated so that NaN is rejected too.
-  if (!(args.fraction >= 0.0 && args.fraction <= 1.0)) {
-    std::fprintf(stderr, "assign: --fraction must be in [0, 1]\n");
-    return 2;
-  }
-  if (!(args.threshold > 0.0 && args.threshold < 1.0)) {
-    std::fprintf(stderr, "assign: --threshold must be in (0, 1)\n");
-    return 2;
-  }
-  IncompleteSpec spec = load_pla(args.input);
-  AssignmentResult result;
-  if (args.policy == "ranking") {
-    result = ranking_assign(spec, args.fraction);
-  } else if (args.policy == "incremental") {
-    result = ranking_assign_incremental(spec, args.fraction);
-  } else if (args.policy == "lcf") {
-    result = lcf_assign(spec, args.threshold);
-  } else {
-    std::fprintf(stderr, "assign: unknown policy %s\n", args.policy.c_str());
-    return 2;
-  }
-  save_pla(spec, args.output);
-  std::printf("%s: assigned %u of %u DCs (%u to the on-set) -> %s\n",
-              args.policy.c_str(), result.assigned, result.dc_before,
-              result.assigned_on, args.output.c_str());
-  return 0;
-}
-
 bool write_text_file(const std::string& path, const std::string& text) {
   std::ofstream out(path);
   if (!out) {
@@ -296,26 +264,63 @@ int cmd_cachekey(const Args& args) {
   return 0;
 }
 
+/// The assign pass that --policy selects, with its --fraction or
+/// --threshold, as pass text. Empty for an unknown policy.
+std::string flag_assign_pass(const Args& args) {
+  if (args.policy == "ranking")
+    return "assign:ranking(" + format_double(args.fraction) + ")";
+  if (args.policy == "incremental")
+    return "assign:ranking_inc(" + format_double(args.fraction) + ")";
+  if (args.policy == "lcf")
+    return "assign:lcf(" + format_double(args.threshold) + ")";
+  if (args.policy == "conventional") return "assign:conventional";
+  return {};
+}
+
 /// `synth`'s flags as the pipeline spec they select: the paper's flow with
 /// the --policy assign pass, `resyn` for --resyn and the delay mapper for
 /// --delay. Empty for an unknown policy.
 std::string flag_pipeline(const Args& args) {
-  std::string spec;
-  if (args.policy == "ranking")
-    spec = "assign:ranking(" + format_double(args.fraction) + ")";
-  else if (args.policy == "incremental")
-    spec = "assign:ranking_inc(" + format_double(args.fraction) + ")";
-  else if (args.policy == "lcf")
-    spec = "assign:lcf(" + format_double(args.threshold) + ")";
-  else if (args.policy == "conventional")
-    spec = "assign:conventional";
-  else
-    return spec;
+  std::string spec = flag_assign_pass(args);
+  if (spec.empty()) return spec;
   spec.append(" | espresso | factor | aig");
   if (args.resyn) spec.append(" | resyn");
   spec.append(args.delay ? " | balance | map:delay" : " | map:power");
   spec.append(" | analyze | error_rate");
   return spec;
+}
+
+/// `assign`: runs the --policy assign pass alone and writes the assigned
+/// specification; the DCs the pass leaves stay DCs.
+int cmd_assign(const Args& args) {
+  if (args.output.empty()) {
+    std::fprintf(stderr, "assign: -o <out.pla> is required\n");
+    return 2;
+  }
+  // `conventional` leaves every DC to the minimizer: nothing to assign.
+  const std::string pass = flag_assign_pass(args);
+  if (pass.empty() || args.policy == "conventional") {
+    std::fprintf(stderr, "assign: unknown policy %s\n", args.policy.c_str());
+    return 2;
+  }
+  // An out-of-range --fraction or --threshold fails here.
+  exec::Result<flow::Pipeline> pipeline = flow::parse_pipeline(pass);
+  if (!pipeline.ok()) {
+    std::fprintf(stderr, "assign: %s\n",
+                 pipeline.status().to_string().c_str());
+    return 2;
+  }
+  flow::Design design(load_pla(args.input));
+  if (exec::Status status = pipeline->run(design); !status.ok()) {
+    std::fprintf(stderr, "error: %s\n", status.to_string().c_str());
+    return status.code() == exec::StatusCode::kInvalidArgument ? 2 : 1;
+  }
+  save_pla(design.working(), args.output);
+  const AssignmentResult& result = design.assignment;
+  std::printf("%s: assigned %u of %u DCs (%u to the on-set) -> %s\n",
+              args.policy.c_str(), result.assigned, result.dc_before,
+              result.assigned_on, args.output.c_str());
+  return 0;
 }
 
 int cmd_synth(const Args& args) {

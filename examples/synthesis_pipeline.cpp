@@ -87,11 +87,10 @@ int main() {
         "power %.2f uW\n",
         label, stats.gates, stats.area, stats.delay_ps, stats.power_uw);
 
-    // Functional sign-off: netlist vs original specification's care set.
-    const TernaryTruthTable mapped = design.netlist().output_table(0);
-    bool ok = true;
-    for (std::uint32_t m = 0; m < f.size(); ++m)
-      if (f.is_care(m) && mapped.is_on(m) != f.is_on(m)) ok = false;
+    // Functional sign-off: netlist vs original specification's care set,
+    // a masked compare of the simulated output words.
+    const BitVec mapped = design.netlist().simulate().outputs[0];
+    const bool ok = popcount_xor_and(mapped, f.on_bits(), f.care_bits()) == 0;
     std::printf("         care-set equivalence: %s\n",
                 ok ? "PASS" : "FAIL");
   }

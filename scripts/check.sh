@@ -214,6 +214,17 @@ fi
   --json "$smoke_dir/synth.json" > /dev/null
 ./build/tools/rdc_json_check "$smoke_dir/synth.json" \
   schema phases metrics metrics.error_rate metrics.gates metrics.area
+# synth --tb writes a self-checking testbench; builtin.pla has 4 inputs,
+# so 16 exhaustive vector checks and the PASS display.
+./build/examples/rdcsyn_cli synth examples/fixtures/builtin.pla \
+  -o "$smoke_dir/synth.v" --tb "$smoke_dir/synth_tb.v" > /dev/null
+tb_checks=$(grep -c "^    check(4'd" "$smoke_dir/synth_tb.v" || true)
+if [[ "$tb_checks" != 16 ]] ||
+   ! grep -q 'display("PASS: 16 vectors")' "$smoke_dir/synth_tb.v"; then
+  echo "rdcsyn_cli smoke: synth --tb wrote $tb_checks vector checks, want" \
+    "16 and the PASS display" >&2
+  exit 1
+fi
 
 echo
 echo "== §16 cross-model smoke: fault models =="
@@ -694,7 +705,7 @@ echo "== bench smoke: SIMD kernel and lower-half snapshots validate =="
 # The lower half of the flow, one layer each: tree mapping, the netlist
 # simulation behind `analyze`, and factoring.
 ./build/bench/bench_micro \
-  --benchmark_filter='BM_(MapAig|NetProbabilities|Factor)/10$' \
+  --benchmark_filter='BM_(MapAig|NetlistSimulate|Factor)/10$' \
   --benchmark_min_time=0.05 \
   --json "$smoke_dir/bench_lower.json" > /dev/null
 ./build/tools/rdc_json_check "$smoke_dir/bench_lower.json" \

@@ -1,16 +1,28 @@
 #include "io/testbench.hpp"
 
+#include <cstdint>
 #include <ostream>
-#include <sstream>
 #include <vector>
 
+#include "common/bits.hpp"
+#include "common/rng.hpp"
+
 namespace rdc {
+namespace {
+
+/// Above this many inputs the testbench applies sampled vectors.
+constexpr unsigned kMaxExhaustiveInputs = 16;
+constexpr std::uint32_t kSampledVectors = 1024;
+constexpr std::uint64_t kSampleSeed = 1;
+
+}  // namespace
 
 void write_testbench(const Netlist& netlist, const std::string& module_name,
-                     std::ostream& out, const TestbenchOptions& options) {
+                     std::ostream& out) {
   const unsigned n = netlist.num_inputs();
   const std::size_t num_outputs = netlist.outputs().size();
-  const bool exhaustive = n <= 16;
+  const bool exhaustive = n <= kMaxExhaustiveInputs;
+  const NetlistSimulation sim = netlist.simulate();
 
   // Collect the stimulus set.
   std::vector<std::uint32_t> vectors;
@@ -18,11 +30,11 @@ void write_testbench(const Netlist& netlist, const std::string& module_name,
     vectors.resize(num_minterms(n));
     for (std::uint32_t m = 0; m < vectors.size(); ++m) vectors[m] = m;
   } else {
-    Rng rng(options.seed);
-    vectors.reserve(options.sampled_vectors);
-    for (std::uint32_t i = 0; i < options.sampled_vectors; ++i)
-      vectors.push_back(static_cast<std::uint32_t>(
-          rng.below(num_minterms(std::min(n, 30u)))));
+    Rng rng(kSampleSeed);
+    vectors.reserve(kSampledVectors);
+    for (std::uint32_t i = 0; i < kSampledVectors; ++i)
+      vectors.push_back(
+          static_cast<std::uint32_t>(rng.below(num_minterms(n))));
   }
 
   out << "// Self-checking testbench for " << module_name
@@ -51,12 +63,11 @@ void write_testbench(const Netlist& netlist, const std::string& module_name,
   out << "    end\n";
   out << "  endtask\n";
   out << "  initial begin\n";
+  std::string expected(num_outputs, '0');
   for (const std::uint32_t vec : vectors) {
-    const std::vector<bool> response = netlist.evaluate(vec);
-    std::uint64_t expected = 0;
     for (std::size_t o = 0; o < num_outputs; ++o)
-      if (response[o]) expected |= 1ull << o;
-    out << "    check(" << n << "'d" << vec << ", " << num_outputs << "'d"
+      expected[num_outputs - 1 - o] = sim.outputs[o].get(vec) ? '1' : '0';
+    out << "    check(" << n << "'d" << vec << ", " << num_outputs << "'b"
         << expected << ");\n";
   }
   out << "    if (errors == 0) $display(\"PASS: " << vectors.size()
@@ -65,14 +76,6 @@ void write_testbench(const Netlist& netlist, const std::string& module_name,
   out << "    $finish;\n";
   out << "  end\n";
   out << "endmodule\n";
-}
-
-std::string to_testbench(const Netlist& netlist,
-                         const std::string& module_name,
-                         const TestbenchOptions& options) {
-  std::ostringstream out;
-  write_testbench(netlist, module_name, out, options);
-  return out.str();
 }
 
 }  // namespace rdc

@@ -1,12 +1,40 @@
 #include "mapper/netlist.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <stdexcept>
 
 #include "common/bits.hpp"
+#include "common/simd.hpp"
 
 namespace rdc {
+namespace {
+
+/// Words of 64 input vectors each that simulate_chunk computes per net.
+constexpr std::size_t kSimWords = 8;
+
+/// Simulates the input vectors of the kSimWords blocks first_block,
+/// first_block + 1, ... (block k holds vectors 64k .. 64k+63), gate by gate
+/// in stored order: bit b of values[kSimWords * net + w] is the net's value
+/// on vector 64 * (first_block + w) + b. `values` holds kSimWords words per
+/// net. Vectors are taken modulo 2^n: with fewer than 6 inputs the bits
+/// above 2^n repeat the low ones, and blocks past the last one repeat the
+/// first ones.
+void simulate_chunk(const Netlist& netlist, std::size_t first_block,
+                    std::uint64_t* values) {
+  for (unsigned i = 0; i < netlist.num_inputs(); ++i)
+    for (std::size_t w = 0; w < kSimWords; ++w)
+      values[kSimWords * i + w] = input_pattern(i, first_block + w);
+  // Gates are stored in topological order (fanins precede outputs).
+  const std::uint64_t* pin[CellPins::kCapacity] = {};
+  for (const Gate& g : netlist.gates()) {
+    for (std::size_t k = 0; k < g.fanins.size(); ++k)
+      pin[k] = values + kSimWords * g.fanins[k];
+    evaluate_cell_words<kSimWords>(g.kind, pin,
+                                   values + kSimWords * g.output_net);
+  }
+}
+
+}  // namespace
 
 std::uint32_t Netlist::add_gate(CellKind kind,
                                 std::span<const std::uint32_t> fanins) {
@@ -66,53 +94,33 @@ double Netlist::critical_delay(const CellLibrary& lib) const {
   return worst;
 }
 
-void Netlist::simulate_chunk(std::size_t first_block,
-                             std::span<std::uint64_t> values) const {
-  if (values.size() != kSimWords * num_nets())
-    throw std::invalid_argument(
-        "simulate_chunk: need kSimWords words per net");
-  std::uint64_t* v = values.data();
-  for (unsigned i = 0; i < num_inputs_; ++i)
-    for (std::size_t w = 0; w < kSimWords; ++w)
-      v[kSimWords * i + w] = input_pattern(i, first_block + w);
-  // Gates are stored in topological order (fanins precede outputs).
-  const std::uint64_t* pin[CellPins::kCapacity] = {};
-  for (const Gate& g : gates_) {
-    for (std::size_t k = 0; k < g.fanins.size(); ++k)
-      pin[k] = v + kSimWords * g.fanins[k];
-    evaluate_cell_words<kSimWords>(g.kind, pin, v + kSimWords * g.output_net);
-  }
-}
-
-std::vector<bool> Netlist::evaluate(std::uint32_t minterm) const {
-  std::vector<std::uint64_t> values(kSimWords * num_nets());
-  simulate_chunk(minterm / 64, values);
-  std::vector<bool> out;
-  out.reserve(outputs_.size());
-  for (const std::uint32_t net : outputs_)
-    out.push_back((values[kSimWords * net] >> (minterm % 64)) & 1u);
-  return out;
-}
-
-TernaryTruthTable Netlist::output_table(unsigned o) const {
+NetlistSimulation Netlist::simulate() const {
   if (num_inputs_ > TernaryTruthTable::kMaxInputs)
-    throw std::invalid_argument("output_table: too many inputs");
-  const std::uint32_t net = outputs_.at(o);
-  TernaryTruthTable tt(num_inputs_);
-  const std::uint64_t mask = sim_word_mask(num_inputs_);
-  const std::size_t blocks = (tt.size() + 63) / 64;
+    throw std::invalid_argument("Netlist::simulate: too many inputs");
+  const std::uint32_t vectors = num_minterms(num_inputs_);
+  const std::size_t blocks = (vectors + 63) / 64;
+  NetlistSimulation sim;
+  sim.ones.assign(num_nets(), 0);
+  sim.outputs.assign(outputs_.size(), BitVec(vectors));
   std::vector<std::uint64_t> values(kSimWords * num_nets());
   for (std::size_t first = 0; first < blocks; first += kSimWords) {
-    simulate_chunk(first, values);
-    for (std::size_t w = 0; w < kSimWords && first + w < blocks; ++w) {
-      const auto base = static_cast<std::uint32_t>(64 * (first + w));
-      for (std::uint64_t bits = values[kSimWords * net + w] & mask; bits;
-           bits &= bits - 1)
-        tt.set_phase(base + static_cast<std::uint32_t>(std::countr_zero(bits)),
-                     Phase::kOne);
+    simulate_chunk(*this, first, values.data());
+    // Only the vectors 0 .. 2^n - 1 count: the bits above 2^n of a short
+    // word and the words past the last block repeat earlier vectors.
+    const std::size_t words = std::min(kSimWords, blocks - first);
+    std::uint64_t mask[kSimWords] = {};
+    for (std::size_t w = 0; w < words; ++w)
+      mask[w] = sim_word_mask(num_inputs_);
+    for (std::uint32_t net = 0; net < num_nets(); ++net)
+      sim.ones[net] +=
+          simd::popcount_and(&values[kSimWords * net], mask, kSimWords);
+    for (std::size_t o = 0; o < outputs_.size(); ++o) {
+      const std::uint64_t* v = &values[kSimWords * outputs_[o]];
+      std::uint64_t* out = sim.outputs[o].data() + first;
+      for (std::size_t w = 0; w < words; ++w) out[w] = v[w] & mask[w];
     }
   }
-  return tt;
+  return sim;
 }
 
 }  // namespace rdc

@@ -2,9 +2,9 @@
 //
 // Nets are dense ids: 0..n-1 are the primary inputs, every gate drives one
 // new net. The netlist supports exact exhaustive simulation, 64 input
-// vectors per machine word and kSimWords words per gate step (for
-// functional verification and switching-activity extraction), and static
-// timing with the library's linear delay model.
+// vectors per machine word (one sweep yields the signal probabilities for
+// the power model and the output functions for verification and
+// testbenches), and static timing with the library's linear delay model.
 #pragma once
 
 #include <cstddef>
@@ -12,6 +12,7 @@
 #include <span>
 #include <vector>
 
+#include "common/bitvec.hpp"
 #include "mapper/cell_library.hpp"
 #include "tt/ternary_function.hpp"
 
@@ -21,6 +22,15 @@ struct Gate {
   CellKind kind;
   CellPins fanins;  ///< net ids, one per cell pin
   std::uint32_t output_net = 0;
+};
+
+/// One exhaustive simulation of a netlist over its 2^n input vectors.
+struct NetlistSimulation {
+  /// Per net: the number of input vectors on which the net is 1.
+  std::vector<std::uint64_t> ones;
+  /// Per primary output: its on-set, bit m the value on input vector m
+  /// (2^n bits).
+  std::vector<BitVec> outputs;
 };
 
 class Netlist {
@@ -67,24 +77,10 @@ class Netlist {
   /// Worst arrival time over the primary outputs (ps).
   double critical_delay(const CellLibrary& lib) const;
 
-  /// Words of 64 input vectors each that simulate_chunk computes per net.
-  static constexpr std::size_t kSimWords = 8;
-
-  /// Simulates the input vectors of the kSimWords blocks first_block,
-  /// first_block + 1, ... (block k holds vectors 64k .. 64k+63), gate by
-  /// gate in stored order: bit b of values[kSimWords * net + w] is the
-  /// net's value on vector 64 * (first_block + w) + b. `values` must hold
-  /// kSimWords words per net (else std::invalid_argument). Vectors are
-  /// taken modulo 2^n: with fewer than 6 inputs the bits above 2^n repeat
-  /// the low ones, and blocks past the last one repeat the first ones.
-  void simulate_chunk(std::size_t first_block,
-                      std::span<std::uint64_t> values) const;
-
-  /// Evaluates the netlist on one input vector (bit i = input i).
-  std::vector<bool> evaluate(std::uint32_t minterm) const;
-
-  /// Truth table of output `o` over all 2^n vectors (n <= 20).
-  TernaryTruthTable output_table(unsigned o) const;
+  /// Simulates all 2^n input vectors (bit i of vector m = input i) in
+  /// one gate-by-gate sweep. Throws std::invalid_argument for n >
+  /// TernaryTruthTable::kMaxInputs (20).
+  NetlistSimulation simulate() const;
 
  private:
   unsigned num_inputs_ = 0;

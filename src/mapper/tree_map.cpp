@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <limits>
+#include <stdexcept>
 
 #include "mapper/subject_graph.hpp"
 #include "obs/counters.hpp"
@@ -20,7 +21,6 @@ class TreeMapper {
  public:
   TreeMapper(const Aig& aig, const CellLibrary& lib, const MapOptions& opts)
       : aig_(aig),
-        lib_(lib),
         delay_mode_(opts.objective == MapObjective::kDelay),
         fanout_(aig.fanout_counts()) {
     for (const Cell& cell : lib.cells())
@@ -56,12 +56,6 @@ class TreeMapper {
     double delay = 0.0;
   };
 
-  const CellCost& cell_cost(CellKind kind) const {
-    const CellCost& cost = cell_costs_[static_cast<std::size_t>(kind)];
-    if (!cost.in_library) lib_.cell(kind);  // throws std::out_of_range
-    return cost;
-  }
-
   /// Objective cost of using literal L as a cell pin: pair (cost, area).
   std::pair<double, double> leaf_cost(std::uint32_t lit) const {
     const std::uint32_t node = node_of(lit);
@@ -91,7 +85,9 @@ class TreeMapper {
       enumerate_matches(aig_, node, fanout_, matches);
       std::array<Choice, 2>& choice = choices_[node];
       for (const Match& m : matches) {
-        const CellCost& cell = cell_cost(m.kind);
+        // A match on a cell the library lacks is no option.
+        const CellCost& cell = cell_costs_[static_cast<std::size_t>(m.kind)];
+        if (!cell.in_library) continue;
         double cost = delay_mode_ ? 0.0 : cell.area;
         double area = cell.area;
         for (const std::uint32_t leaf : m.leaves) {
@@ -116,10 +112,11 @@ class TreeMapper {
       const std::array<Choice, 2> base = choice;
       for (int pol = 0; pol < 2; ++pol) {
         // Tree roots are realized match-based in positive polarity (their
-        // negative uses go through a boundary inverter in realize());
-        // letting the positive side pick "inverter of negative" here would
-        // make the two paths mutually recursive.
-        if (fanout_[node] > 1 && pol == 0) continue;
+        // negative uses go through a boundary inverter in realize()), unless
+        // the library leaves the positive side no match: then the root is
+        // an inverter of its negative match, which realize() builds
+        // directly.
+        if (fanout_[node] > 1 && pol == 0 && base[0].cost < kInf) continue;
         const Choice& other = base[1 - pol];
         if (other.cost + inv_cost_ < choice[pol].cost) {
           choice[pol].cost = other.cost + inv_cost_;
@@ -127,6 +124,9 @@ class TreeMapper {
           choice[pol].use_inverter = true;
         }
       }
+      if (choice[0].cost == kInf && choice[1].cost == kInf)
+        throw std::invalid_argument(
+            "map_aig: the library has no cell that matches an AND node");
       if (fanout_[node] > 1) root_arrival_[node] = choice[0].cost;
     }
   }
@@ -150,7 +150,8 @@ class TreeMapper {
     } else if (!aig_.is_and(node)) {
       const std::uint32_t input_net = netlist.input_net(node - 1);
       net = neg ? netlist.add_gate(CellKind::kInv, {input_net}) : input_net;
-    } else if (fanout_[node] > 1 && neg) {
+    } else if (fanout_[node] > 1 && neg &&
+               !choices_[node][0].use_inverter) {
       // Boundary convention: roots are realized positive; negative uses get
       // a shared inverter.
       net = netlist.add_gate(CellKind::kInv, {realize(netlist, node, false)});
@@ -173,7 +174,6 @@ class TreeMapper {
   }
 
   const Aig& aig_;
-  const CellLibrary& lib_;
   bool delay_mode_;
   std::vector<unsigned> fanout_;
   std::array<CellCost, 64> cell_costs_{};  ///< by CellKind

@@ -20,7 +20,9 @@ struct MapOptions {
 };
 
 /// Maps the AIG onto the library. The result computes exactly the AIG's
-/// output functions (verified by tests via exhaustive simulation).
+/// output functions (verified by tests via exhaustive simulation). Matches
+/// on cells the library lacks are skipped; an AND node left with no match
+/// at all (e.g. an inverter-only library) throws std::invalid_argument.
 Netlist map_aig(const Aig& aig, const CellLibrary& lib,
                 const MapOptions& options = {});
 

@@ -261,32 +261,12 @@ AssignmentResult lcf_assign(TernaryTruthTable& f, double threshold,
                                neighbors);
 }
 
-AssignmentResult ranking_assign(IncompleteSpec& spec, double fraction) {
-  return for_each_output(spec, [&](TernaryTruthTable& f, unsigned) {
-    return ranking_assign(f, fraction);
-  });
-}
-
-AssignmentResult ranking_assign_incremental(IncompleteSpec& spec,
-                                            double fraction) {
-  return for_each_output(spec, [&](TernaryTruthTable& f, unsigned) {
-    return ranking_assign_incremental(f, fraction);
-  });
-}
-
 AssignmentResult ranking_assign_incremental(
     IncompleteSpec& spec, double fraction,
     std::span<const NeighborTable> tables) {
   assert(tables.size() == spec.num_outputs());
   return for_each_output(spec, [&](TernaryTruthTable& f, unsigned o) {
     return ranking_assign_incremental(f, fraction, tables[o]);
-  });
-}
-
-AssignmentResult lcf_assign(IncompleteSpec& spec, double threshold,
-                            bool assign_balanced) {
-  return for_each_output(spec, [&](TernaryTruthTable& f, unsigned) {
-    return lcf_assign(f, threshold, assign_balanced);
   });
 }
 

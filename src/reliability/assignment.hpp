@@ -69,16 +69,12 @@ AssignmentResult lcf_assign(TernaryTruthTable& f, double threshold,
 AssignmentResult ranking_assign_count(TernaryTruthTable& f,
                                       std::uint32_t count);
 
-/// Multi-output wrappers: apply the pass to every output independently and
-/// accumulate the counters.
-AssignmentResult ranking_assign(IncompleteSpec& spec, double fraction);
-AssignmentResult ranking_assign_incremental(IncompleteSpec& spec,
-                                            double fraction);
+/// Multi-output form of the incremental ranking: applies it to every
+/// output independently, seeded from `tables` (one per output), and
+/// accumulates the counters.
 AssignmentResult ranking_assign_incremental(
     IncompleteSpec& spec, double fraction,
     std::span<const NeighborTable> tables);
-AssignmentResult lcf_assign(IncompleteSpec& spec, double threshold,
-                            bool assign_balanced = false);
 
 /// One DC the fault model's events favor a phase for: an entry of Fig. 3's
 /// ranked list, from the model's events on the input specification. 16

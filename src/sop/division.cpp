@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <vector>
 
 namespace rdc {
 
@@ -43,25 +42,11 @@ DivisionResult weak_divide(const Cover& f, const Cover& divisor) {
     return result;
   }
 
-  // F's cubes sorted as (mask0, mask1) words, each with its index in F:
-  // the membership questions below are binary searches.
-  struct Entry {
-    std::uint64_t key;
-    std::uint32_t index;
-  };
-  const auto key_of = [](const Cube& c) {
-    return (std::uint64_t{c.mask0} << 32) | c.mask1;
-  };
-  const auto by_key = [](const Entry& a, const Entry& b) {
-    return a.key < b.key;
-  };
-  std::vector<Entry> sorted(f.size());
-  for (std::size_t i = 0; i < f.size(); ++i)
-    sorted[i] = {key_of(f.cube(i)), static_cast<std::uint32_t>(i)};
-  std::sort(sorted.begin(), sorted.end(), by_key);
-  const auto matching = [&](const Cube& c) {
-    return std::equal_range(sorted.begin(), sorted.end(),
-                            Entry{key_of(c), 0}, by_key);
+  // The covers are small (factoring divides 3 to 23 cubes by 2 on the
+  // Table-1 circuits), so every membership question is a linear scan.
+  const auto contains = [](const Cover& cover, const Cube& c) {
+    return std::find(cover.cubes().begin(), cover.cubes().end(), c) !=
+           cover.cubes().end();
   };
 
   // Quotient = intersection over divisor cubes d of { c/d : d | c }.
@@ -71,27 +56,15 @@ DivisionResult weak_divide(const Cover& f, const Cover& divisor) {
     if (!cube_divides(divisor.cube(0), c)) continue;
     const Cube q = cube_quotient(c, divisor.cube(0));
     bool in_all = true;
-    for (std::size_t i = 1; i < divisor.size() && in_all; ++i) {
-      const auto [lo, hi] = matching(q.intersect(divisor.cube(i)));
-      in_all = lo != hi;
-    }
-    // Q is short (one entry per F cube at most), and a repeat needs two F
-    // cubes with one quotient: so a linear scan.
-    if (in_all && std::find(result.quotient.cubes().begin(),
-                            result.quotient.cubes().end(),
-                            q) == result.quotient.cubes().end())
-      result.quotient.add(q);
+    for (std::size_t i = 1; i < divisor.size() && in_all; ++i)
+      in_all = contains(f, q.intersect(divisor.cube(i)));
+    if (in_all && !contains(result.quotient, q)) result.quotient.add(q);
   }
 
   // Remainder: cubes of F not produced by Q * D, in F's order.
-  std::vector<bool> produced(f.size(), false);
   const Cover product = algebraic_product(result.quotient, divisor);
-  for (const Cube& p : product.cubes()) {
-    const auto [lo, hi] = matching(p);
-    for (auto it = lo; it != hi; ++it) produced[it->index] = true;
-  }
-  for (std::size_t i = 0; i < f.size(); ++i)
-    if (!produced[i]) result.remainder.add(f.cube(i));
+  for (const Cube& c : f.cubes())
+    if (!contains(product, c)) result.remainder.add(c);
   return result;
 }
 

@@ -84,10 +84,10 @@ TEST(EdgeCases, ConstantOutputsThroughFlow) {
   const FlowResult result =
       run_flow(spec, test::paper_flow("assign:conventional"));
   EXPECT_DOUBLE_EQ(result.error_rate, 0.0);
+  const NetlistSimulation sim = result.netlist.simulate();
   for (std::uint32_t m = 0; m < 8; ++m) {
-    const auto out = result.netlist.evaluate(m);
-    EXPECT_FALSE(out.at(0));
-    EXPECT_TRUE(out.at(1));
+    EXPECT_FALSE(sim.outputs.at(0).get(m));
+    EXPECT_TRUE(sim.outputs.at(1).get(m));
   }
 }
 

@@ -2,6 +2,8 @@
 // analysis and power estimation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "aig/simulate.hpp"
 #include "benchdata/suite.hpp"
 #include "common/bits.hpp"
@@ -51,36 +53,32 @@ std::vector<bool> reference_values(const Netlist& nl, std::uint32_t m) {
   return value;
 }
 
-/// Checks the word-parallel simulator against the scalar reference (per-net
-/// one-counts, per-vector outputs and output tables) and the output tables
-/// against the netlist's AIG.
+/// Checks one simulate() sweep against the scalar reference (per-net
+/// one-counts and every output bit) and its output tables against the
+/// netlist's AIG.
 void expect_simulation_matches_reference(const Netlist& nl) {
   const std::uint32_t vectors = num_minterms(nl.num_inputs());
-  std::vector<TernaryTruthTable> tables;
-  for (unsigned o = 0; o < nl.outputs().size(); ++o)
-    tables.push_back(nl.output_table(o));
+  const NetlistSimulation sim = nl.simulate();
+  ASSERT_EQ(sim.ones.size(), nl.num_nets());
+  ASSERT_EQ(sim.outputs.size(), nl.outputs().size());
+  for (const BitVec& table : sim.outputs) ASSERT_EQ(table.size(), vectors);
   std::vector<std::uint64_t> ones(nl.num_nets(), 0);
   for (std::uint32_t m = 0; m < vectors; ++m) {
     const std::vector<bool> value = reference_values(nl, m);
     for (std::uint32_t net = 0; net < nl.num_nets(); ++net)
       ones[net] += value[net];
-    const std::vector<bool> out = nl.evaluate(m);
-    ASSERT_EQ(out.size(), nl.outputs().size());
-    for (std::size_t o = 0; o < out.size(); ++o) {
-      ASSERT_EQ(out[o], value[nl.outputs()[o]]) << "vector " << m;
-      ASSERT_EQ(tables[o].is_on(m), value[nl.outputs()[o]])
+    for (std::size_t o = 0; o < nl.outputs().size(); ++o)
+      ASSERT_EQ(sim.outputs[o].get(m), value[nl.outputs()[o]])
           << "output " << o << ", vector " << m;
-    }
   }
-  const std::vector<double> p = net_probabilities(nl);
-  ASSERT_EQ(p.size(), nl.num_nets());
   for (std::uint32_t net = 0; net < nl.num_nets(); ++net)
-    EXPECT_EQ(p[net] * vectors, static_cast<double>(ones[net]))
-        << "net " << net;
+    EXPECT_EQ(sim.ones[net], ones[net]) << "net " << net;
+  // BitVec equality compares whole words: the bits past 2^n must be clear.
   const Aig aig = netlist_to_aig(nl);
-  const AigSimulator sim(aig);
+  const AigSimulator aig_sim(aig);
   for (unsigned o = 0; o < nl.outputs().size(); ++o)
-    EXPECT_EQ(nl.output_table(o), sim.output_table(o)) << "output " << o;
+    EXPECT_EQ(sim.outputs[o], aig_sim.output_table(o).on_bits())
+        << "output " << o;
 }
 
 TEST(CellLibrary, EvaluateAllKinds) {
@@ -175,8 +173,9 @@ TEST(Netlist, AddGateAndTopology) {
   EXPECT_EQ(nl.gate_count(), 2u);
   EXPECT_EQ(nl.num_nets(), 4u);
   // !x0 & x1
-  EXPECT_TRUE(nl.evaluate(0b10).at(0));
-  EXPECT_FALSE(nl.evaluate(0b01).at(0));
+  const NetlistSimulation sim = nl.simulate();
+  EXPECT_TRUE(sim.outputs.at(0).get(0b10));
+  EXPECT_FALSE(sim.outputs.at(0).get(0b01));
   EXPECT_THROW(nl.add_gate(CellKind::kInv, {99}), std::out_of_range);
 }
 
@@ -199,7 +198,8 @@ TEST(TreeMap, SingleGateFunctions) {
   aig.add_output(aig.make_and(aig.input_literal(0), aig.input_literal(1)));
   const Netlist nl = map_aig(aig, CellLibrary::generic70());
   EXPECT_EQ(nl.gate_count(), 1u);
-  EXPECT_EQ(nl.output_table(0), AigSimulator(aig).output_table(0));
+  EXPECT_EQ(nl.simulate().outputs[0],
+            AigSimulator(aig).output_table(0).on_bits());
 }
 
 TEST(TreeMap, ConstantAndPassthroughOutputs) {
@@ -207,12 +207,12 @@ TEST(TreeMap, ConstantAndPassthroughOutputs) {
   aig.add_output(aiglit::kFalse);
   aig.add_output(aiglit::kTrue);
   aig.add_output(aig.input_literal(1));
-  const Netlist nl = map_aig(aig, CellLibrary::generic70());
+  const NetlistSimulation sim =
+      map_aig(aig, CellLibrary::generic70()).simulate();
   for (std::uint32_t m = 0; m < 4; ++m) {
-    const auto out = nl.evaluate(m);
-    EXPECT_FALSE(out.at(0));
-    EXPECT_TRUE(out.at(1));
-    EXPECT_EQ(out.at(2), (m & 2) != 0);
+    EXPECT_FALSE(sim.outputs.at(0).get(m));
+    EXPECT_TRUE(sim.outputs.at(1).get(m));
+    EXPECT_EQ(sim.outputs.at(2).get(m), (m & 2) != 0);
   }
 }
 
@@ -233,7 +233,8 @@ TEST(TreeMap, RandomFunctionsAreEquivalent) {
     const Aig aig = random_aig(n, rng);
     for (const MapObjective obj : {MapObjective::kArea, MapObjective::kDelay}) {
       const Netlist nl = map_aig(aig, CellLibrary::generic70(), {obj});
-      EXPECT_EQ(nl.output_table(0), AigSimulator(aig).output_table(0))
+      EXPECT_EQ(nl.simulate().outputs[0],
+                AigSimulator(aig).output_table(0).on_bits())
           << "trial " << trial;
     }
   }
@@ -247,8 +248,80 @@ TEST(TreeMap, MultiOutputSharing) {
   aig.add_output(aiglit::negate(shared));
   const Netlist nl = map_aig(aig, CellLibrary::generic70());
   const AigSimulator sim(aig);
-  EXPECT_EQ(nl.output_table(0), sim.output_table(0));
-  EXPECT_EQ(nl.output_table(1), sim.output_table(1));
+  const NetlistSimulation mapped = nl.simulate();
+  EXPECT_EQ(mapped.outputs[0], sim.output_table(0).on_bits());
+  EXPECT_EQ(mapped.outputs[1], sim.output_table(1).on_bits());
+}
+
+/// generic70 restricted to the cells of `kinds`.
+CellLibrary generic70_subset(std::initializer_list<CellKind> kinds) {
+  std::vector<Cell> cells;
+  for (const CellKind kind : kinds)
+    cells.push_back(CellLibrary::generic70().cell(kind));
+  return CellLibrary::from_cells(std::move(cells));
+}
+
+/// Expects `nl` to use only cells of `lib` and to compute the AIG's outputs.
+void expect_maps_onto(const Netlist& nl, const CellLibrary& lib,
+                      const Aig& aig) {
+  for (const Gate& g : nl.gates())
+    EXPECT_NO_THROW(lib.cell(g.kind)) << static_cast<int>(g.kind);
+  const NetlistSimulation sim = nl.simulate();
+  const AigSimulator aig_sim(aig);
+  for (unsigned o = 0; o < aig.outputs().size(); ++o)
+    EXPECT_EQ(sim.outputs[o], aig_sim.output_table(o).on_bits())
+        << "output " << o;
+}
+
+TEST(TreeMap, PartialLibrarySkipsMissingCells) {
+  std::vector<Cell> cells;
+  for (const Cell& cell : CellLibrary::generic70().cells())
+    if (cell.kind != CellKind::kXor2 && cell.kind != CellKind::kXnor2)
+      cells.push_back(cell);
+  const CellLibrary lib = CellLibrary::from_cells(std::move(cells));
+  Aig aig(3);
+  const std::uint32_t x =
+      aig.make_xor(aig.input_literal(0), aig.input_literal(1));
+  aig.add_output(x);
+  aig.add_output(aiglit::negate(aig.make_xor(x, aig.input_literal(2))));
+  const auto is_xor = [](const Gate& g) {
+    return g.kind == CellKind::kXor2 || g.kind == CellKind::kXnor2;
+  };
+  // The full library covers the shape with XOR cells.
+  const Netlist full = map_aig(aig, CellLibrary::generic70());
+  EXPECT_TRUE(std::any_of(full.gates().begin(), full.gates().end(), is_xor));
+  for (const MapObjective obj : {MapObjective::kArea, MapObjective::kDelay}) {
+    const Netlist nl = map_aig(aig, lib, {obj});
+    EXPECT_TRUE(std::none_of(nl.gates().begin(), nl.gates().end(), is_xor));
+    expect_maps_onto(nl, lib, aig);
+  }
+}
+
+// NAND2 and INV leave an AND node no positive match: a shared node (a tree
+// root) is then built as an inverter of its NAND.
+TEST(TreeMap, NandInverterLibraryRealizesSharedNodes) {
+  const CellLibrary lib =
+      generic70_subset({CellKind::kInv, CellKind::kNand2});
+  Aig aig(3);
+  const std::uint32_t shared =
+      aig.make_and(aig.input_literal(0), aig.input_literal(1));
+  aig.add_output(aig.make_and(shared, aig.input_literal(2)));
+  aig.add_output(aiglit::negate(shared));
+  aig.add_output(shared);
+  for (const MapObjective obj : {MapObjective::kArea, MapObjective::kDelay})
+    expect_maps_onto(map_aig(aig, lib, {obj}), lib, aig);
+  Rng rng(191);
+  for (int trial = 0; trial < 5; ++trial) {
+    const Aig random = random_aig(6, rng);
+    expect_maps_onto(map_aig(random, lib), lib, random);
+  }
+}
+
+TEST(TreeMap, InverterOnlyLibraryThrows) {
+  const CellLibrary lib = generic70_subset({CellKind::kInv});
+  Aig aig(2);
+  aig.add_output(aig.make_and(aig.input_literal(0), aig.input_literal(1)));
+  EXPECT_THROW(map_aig(aig, lib), std::invalid_argument);
 }
 
 TEST(TreeMap, DelayModeNoWorseThanAreaModeInDelay) {
@@ -329,7 +402,7 @@ Netlist random_netlist(unsigned n, unsigned extra, Rng& rng) {
 }
 
 // Every n from 0 to 13: below 6 the bits above 2^n of the one word repeat
-// the vectors, 6 to 8 leave part of the first chunk of Netlist::kSimWords
+// the vectors, 6 to 8 leave part of the first chunk of eight simulation
 // words unused, and from 9 on the blocks fill whole chunks.
 TEST(NetlistSim, RandomNetlistsOfEveryKindMatchScalarReference) {
   Rng rng(181);
@@ -346,16 +419,15 @@ TEST(NetlistSim, SizeAndArityLimits) {
   Netlist big(21);
   big.add_output(
       big.add_gate(CellKind::kAnd2, {big.input_net(0), big.input_net(20)}));
-  EXPECT_THROW(net_probabilities(big), std::invalid_argument);
-  EXPECT_THROW(big.output_table(0), std::invalid_argument);
+  EXPECT_THROW(big.simulate(), std::invalid_argument);
+  EXPECT_THROW(estimate_power(big, CellLibrary::generic70()),
+               std::invalid_argument);
 
   Netlist nl(4);
   EXPECT_THROW(nl.add_gate(CellKind::kAoi22, {0, 1}), std::invalid_argument);
   EXPECT_THROW(nl.add_gate(CellKind::kInv, {}), std::invalid_argument);
   EXPECT_THROW(nl.add_gate(CellKind::kTie1, {0}), std::invalid_argument);
   EXPECT_EQ(nl.gate_count(), 0u);
-  std::vector<std::uint64_t> too_few(Netlist::kSimWords * nl.num_nets() - 1);
-  EXPECT_THROW(nl.simulate_chunk(0, too_few), std::invalid_argument);
   const bool pins[] = {true, false};
   EXPECT_THROW(evaluate_cell(CellKind::kAnd3, {pins, 2}),
                std::invalid_argument);
@@ -366,10 +438,11 @@ TEST(Power, ProbabilitiesExact) {
   const std::uint32_t g =
       nl.add_gate(CellKind::kAnd2, {nl.input_net(0), nl.input_net(1)});
   nl.add_output(g);
-  const auto p = net_probabilities(nl);
-  EXPECT_DOUBLE_EQ(p[0], 0.5);
-  EXPECT_DOUBLE_EQ(p[1], 0.5);
-  EXPECT_DOUBLE_EQ(p[g], 0.25);
+  // Each input is 1 on two of the four vectors, the AND on one.
+  const std::vector<std::uint64_t> ones = nl.simulate().ones;
+  EXPECT_EQ(ones[0], 2u);
+  EXPECT_EQ(ones[1], 2u);
+  EXPECT_EQ(ones[g], 1u);
 }
 
 TEST(Power, ConstantNetsDontSwitch) {

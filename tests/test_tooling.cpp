@@ -2,6 +2,9 @@
 // robustness against malformed inputs.
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "common/rng.hpp"
 #include "espresso/espresso.hpp"
 #include "io/aiger.hpp"
@@ -15,6 +18,12 @@
 namespace rdc {
 namespace {
 
+std::string testbench_text(const Netlist& nl, const std::string& module) {
+  std::ostringstream out;
+  write_testbench(nl, module, out);
+  return out.str();
+}
+
 TEST(Testbench, ContainsAllExhaustiveChecks) {
   Rng rng(951);
   TernaryTruthTable f(3);
@@ -24,7 +33,7 @@ TEST(Testbench, ContainsAllExhaustiveChecks) {
   aig.add_output(aig.build(factor(minimize(f))));
   const Netlist nl = map_aig(aig, CellLibrary::generic70());
 
-  const std::string tb = to_testbench(nl, "dut_mod");
+  const std::string tb = testbench_text(nl, "dut_mod");
   EXPECT_NE(tb.find("module dut_mod_tb;"), std::string::npos);
   EXPECT_NE(tb.find("dut_mod dut ("), std::string::npos);
   // One check per vector, with the simulator's expected value baked in.
@@ -44,12 +53,36 @@ TEST(Testbench, ExpectedValuesMatchSimulator) {
   Aig aig(2);
   aig.add_output(aig.build(factor(minimize(f))));
   const Netlist nl = map_aig(aig, CellLibrary::generic70());
-  const std::string tb = to_testbench(nl, "x");
+  const std::string tb = testbench_text(nl, "x");
   // XOR truth table rows.
-  EXPECT_NE(tb.find("check(2'd0, 1'd0);"), std::string::npos);
-  EXPECT_NE(tb.find("check(2'd1, 1'd1);"), std::string::npos);
-  EXPECT_NE(tb.find("check(2'd2, 1'd1);"), std::string::npos);
-  EXPECT_NE(tb.find("check(2'd3, 1'd0);"), std::string::npos);
+  EXPECT_NE(tb.find("check(2'd0, 1'b0);"), std::string::npos);
+  EXPECT_NE(tb.find("check(2'd1, 1'b1);"), std::string::npos);
+  EXPECT_NE(tb.find("check(2'd2, 1'b1);"), std::string::npos);
+  EXPECT_NE(tb.find("check(2'd3, 1'b0);"), std::string::npos);
+}
+
+// 70 outputs do not fit a 64-bit word: each expected response is a 70-digit
+// binary literal, output 0 the last digit.
+TEST(Testbench, WideOutputsAreBinaryLiterals) {
+  Netlist nl(2);
+  const std::uint32_t a = nl.input_net(0), b = nl.input_net(1);
+  const std::uint32_t nets[] = {a, b, nl.add_gate(CellKind::kAnd2, {a, b}),
+                                nl.add_gate(CellKind::kXor2, {a, b})};
+  for (unsigned o = 0; o < 70; ++o) nl.add_output(nets[o % 4]);
+  const std::string tb = testbench_text(nl, "wide");
+  for (std::uint32_t m = 0; m < 4; ++m) {
+    const std::string call = "check(2'd" + std::to_string(m) + ", 70'b";
+    const std::size_t pos = tb.find(call);
+    ASSERT_NE(pos, std::string::npos) << call;
+    const std::string digits = tb.substr(pos + call.size(), 70);
+    ASSERT_EQ(tb.substr(pos + call.size() + 70, 3), ");\n");
+    // Output 69 is nets[1] (input 1), output 0 is nets[0] (input 0).
+    EXPECT_EQ(digits.front(), (m & 2) ? '1' : '0') << "vector " << m;
+    EXPECT_EQ(digits.back(), (m & 1) ? '1' : '0') << "vector " << m;
+    // Output 2 is the AND, output 3 the XOR.
+    EXPECT_EQ(digits[67], (m == 3) ? '1' : '0') << "vector " << m;
+    EXPECT_EQ(digits[66], (m == 1 || m == 2) ? '1' : '0') << "vector " << m;
+  }
 }
 
 // Parser robustness: malformed inputs must throw, never crash.
